@@ -13,8 +13,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  All
 randomness funnels through one seed (``--seed`` overrides the config).
-``--workers`` only affects scheduling, never results; when absent, the
-``LMSLAB_MAX_WORKERS`` environment variable caps the worker count.
+Every command runs in one thread.  ``--workers`` and the
+``LMSLAB_MAX_WORKERS`` environment variable are still accepted and
+validated (a positive integer, else exit code 1) for existing command
+lines, but have no effect.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="configuration file path")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="base seed override")
-    parser.add_argument("--workers", type=int, default=None, help="worker count")
+    parser.add_argument("--workers", type=int, default=None, help="accepted for compatibility; no effect")
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="configuration override, repeatable",
@@ -91,11 +93,12 @@ def _load_settings(args) -> Settings:
     return validate_settings(settings)
 
 
-def _workers(args) -> int:
+def _check_workers(args) -> None:
+    """Validate ``--workers`` / ``LMSLAB_MAX_WORKERS``; neither changes what runs."""
     if args.workers is not None:
         if args.workers < 1:
             raise ConfigError("--workers must be a positive integer")
-        return args.workers
+        return
     env = os.environ.get(ENV_MAX_WORKERS)
     if env:
         try:
@@ -104,8 +107,6 @@ def _workers(args) -> int:
             raise ConfigError(f"{ENV_MAX_WORKERS} must be an integer, got {env!r}") from None
         if value < 1:
             raise ConfigError(f"{ENV_MAX_WORKERS} must be positive")
-        return value
-    return 1
 
 
 def _single_algorithm(settings: Settings, scenario) -> FilterParams:
@@ -130,17 +131,17 @@ def _single_algorithm(settings: Settings, scenario) -> FilterParams:
     return FilterParams(mu1=mu1, muf=0.0, f=scenario.f, alpha=scenario.alpha, variant=variant)
 
 
-def _cmd_grid(settings: Settings, out_dir: Path, workers: int) -> int:
-    entries = full_grid(settings.grid_config(), workers=workers)
+def _cmd_grid(settings: Settings, out_dir: Path) -> int:
+    entries = full_grid(settings.grid_config())
     write_grid_outputs(entries, out_dir)
     log.info("wrote %d scenarios to %s", len(entries), out_dir)
     return 0
 
 
-def _cmd_run(settings: Settings, out_dir: Path, workers: int) -> int:
+def _cmd_run(settings: Settings, out_dir: Path) -> int:
     variant, eta, scenario = settings.single_scenario()
     algorithm = _single_algorithm(settings, scenario)
-    aggregate = run_monte_carlo(algorithm, scenario, workers=workers)
+    aggregate = run_monte_carlo(algorithm, scenario)
     entry = GridEntry(
         sigma_label=sigma_label(settings.noise_level),
         variant=algorithm.variant,
@@ -159,7 +160,7 @@ def _cmd_run(settings: Settings, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def _cmd_calibrate(settings: Settings, out_dir: Path, workers: int) -> int:
+def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
     grid = settings.grid_config()
     if settings.noise_level is not None or settings.alpha is not None or settings.f is not None:
         _, _, scenario = settings.single_scenario()
@@ -177,7 +178,7 @@ def _cmd_calibrate(settings: Settings, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def _cmd_report(settings: Settings, out_dir: Path, workers: int) -> int:
+def _cmd_report(settings: Settings, out_dir: Path) -> int:
     path = out_dir / "aggregates.csv"
     if not path.is_file():
         raise FileNotFoundError(f"no aggregates dump at {path}")
@@ -201,12 +202,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _load_settings(args)
-        workers = _workers(args)
+        _check_workers(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.subcommand](settings, args.out, workers)
+        return _COMMANDS[args.subcommand](settings, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -18,25 +18,25 @@ Reproducibility contract: every random draw is a pure function of
 ``(base_seed, stream domain, run index)``.  Weight initialisation and
 noise use separate sub-streams, runs never share a stream, and ensemble
 means are reduced in ascending run-index order, so results are
-bit-identical across repeated invocations and any worker count.
+bit-identical across repeated invocations and however runs are grouped
+into batches.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .filters import (
     FilterParams,
-    FilterState,
     Variant,
+    advance,
     default_muf,
     diverged_rows,
-    step,
+    update_rule,
 )
 from .metrics import MetricSpace, mse, nwd
 from .signal_model import ModelTruth, aphi_from_bc, benchmark_spec, regressor
@@ -116,6 +116,10 @@ class ScenarioConfig:
     metric_space: MetricSpace = MetricSpace.APHI
 
     def __post_init__(self):
+        for name in ("noise_std", "lms_eta", "mflms_mu1", "mflms_muf"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
         if not 0.0 <= self.alpha < 1.0:
@@ -205,14 +209,20 @@ def _simulate(
     d_clean = (psi * truth.theta_bc).sum(axis=-1)
 
     n_runs = len(run_indices)
-    w0 = np.empty((n_runs, m))
-    eps = np.empty((n_runs, n_iters))
+    w = np.empty((n_runs, m))
+    # Desired samples, one row per iteration so that each step reads a
+    # contiguous slice: the clean signal plus every run's own noise.
+    d = np.empty((n_iters, n_runs))
     for row, run_index in enumerate(run_indices):
         rng_w, rng_e = _run_rngs(scenario.base_seed, domain, run_index)
-        w0[row] = rng_w.standard_normal(m)
-        eps[row] = rng_e.normal(0.0, scenario.noise_std, n_iters)
+        w[row] = rng_w.standard_normal(m)
+        d[:, row] = rng_e.normal(0.0, scenario.noise_std, n_iters)
+    d += d_clean[:, None]
 
-    state = FilterState(w=w0, w_prev=w0.copy(), v=np.zeros((n_runs, m)), n=0)
+    rule = update_rule(algorithm)
+    w_next = w.copy()  # holds w_prev until the kernel overwrites it
+    v = np.zeros_like(w)
+    work = np.empty((3, n_runs, m))
     frozen = np.zeros(n_runs, dtype=bool)
     nwd_ck = np.empty((n_runs, n_ck))
 
@@ -223,24 +233,21 @@ def _simulate(
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_iters):
-            d = d_clean[k] + eps[:, k]
-            new_state, _ = step(state, psi[k], d, algorithm)
-            bad = diverged_rows(new_state.w) | frozen
+            advance(rule, w, w_next, v, psi[k], d[k], w_next, work)
+            bad = diverged_rows(w_next) | frozen
             if bad.any():
-                # Diverged runs stay frozen at their last in-bound state.
-                new_state.w[bad] = state.w[bad]
-                new_state.w_prev[bad] = state.w_prev[bad]
-                new_state.v[bad] = state.v[bad]
+                # Diverged runs stay frozen at their last in-bound weights.
+                w_next[bad] = w[bad]
                 frozen = bad
-            state = new_state
+            w, w_next = w_next, w
             if (k + 1) % interval == 0:
                 if scenario.metric_space is MetricSpace.APHI:
-                    estimate = aphi_from_bc(state.w)
+                    estimate = aphi_from_bc(w)
                 else:
-                    estimate = state.w
+                    estimate = w
                 nwd_ck[:, (k + 1) // interval - 1] = nwd(estimate, truth_vec)
 
-    return nwd_ck, state.w.copy(), frozen
+    return nwd_ck, w, frozen
 
 
 def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:
@@ -277,23 +284,12 @@ def _aggregate(nwd_ck: np.ndarray, final_bc: np.ndarray, frozen: np.ndarray, tru
     )
 
 
-def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig, workers: int = 1) -> AggregateResult:
+def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> AggregateResult:
     """Ensemble of ``scenario.n_runs`` independent runs, averaged.
 
-    Diverged runs are excluded from the means and counted.  The result
-    is independent of ``workers``: runs are partitioned into contiguous
-    index blocks and reassembled in order before any reduction.
+    Diverged runs are excluded from the means and counted.
     """
-    indices = range(scenario.n_runs)
-    if workers <= 1 or scenario.n_runs == 1:
-        nwd_ck, final_bc, frozen = _simulate(algorithm, scenario, indices)
-    else:
-        blocks = np.array_split(np.asarray(indices), min(workers, scenario.n_runs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _simulate(algorithm, scenario, b), blocks))
-        nwd_ck = np.concatenate([p[0] for p in parts], axis=0)
-        final_bc = np.concatenate([p[1] for p in parts], axis=0)
-        frozen = np.concatenate([p[2] for p in parts], axis=0)
+    nwd_ck, final_bc, frozen = _simulate(algorithm, scenario, range(scenario.n_runs))
     _, truth = benchmark_spec(scenario.noise_std)
     return _aggregate(nwd_ck, final_bc, frozen, truth)
 
@@ -506,7 +502,7 @@ def sigma_label(level: float) -> str:
     return f"{level:.2f}"
 
 
-def full_grid(config: GridConfig, workers: int = 1) -> list[GridEntry]:
+def full_grid(config: GridConfig) -> list[GridEntry]:
     """Run the complete benchmark grid in table row order.
 
     For each noise level and each momentum block: the fractional-order
@@ -558,7 +554,4 @@ def full_grid(config: GridConfig, workers: int = 1) -> list[GridEntry]:
             aggregate=aggregate,
         )
 
-    if workers <= 1:
-        return [run_task(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_task, tasks))
+    return [run_task(t) for t in tasks]

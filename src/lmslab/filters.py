@@ -1,34 +1,44 @@
 """One-step update rules for the LMS family of adaptive filters.
 
-Six variants share a common state layout:
+The six variants are one recursion.  From the pre-update error
+``e = d - sum(u*w)`` each forms ``g = (a*e)*u + ((b*e)*u)*|w|**(1-f)``
+(second term skipped when ``b == 0``) and applies it in one of three
+forms: plain ``w' = w + g``; velocity ``v' = alpha*v + g``,
+``w' = w + v'``; collapsed ``w' = w + (alpha*(w - w_prev) + g)``.
 
-* ``LMS`` -- plain stochastic gradient: ``w' = w + mu1*e*u``.
-* ``MOMENTUM_LMS`` -- the LMS gradient accumulated through a velocity
-  term ``v' = alpha*v + g``, ``w' = w + v'``.
-* ``FLMS`` -- LMS plus a fractional-magnitude term:
-  ``w' = w + mu1*e*u + (muf/Gamma(2-f))*e*(u * |w|**(1-f))``.
-* ``MFLMS_ASSEMBLED`` -- the FLMS gradient driven through the velocity
-  accumulator; this is the canonical momentum-fractional variant used by
-  the benchmark experiments.
-* ``MFLMS_PUBLISHED16`` -- a collapsed single-recursion form,
-  ``w' = w + alpha*(w - w_prev) + mu1*e*(u * |w|**(1-f))``, which drops
-  the plain gradient term.  From a zero start it can never leave the
-  origin; it exists so that defect is mechanised and testable.
-* ``MFLMS_CORRECTED`` -- the collapsed form with the missing term
-  restored: ``w' = w + alpha*(w - w_prev) + mu1*e*(u + u * |w|**(1-f))``.
+    variant             form       a     b
+    LMS                 plain      mu1   0
+    FLMS                plain      mu1   muf/Gamma(2-f)
+    MOMENTUM_LMS        velocity   mu1   0
+    MFLMS_ASSEMBLED     velocity   mu1   muf/Gamma(2-f)
+    MFLMS_PUBLISHED16   collapsed  0     mu1
+    MFLMS_CORRECTED     collapsed  mu1   mu1
+
+``b = 0`` whenever ``muf = 0``, so the reduction identities between
+variants hold to the bit.  ``MFLMS_ASSEMBLED`` is the canonical
+momentum-fractional variant of the benchmark.  ``MFLMS_PUBLISHED16``
+presumes ``muf = mu1*Gamma(2-f)`` and drops the plain gradient term:
+from a zero start it never leaves the origin, and it exists so that
+defect is testable.  ``MFLMS_CORRECTED`` restores the term.  As
+``v = w - w_prev`` in exact arithmetic, the collapsed form evaluates
+``w + (alpha*m + g)`` with ``m = w - w_prev``, adding momentum and
+gradient before the weights as the velocity form does; that keeps the
+corrected form within about 1e-14 of the assembled one over a run,
+where ``(w + alpha*m) + g`` drifts to about 1e-13.
 
 Filters know nothing about the signal model: the caller supplies the
-regressor/desired pair for each step.  Step functions are pure state
-transitions; ``w``, ``w_prev`` and ``v`` may carry leading batch
-dimensions (with ``d`` batched to match), in which case each row
-advances independently and the divergence guard is the caller's job via
-:func:`diverged_rows`.
+regressor/desired pair for each step.  :func:`advance` is the batched
+in-place kernel the experiment engine drives, with the divergence guard
+left to the caller via :func:`diverged_rows`; :func:`step` and the
+``*_step`` names wrap it as pure state transitions.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +51,12 @@ __all__ = [
     "StepRecord",
     "DivergenceError",
     "WEIGHT_LIMIT",
+    "Form",
+    "Rule",
     "default_muf",
     "make_filter",
+    "update_rule",
+    "advance",
     "step",
     "lms_step",
     "momentum_lms_step",
@@ -53,14 +67,14 @@ __all__ = [
     "diverged_rows",
 ]
 
-# A run whose weight magnitude crosses this bound is declared diverged;
-# the experiment engine records the event instead of propagating
-# overflow toward infinity.
+# A run whose weight magnitude crosses this bound, or turns NaN, is
+# declared diverged; the experiment engine records the event instead of
+# propagating overflow toward infinity.
 WEIGHT_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """A weight magnitude crossed :data:`WEIGHT_LIMIT` during a step."""
+    """A weight crossed :data:`WEIGHT_LIMIT` or turned NaN during a step."""
 
 
 class Variant(enum.Enum):
@@ -109,10 +123,10 @@ class FilterParams:
     variant: Variant
 
     def __post_init__(self):
-        if not self.mu1 > 0:
-            raise ValueError("mu1 must be positive")
-        if self.muf < 0:
-            raise ValueError("muf must be non-negative")
+        if not (self.mu1 > 0 and math.isfinite(self.mu1)):
+            raise ValueError("mu1 must be positive and finite")
+        if not (self.muf >= 0 and math.isfinite(self.muf)):
+            raise ValueError("muf must be non-negative and finite")
         if not 0.0 < self.f < 1.0:
             raise ValueError("fractional order f must lie strictly in (0, 1)")
         if not 0.0 <= self.alpha < 1.0:
@@ -193,133 +207,121 @@ def make_filter(
 
 
 def diverged_rows(w: np.ndarray) -> np.ndarray:
-    """Boolean mask of batch rows whose weight magnitude crossed the guard."""
-    return (np.abs(w) > WEIGHT_LIMIT).any(axis=-1)
+    """Mask of batch rows holding a NaN, an inf or a weight beyond the guard."""
+    return ~(np.abs(w) <= WEIGHT_LIMIT).all(axis=-1)
 
 
-def _error(state: FilterState, u: np.ndarray, d) -> np.ndarray:
+class Form(enum.Enum):
+    """How a rule turns the gradient ``g`` into new weights."""
+
+    PLAIN = "plain"
+    VELOCITY = "velocity"
+    COLLAPSED = "collapsed"
+
+
+class Rule(NamedTuple):
+    """One row of the coefficient table, plus ``p = 1 - f`` and ``alpha``."""
+
+    form: Form
+    a: float
+    b: float
+    p: float
+    alpha: float
+
+
+def update_rule(params: FilterParams) -> Rule:
+    """The coefficient-table row :func:`advance` applies for ``params``."""
+    mu1 = params.mu1
+    b = params.muf / gamma(2.0 - params.f) if params.muf != 0.0 else 0.0
+    form, a, b = {
+        Variant.LMS: (Form.PLAIN, mu1, b),
+        Variant.FLMS: (Form.PLAIN, mu1, b),
+        Variant.MOMENTUM_LMS: (Form.VELOCITY, mu1, b),
+        Variant.MFLMS_ASSEMBLED: (Form.VELOCITY, mu1, b),
+        Variant.MFLMS_PUBLISHED16: (Form.COLLAPSED, 0.0, mu1),
+        Variant.MFLMS_CORRECTED: (Form.COLLAPSED, mu1, mu1),
+    }[params.variant]
+    return Rule(form, a, b, 1.0 - params.f, params.alpha)
+
+
+def advance(rule: Rule, w, w_prev, v, u, d, out, work) -> np.ndarray:
+    """Advance every row of a batch one iteration in place; return the error.
+
+    ``w``, ``w_prev`` and ``v`` share a shape ``(..., M)``; ``u`` has
+    length ``M`` and ``d`` one entry per row.  The new weights are written
+    to ``out``, which may be ``w_prev``'s buffer but not ``w``'s; the
+    velocity form also updates ``v``.  ``work`` holds three scratch arrays
+    shaped like ``w``.
+    """
+    g, t, x = work
+    e = np.asarray(d - np.multiply(u, w, out=g).sum(axis=-1))
+    col = e[..., None]
+    np.multiply(rule.a * col, u, out=g)
+    if rule.b != 0.0:
+        abs_pow(w, rule.p, out=t)
+        t *= np.multiply(rule.b * col, u, out=x)
+        g += t
+    if rule.form is Form.PLAIN:
+        np.add(w, g, out=out)
+    elif rule.form is Form.VELOCITY:
+        if rule.alpha == 0.0:
+            np.copyto(v, g)
+        else:
+            v *= rule.alpha
+            v += g
+        np.add(w, v, out=out)
+    else:
+        momentum = np.subtract(w, w_prev, out=t)
+        momentum *= rule.alpha
+        momentum += g
+        np.add(w, momentum, out=out)
+    return e
+
+
+def step(state: FilterState, u, d, params: FilterParams):
+    """Advance one iteration with the update rule selected by ``params.variant``.
+
+    Returns the new state and a :class:`StepRecord`; an unbatched step
+    whose weights leave the guard raises :class:`DivergenceError`.
+    """
+    u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != state.w.shape[-1]:
         raise ValueError(
             f"regressor length {u.shape[-1]} does not match filter length "
             f"{state.w.shape[-1]}"
         )
-    # e = d - u.w, evaluated before any weight change.
-    return np.asarray(d - (u * state.w).sum(axis=-1))
-
-
-def _gradient(state: FilterState, u: np.ndarray, e: np.ndarray, params: FilterParams) -> np.ndarray:
-    # Instantaneous update direction shared by the LMS/FLMS family.  The
-    # muf == 0 branch keeps the reduction identities exact to the bit.
-    g = params.mu1 * e[..., None] * u
-    if params.muf != 0.0:
-        coeff = params.muf / gamma(2.0 - params.f)
-        g = g + coeff * e[..., None] * u * abs_pow(state.w, 1.0 - params.f)
-    return g
-
-
-def _finish(state: FilterState, w_new: np.ndarray, v_new: np.ndarray, e: np.ndarray):
-    if w_new.ndim == 1 and np.any(np.abs(w_new) > WEIGHT_LIMIT):
+    w_new = np.empty_like(state.w)
+    v_new = state.v.copy()
+    work = np.empty((3, *state.w.shape))
+    e = advance(update_rule(params), state.w, state.w_prev, v_new, u, d, w_new, work)
+    if w_new.ndim == 1 and diverged_rows(w_new):
         raise DivergenceError(
-            f"weight magnitude exceeded {WEIGHT_LIMIT:g} at iteration {state.n + 1}"
+            f"weights left the guard (NaN or magnitude above {WEIGHT_LIMIT:g}) "
+            f"at iteration {state.n + 1}"
         )
-    new_state = FilterState(w=w_new, w_prev=state.w.copy(), v=v_new, n=state.n + 1)
     delta = w_new - state.w
     norm = np.sqrt((delta * delta).sum(axis=-1))
     if e.ndim == 0:
         record = StepRecord(error=float(e), gradient_norm=float(norm))
     else:
         record = StepRecord(error=e, gradient_norm=norm)
-    return new_state, record
+    return FilterState(w=w_new, w_prev=state.w.copy(), v=v_new, n=state.n + 1), record
 
 
-def _require(params: FilterParams, variant: Variant):
-    if params.variant is not variant:
-        raise ValueError(f"params.variant is {params.variant}, expected {variant}")
+def _variant_step(variant: Variant, doc: str):
+    def variant_step(state: FilterState, u, d, params: FilterParams):
+        if params.variant is not variant:
+            raise ValueError(f"params.variant is {params.variant}, expected {variant}")
+        return step(state, u, d, params)
+
+    variant_step.__name__ = variant_step.__qualname__ = f"{variant.name.lower()}_step"
+    variant_step.__doc__ = doc
+    return variant_step
 
 
-def lms_step(state: FilterState, u, d, params: FilterParams):
-    """Plain LMS update ``w' = w + mu1*e*u``."""
-    _require(params, Variant.LMS)
-    u = np.asarray(u, dtype=np.float64)
-    e = _error(state, u, d)
-    g = _gradient(state, u, e, params)
-    return _finish(state, state.w + g, state.v.copy(), e)
-
-
-def momentum_lms_step(state: FilterState, u, d, params: FilterParams):
-    """LMS driven through the velocity accumulator ``v' = alpha*v + g``."""
-    _require(params, Variant.MOMENTUM_LMS)
-    u = np.asarray(u, dtype=np.float64)
-    e = _error(state, u, d)
-    g = _gradient(state, u, e, params)
-    v_new = g if params.alpha == 0.0 else params.alpha * state.v + g
-    return _finish(state, state.w + v_new, v_new, e)
-
-
-def flms_step(state: FilterState, u, d, params: FilterParams):
-    """Fractional LMS update with the ``|w|**(1-f)`` magnitude term."""
-    _require(params, Variant.FLMS)
-    u = np.asarray(u, dtype=np.float64)
-    e = _error(state, u, d)
-    g = _gradient(state, u, e, params)
-    return _finish(state, state.w + g, state.v.copy(), e)
-
-
-def mflms_assembled_step(state: FilterState, u, d, params: FilterParams):
-    """Momentum-fractional LMS assembled from its defining recursions.
-
-    ``g = mu1*e*u + (muf/Gamma(2-f))*e*(u * |w|**(1-f))``;
-    ``v' = alpha*v + g``; ``w' = w + v'``.
-    """
-    _require(params, Variant.MFLMS_ASSEMBLED)
-    u = np.asarray(u, dtype=np.float64)
-    e = _error(state, u, d)
-    g = _gradient(state, u, e, params)
-    v_new = g if params.alpha == 0.0 else params.alpha * state.v + g
-    return _finish(state, state.w + v_new, v_new, e)
-
-
-def mflms_published16_step(state: FilterState, u, d, params: FilterParams):
-    """Collapsed recursion that omits the plain gradient term.
-
-    ``w' = w + alpha*(w - w_prev) + mu1*e*(u * |w|**(1-f))``.  The form
-    presumes ``muf = mu1*Gamma(2-f)`` and is kept verbatim, missing
-    term and all: started from ``w = w_prev = 0`` it is a fixed point of
-    the origin.
-    """
-    _require(params, Variant.MFLMS_PUBLISHED16)
-    u = np.asarray(u, dtype=np.float64)
-    e = _error(state, u, d)
-    base = state.w + params.alpha * (state.w - state.w_prev)
-    w_new = base + params.mu1 * e[..., None] * (u * abs_pow(state.w, 1.0 - params.f))
-    return _finish(state, w_new, state.v.copy(), e)
-
-
-def mflms_corrected_step(state: FilterState, u, d, params: FilterParams):
-    """Collapsed recursion with the plain gradient term restored.
-
-    ``w' = w + alpha*(w - w_prev) + mu1*e*(u + u * |w|**(1-f))``.  Its
-    difference from :func:`mflms_published16_step` on identical inputs
-    is exactly ``mu1*e*u``.
-    """
-    _require(params, Variant.MFLMS_CORRECTED)
-    u = np.asarray(u, dtype=np.float64)
-    e = _error(state, u, d)
-    base = state.w + params.alpha * (state.w - state.w_prev)
-    w_new = base + params.mu1 * e[..., None] * (u + u * abs_pow(state.w, 1.0 - params.f))
-    return _finish(state, w_new, state.v.copy(), e)
-
-
-_DISPATCH = {
-    Variant.LMS: lms_step,
-    Variant.MOMENTUM_LMS: momentum_lms_step,
-    Variant.FLMS: flms_step,
-    Variant.MFLMS_ASSEMBLED: mflms_assembled_step,
-    Variant.MFLMS_PUBLISHED16: mflms_published16_step,
-    Variant.MFLMS_CORRECTED: mflms_corrected_step,
-}
-
-
-def step(state: FilterState, u, d, params: FilterParams):
-    """Advance one iteration with the update rule selected by ``params.variant``."""
-    return _DISPATCH[params.variant](state, u, d, params)
+lms_step = _variant_step(Variant.LMS, "Plain LMS update.")
+momentum_lms_step = _variant_step(Variant.MOMENTUM_LMS, "LMS through the velocity accumulator.")
+flms_step = _variant_step(Variant.FLMS, "Fractional LMS update.")
+mflms_assembled_step = _variant_step(Variant.MFLMS_ASSEMBLED, "FLMS through the velocity accumulator.")
+mflms_published16_step = _variant_step(Variant.MFLMS_PUBLISHED16, "Collapsed form without the plain term.")
+mflms_corrected_step = _variant_step(Variant.MFLMS_CORRECTED, "Collapsed form with the plain term restored.")

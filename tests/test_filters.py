@@ -17,6 +17,7 @@ from lmslab.filters import (
     FilterState,
     Variant,
     WEIGHT_LIMIT,
+    advance,
     default_muf,
     diverged_rows,
     flms_step,
@@ -27,6 +28,7 @@ from lmslab.filters import (
     mflms_published16_step,
     momentum_lms_step,
     step,
+    update_rule,
 )
 
 # --- naive reference implementation (oracle) ---------------------------
@@ -110,6 +112,12 @@ class TestParamsValidation:
             params_of(Variant.MFLMS_ASSEMBLED, alpha=1.0)
         with pytest.raises(ValueError):
             params_of(Variant.MFLMS_ASSEMBLED, alpha=-0.2)
+
+    @pytest.mark.parametrize("field", ["mu1", "muf"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_steps_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            params_of(Variant.MFLMS_ASSEMBLED, **{field: value})
 
     def test_variant_constraints(self):
         with pytest.raises(ValueError):
@@ -353,6 +361,50 @@ class TestStepOracle:
             np.testing.assert_allclose(new.v, v_exp, rtol=1e-12, atol=1e-12)
 
 
+class TestKernel:
+    """The batched in-place kernel the experiment engine drives."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_batch_rows_match_unbatched_step_and_oracle(self, variant):
+        rng = np.random.default_rng(list(Variant).index(variant))
+        for _ in range(50):
+            params = random_case(rng, variant)[3]
+            rows, m = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+            w = rng.normal(0, 2, (rows, m))
+            w_prev = rng.normal(0, 2, (rows, m))
+            v = rng.normal(0, 1, (rows, m))
+            u = rng.normal(0, 1.5, m)
+            d = rng.normal(0, 2, rows)
+            v_new = v.copy()
+            out = np.empty_like(w)
+            e = advance(update_rule(params), w, w_prev, v_new, u, d, out, np.empty((3, rows, m)))
+            for r in range(rows):
+                new, rec = step(state_of(w[r], w_prev[r], v[r]), u, d[r], params)
+                assert e[r] == rec.error
+                np.testing.assert_array_equal(out[r], new.w)
+                np.testing.assert_array_equal(v_new[r], new.v)
+                w_exp, v_exp, e_exp = naive_step(
+                    variant, w[r], w_prev[r], v[r], u, d[r],
+                    params.mu1, params.muf, params.f, params.alpha,
+                )
+                assert e[r] == pytest.approx(e_exp, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(out[r], w_exp, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(v_new[r], v_exp, rtol=1e-12, atol=1e-12)
+
+    def test_output_may_overwrite_previous_weights(self):
+        # The engine writes w' over w_prev's buffer and swaps the two.
+        rng = np.random.default_rng(5)
+        for variant in Variant:
+            params = random_case(rng, variant)[3]
+            w, w_prev = rng.normal(0, 2, (4, 3)), rng.normal(0, 2, (4, 3))
+            u, d = rng.normal(0, 1.5, 3), rng.normal(0, 2, 4)
+            rule, work = update_rule(params), np.empty((3, 4, 3))
+            expected = np.empty_like(w)
+            advance(rule, w, w_prev, np.zeros_like(w), u, d, expected, work)
+            advance(rule, w, w_prev, np.zeros_like(w), u, d, w_prev, work)
+            np.testing.assert_array_equal(w_prev, expected)
+
+
 class TestStepRecord:
     def test_gradient_norm_is_applied_update_norm(self):
         rng = np.random.default_rng(13)
@@ -379,6 +431,16 @@ class TestGuardsAndErrors:
         new, _ = lms_step(state, np.array([1.0]), np.array([3.0 * WEIGHT_LIMIT, 0.5]), params)
         mask = diverged_rows(new.w)
         assert mask.tolist() == [True, False]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_divergence_mask_flags_non_finite(self, bad):
+        w = np.array([[bad, 0.0], [0.0, 0.0], [WEIGHT_LIMIT, -WEIGHT_LIMIT]])
+        assert diverged_rows(w).tolist() == [True, False, False]
+
+    def test_divergence_guard_raises_on_nan_unbatched(self):
+        params = params_of(Variant.LMS, mu1=1.0)
+        with pytest.raises(DivergenceError):
+            lms_step(state_of([0.0]), [1.0], math.nan, params)
 
     def test_dimension_mismatch(self):
         params = params_of(Variant.LMS)
