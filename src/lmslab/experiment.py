@@ -32,11 +32,11 @@ import numpy as np
 
 from .filters import (
     FilterParams,
+    FilterState,
     Variant,
-    advance,
     default_muf,
     diverged_rows,
-    update_rule,
+    step,
 )
 from .metrics import MetricSpace, mse, nwd
 from .signal_model import ModelTruth, aphi_from_bc, benchmark_spec, regressor
@@ -219,35 +219,26 @@ def _simulate(
         d[:, row] = rng_e.normal(0.0, scenario.noise_std, n_iters)
     d += d_clean[:, None]
 
-    rule = update_rule(algorithm)
-    w_next = w.copy()  # holds w_prev until the kernel overwrites it
-    v = np.zeros_like(w)
-    work = np.empty((3, n_runs, m))
+    state = FilterState(w=w, w_prev=w.copy(), v=np.zeros_like(w))
     frozen = np.zeros(n_runs, dtype=bool)
     nwd_ck = np.empty((n_runs, n_ck))
 
-    if scenario.metric_space is MetricSpace.APHI:
-        truth_vec = truth.theta_aphi
-    else:
-        truth_vec = truth.theta_bc
+    aphi = scenario.metric_space is MetricSpace.APHI
+    truth_vec = truth.theta_aphi if aphi else truth.theta_bc
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_iters):
-            advance(rule, w, w_next, v, psi[k], d[k], w_next, work)
-            bad = diverged_rows(w_next) | frozen
+            step(state, psi[k], d[k], algorithm, in_place=True)
+            bad = diverged_rows(state.w) | frozen
             if bad.any():
                 # Diverged runs stay frozen at their last in-bound weights.
-                w_next[bad] = w[bad]
+                state.w[bad] = state.w_prev[bad]
                 frozen = bad
-            w, w_next = w_next, w
             if (k + 1) % interval == 0:
-                if scenario.metric_space is MetricSpace.APHI:
-                    estimate = aphi_from_bc(w)
-                else:
-                    estimate = w
+                estimate = aphi_from_bc(state.w) if aphi else state.w
                 nwd_ck[:, (k + 1) // interval - 1] = nwd(estimate, truth_vec)
 
-    return nwd_ck, w, frozen
+    return nwd_ck, state.w, frozen
 
 
 def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:

@@ -27,15 +27,17 @@ corrected form within about 1e-14 of the assembled one over a run,
 where ``(w + alpha*m) + g`` drifts to about 1e-13.
 
 Filters know nothing about the signal model: the caller supplies the
-regressor/desired pair for each step.  :func:`advance` is the batched
-in-place kernel the experiment engine drives, with the divergence guard
-left to the caller via :func:`diverged_rows`; :func:`step` and the
-``*_step`` names wrap it as pure state transitions.
+regressor/desired pair for each step.  :func:`advance` is the one
+batched in-place kernel.  :func:`step` and the ``*_step`` names wrap it
+as pure state transitions; the experiment engine calls
+``step(..., in_place=True)``, which reuses the state's buffers and
+leaves the divergence guard to the caller (:func:`diverged_rows`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,8 +53,6 @@ __all__ = [
     "StepRecord",
     "DivergenceError",
     "WEIGHT_LIMIT",
-    "Form",
-    "Rule",
     "default_muf",
     "make_filter",
     "update_rule",
@@ -229,8 +229,13 @@ class Rule(NamedTuple):
     alpha: float
 
 
+@functools.lru_cache(maxsize=64)
 def update_rule(params: FilterParams) -> Rule:
-    """The coefficient-table row :func:`advance` applies for ``params``."""
+    """The coefficient-table row :func:`advance` applies for ``params``.
+
+    Cached, so a simulation stepping with one parameter set computes its
+    coefficients once rather than once per step.
+    """
     mu1 = params.mu1
     b = params.muf / gamma(2.0 - params.f) if params.muf != 0.0 else 0.0
     form, a, b = {
@@ -244,16 +249,14 @@ def update_rule(params: FilterParams) -> Rule:
     return Rule(form, a, b, 1.0 - params.f, params.alpha)
 
 
-def advance(rule: Rule, w, w_prev, v, u, d, out, work) -> np.ndarray:
+def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
     """Advance every row of a batch one iteration in place; return the error.
 
     ``w``, ``w_prev`` and ``v`` share a shape ``(..., M)``; ``u`` has
-    length ``M`` and ``d`` one entry per row.  The new weights are written
-    to ``out``, which may be ``w_prev``'s buffer but not ``w``'s; the
-    velocity form also updates ``v``.  ``work`` holds three scratch arrays
-    shaped like ``w``.
+    length ``M`` and ``d`` one entry per row.  The new weights overwrite
+    ``w_prev``; the velocity form also updates ``v``.
     """
-    g, t, x = work
+    g, t, x = np.empty((3, *w.shape))
     e = np.asarray(d - np.multiply(u, w, out=g).sum(axis=-1))
     col = e[..., None]
     np.multiply(rule.a * col, u, out=g)
@@ -262,27 +265,32 @@ def advance(rule: Rule, w, w_prev, v, u, d, out, work) -> np.ndarray:
         t *= np.multiply(rule.b * col, u, out=x)
         g += t
     if rule.form is Form.PLAIN:
-        np.add(w, g, out=out)
+        np.add(w, g, out=w_prev)
     elif rule.form is Form.VELOCITY:
         if rule.alpha == 0.0:
             np.copyto(v, g)
         else:
             v *= rule.alpha
             v += g
-        np.add(w, v, out=out)
+        np.add(w, v, out=w_prev)
     else:
         momentum = np.subtract(w, w_prev, out=t)
         momentum *= rule.alpha
         momentum += g
-        np.add(w, momentum, out=out)
+        np.add(w, momentum, out=w_prev)
     return e
 
 
-def step(state: FilterState, u, d, params: FilterParams):
+def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = False):
     """Advance one iteration with the update rule selected by ``params.variant``.
 
     Returns the new state and a :class:`StepRecord`; an unbatched step
     whose weights leave the guard raises :class:`DivergenceError`.
+
+    With ``in_place=True`` the step overwrites ``state`` instead (the
+    ``w`` and ``w_prev`` buffers swap, ``v`` updates in place) and
+    returns only the error, leaving the guard to the caller: this is how
+    the experiment engine steps a batch without per-step allocations.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != state.w.shape[-1]:
@@ -290,22 +298,22 @@ def step(state: FilterState, u, d, params: FilterParams):
             f"regressor length {u.shape[-1]} does not match filter length "
             f"{state.w.shape[-1]}"
         )
-    w_new = np.empty_like(state.w)
-    v_new = state.v.copy()
-    work = np.empty((3, *state.w.shape))
-    e = advance(update_rule(params), state.w, state.w_prev, v_new, u, d, w_new, work)
-    if w_new.ndim == 1 and diverged_rows(w_new):
+    if in_place:
+        e = advance(update_rule(params), state.w, state.w_prev, state.v, u, d)
+        state.w, state.w_prev = state.w_prev, state.w
+        state.n += 1
+        return e
+    new = FilterState(w=state.w_prev.copy(), w_prev=state.w.copy(), v=state.v.copy(), n=state.n + 1)
+    e = advance(update_rule(params), state.w, new.w, new.v, u, d)
+    if new.w.ndim == 1 and diverged_rows(new.w):
         raise DivergenceError(
             f"weights left the guard (NaN or magnitude above {WEIGHT_LIMIT:g}) "
-            f"at iteration {state.n + 1}"
+            f"at iteration {new.n}"
         )
-    delta = w_new - state.w
-    norm = np.sqrt((delta * delta).sum(axis=-1))
+    norm = np.sqrt(((new.w - state.w) ** 2).sum(axis=-1))
     if e.ndim == 0:
-        record = StepRecord(error=float(e), gradient_norm=float(norm))
-    else:
-        record = StepRecord(error=e, gradient_norm=norm)
-    return FilterState(w=w_new, w_prev=state.w.copy(), v=v_new, n=state.n + 1), record
+        return new, StepRecord(error=float(e), gradient_norm=float(norm))
+    return new, StepRecord(error=e, gradient_norm=norm)
 
 
 def _variant_step(variant: Variant, doc: str):

@@ -375,9 +375,8 @@ class TestKernel:
             v = rng.normal(0, 1, (rows, m))
             u = rng.normal(0, 1.5, m)
             d = rng.normal(0, 2, rows)
-            v_new = v.copy()
-            out = np.empty_like(w)
-            e = advance(update_rule(params), w, w_prev, v_new, u, d, out, np.empty((3, rows, m)))
+            v_new, out = v.copy(), w_prev.copy()
+            e = advance(update_rule(params), w, out, v_new, u, d)
             for r in range(rows):
                 new, rec = step(state_of(w[r], w_prev[r], v[r]), u, d[r], params)
                 assert e[r] == rec.error
@@ -391,18 +390,24 @@ class TestKernel:
                 np.testing.assert_allclose(out[r], w_exp, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(v_new[r], v_exp, rtol=1e-12, atol=1e-12)
 
-    def test_output_may_overwrite_previous_weights(self):
-        # The engine writes w' over w_prev's buffer and swaps the two.
-        rng = np.random.default_rng(5)
-        for variant in Variant:
-            params = random_case(rng, variant)[3]
-            w, w_prev = rng.normal(0, 2, (4, 3)), rng.normal(0, 2, (4, 3))
-            u, d = rng.normal(0, 1.5, 3), rng.normal(0, 2, 4)
-            rule, work = update_rule(params), np.empty((3, 4, 3))
-            expected = np.empty_like(w)
-            advance(rule, w, w_prev, np.zeros_like(w), u, d, expected, work)
-            advance(rule, w, w_prev, np.zeros_like(w), u, d, w_prev, work)
-            np.testing.assert_array_equal(w_prev, expected)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_in_place_step_matches_pure_step(self, variant):
+        # The engine's path: the state's buffers are reused and swapped.
+        rng = np.random.default_rng(17 + list(Variant).index(variant))
+        params = random_case(rng, variant)[3]
+        w = rng.normal(0, 2, (5, 3))
+        state = FilterState(w=w, w_prev=rng.normal(0, 2, (5, 3)), v=rng.normal(0, 1, (5, 3)))
+        buffers = {id(state.w), id(state.w_prev), id(state.v)}
+        pure = FilterState(w=state.w.copy(), w_prev=state.w_prev.copy(), v=state.v.copy())
+        for k in range(3):
+            u, d = rng.normal(0, 1.5, 3), rng.normal(0, 2, 5)
+            pure, rec = step(pure, u, d, params)
+            np.testing.assert_array_equal(step(state, u, d, params, in_place=True), rec.error)
+            np.testing.assert_array_equal(state.w, pure.w)
+            np.testing.assert_array_equal(state.w_prev, pure.w_prev)
+            np.testing.assert_array_equal(state.v, pure.v)
+            assert state.n == pure.n == k + 1
+        assert {id(state.w), id(state.w_prev), id(state.v)} == buffers
 
 
 class TestStepRecord:
