@@ -20,6 +20,16 @@ noise use separate sub-streams, runs never share a stream, and ensemble
 means are reduced in ascending run-index order, so results are
 bit-identical across repeated invocations and however runs are grouped
 into batches.
+
+Those streams are drawn once per process and stream domain (the main
+ensemble, the calibration probes): a read-only block of initial weights
+and unit-variance noise, which every ensemble and calibration probe at
+that seed reads and scales by its own noise level (common random
+numbers).  A block holds about ``n_runs x n_iters x 8`` bytes for the
+largest run count and iteration count requested (8 MB for the main
+ensembles and 1.6 MB for the calibration probes at the default
+protocol) and is kept until a request with another seed, or a larger
+one, replaces it.
 """
 
 from __future__ import annotations
@@ -82,6 +92,13 @@ _CONVERGED_RATIO = 1.2
 # share random streams.
 _DOMAIN_MAIN = 0
 _DOMAIN_CALIBRATION = 1
+
+# Desired samples are formed from the unit noise this many elements at a
+# time, so a simulation holds no (n_iters, n_runs) array of its own.
+_CHUNK_ELEMENTS = 2**13
+
+# Stream domain -> (base_seed, w0 (R, M), z (N, R)); see _streams.
+_stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 
 
 class CalibrationError(RuntimeError):
@@ -186,6 +203,32 @@ def _run_rngs(base_seed: int, domain: int, run_index: int):
     return rng_w, rng_e
 
 
+def _streams(base_seed: int, domain: int, m: int, n_runs: int, n_iters: int):
+    """Read-only ``(w0, z)`` of runs ``0 .. n_runs - 1`` over ``n_iters`` iterations.
+
+    Row ``r`` of ``w0`` holds run ``r``'s initial weights and column ``r``
+    of ``z`` its unit-variance noise; either may be longer than asked.
+    A domain's block is drawn once and read by every later request it
+    covers; another seed or a larger request draws it anew.
+    """
+    block = _stream_blocks.get(domain)
+    if block is not None and block[0] == base_seed and block[1].shape[1] == m:
+        _, w0, z = block
+        if w0.shape[0] >= n_runs and z.shape[0] >= n_iters:
+            return w0, z
+        n_runs, n_iters = max(n_runs, w0.shape[0]), max(n_iters, z.shape[0])
+    w0 = np.empty((n_runs, m))
+    z = np.empty((n_iters, n_runs))
+    for run_index in range(n_runs):
+        rng_w, rng_e = _run_rngs(base_seed, domain, run_index)
+        w0[run_index] = rng_w.standard_normal(m)
+        z[:, run_index] = rng_e.standard_normal(n_iters)
+    w0.flags.writeable = False
+    z.flags.writeable = False
+    _stream_blocks[domain] = (base_seed, w0, z)
+    return w0, z
+
+
 def _simulate(
     algorithm: FilterParams,
     scenario: ScenarioConfig,
@@ -198,7 +241,9 @@ def _simulate(
     Every run owns its seed-derived streams, so the returned rows do not
     depend on how runs are grouped into batches.
     """
-    run_indices = list(run_indices)
+    run_indices = np.asarray(list(run_indices), dtype=np.intp)
+    if run_indices.min(initial=0) < 0:
+        raise ValueError("run indices must be non-negative")
     n_iters = scenario.n_iters if n_iters is None else n_iters
     interval = scenario.checkpoint_interval
     n_ck = n_iters // interval
@@ -209,15 +254,9 @@ def _simulate(
     d_clean = (psi * truth.theta_bc).sum(axis=-1)
 
     n_runs = len(run_indices)
-    w = np.empty((n_runs, m))
-    # Desired samples, one row per iteration so that each step reads a
-    # contiguous slice: the clean signal plus every run's own noise.
-    d = np.empty((n_iters, n_runs))
-    for row, run_index in enumerate(run_indices):
-        rng_w, rng_e = _run_rngs(scenario.base_seed, domain, run_index)
-        w[row] = rng_w.standard_normal(m)
-        d[:, row] = rng_e.normal(0.0, scenario.noise_std, n_iters)
-    d += d_clean[:, None]
+    w0, z = _streams(scenario.base_seed, domain, m, int(run_indices.max(initial=-1)) + 1, n_iters)
+    w = w0[run_indices]  # a copy: the kernel writes in place
+    chunk = max(1, _CHUNK_ELEMENTS // max(n_runs, 1))
 
     state = FilterState(w=w, w_prev=w.copy(), v=np.zeros_like(w))
     frozen = np.zeros(n_runs, dtype=bool)
@@ -228,7 +267,13 @@ def _simulate(
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_iters):
-            step(state, psi[k], d[k], algorithm, in_place=True)
+            if k % chunk == 0:
+                # Desired samples of the next chunk of iterations, one row
+                # per iteration: the clean signal plus every run's noise.
+                d = z[k:min(k + chunk, n_iters), run_indices]
+                d *= scenario.noise_std
+                d += d_clean[k:k + chunk, None]
+            step(state, psi[k], d[k % chunk], algorithm, in_place=True)
             bad = diverged_rows(state.w) | frozen
             if bad.any():
                 # Diverged runs stay frozen at their last in-bound weights.

@@ -6,16 +6,19 @@ at full scale live in the acceptance suite.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lmslab import experiment
 from lmslab.experiment import (
     AllRunsDivergedError,
     CalibrationError,
     GridConfig,
     ScenarioConfig,
+    _run_rngs,
     _simulate,
     calibrate_mu1,
     full_grid,
@@ -24,9 +27,30 @@ from lmslab.experiment import (
     run_monte_carlo,
     run_single,
 )
-from lmslab.filters import WEIGHT_LIMIT, FilterParams, Variant, lms_step, make_filter
+from lmslab.filters import (
+    WEIGHT_LIMIT,
+    FilterParams,
+    FilterState,
+    Variant,
+    diverged_rows,
+    lms_step,
+    make_filter,
+    step,
+)
 from lmslab.metrics import MetricSpace, mse, nwd
-from lmslab.signal_model import benchmark_spec, regressor, synthesize
+from lmslab.signal_model import aphi_from_bc, benchmark_spec, regressor, synthesize
+
+
+def variant_params(variant: Variant) -> FilterParams:
+    muf = 0.0 if variant in (Variant.LMS, Variant.MOMENTUM_LMS) else 0.02
+    alpha = 0.0 if variant in (Variant.LMS, Variant.FLMS) else 0.5
+    return FilterParams(mu1=0.02, muf=muf, f=0.25, alpha=alpha, variant=variant)
+
+
+@pytest.fixture
+def cold_streams(monkeypatch):
+    """An empty stream cache for one test; the process-wide one is restored after."""
+    monkeypatch.setattr(experiment, "_stream_blocks", {})
 
 
 def scenario(**kwargs):
@@ -92,9 +116,7 @@ class TestDeterminism:
         # Contiguous index blocks simulated apart and concatenated give
         # the rows of a single batch bit for bit.
         sc = scenario(n_runs=13, n_iters=200)
-        muf = 0.0 if variant in (Variant.LMS, Variant.MOMENTUM_LMS) else 0.02
-        alpha = 0.0 if variant in (Variant.LMS, Variant.FLMS) else 0.5
-        params = FilterParams(mu1=0.02, muf=muf, f=0.25, alpha=alpha, variant=variant)
+        params = variant_params(variant)
         whole = _simulate(params, sc, range(13))
         parts = [_simulate(params, sc, block) for block in (range(0, 1), range(1, 6), range(6, 13))]
         for i, expected in enumerate(whole):
@@ -121,8 +143,6 @@ class TestSeeding:
         # Same run at two noise levels keeps the same initial segment of
         # weight-space randomness: different noise draws do not shift
         # the weight-init stream.
-        from lmslab.experiment import _run_rngs
-
         rw0, re0 = _run_rngs(42, 0, 7)
         rw1, re1 = _run_rngs(42, 0, 7)
         w_a = rw0.standard_normal(8)
@@ -130,6 +150,119 @@ class TestSeeding:
         w_b = rw1.standard_normal(8)
         np.testing.assert_array_equal(w_a, w_b)
         assert not np.array_equal(re1.normal(0, 1.0, 8), w_a)
+
+
+def naive_simulate(algorithm, scenario, run_indices, domain=0):
+    """Reference engine: seeds every run afresh and draws its noise at full scale."""
+    n_iters, interval = scenario.n_iters, scenario.checkpoint_interval
+    spec, truth = benchmark_spec(scenario.noise_std)
+    m = len(truth.theta_bc)
+    psi = regressor(spec.frequencies, np.arange(1, n_iters + 1))
+    d_clean = (psi * truth.theta_bc).sum(axis=-1)
+    w = np.empty((len(run_indices), m))
+    d = np.empty((n_iters, len(run_indices)))
+    for row, run_index in enumerate(run_indices):
+        rng_w, rng_e = _run_rngs(scenario.base_seed, domain, run_index)
+        w[row] = rng_w.standard_normal(m)
+        d[:, row] = rng_e.normal(0.0, scenario.noise_std, n_iters) + d_clean
+    state = FilterState(w=w, w_prev=w.copy(), v=np.zeros_like(w))
+    frozen = np.zeros(len(run_indices), dtype=bool)
+    nwd_ck = np.empty((len(run_indices), n_iters // interval))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_iters):
+            state, _ = step(state, psi[k], d[k], algorithm)
+            bad = diverged_rows(state.w) | frozen
+            state.w[bad] = state.w_prev[bad]
+            frozen = bad
+            if (k + 1) % interval == 0:
+                nwd_ck[:, (k + 1) // interval - 1] = nwd(aphi_from_bc(state.w), truth.theta_aphi)
+    return nwd_ck, state.w, frozen
+
+
+class TestSharedStreams:
+    @pytest.mark.parametrize("noise_std", [0.0, math.sqrt(0.3), 1.0])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_matches_per_run_draws(self, cold_streams, variant, noise_std):
+        # The shared block, read in any order and after it grows, gives
+        # the rows of per-run seeding and full-scale noise bit for bit.
+        sc = scenario(noise_std=noise_std, n_iters=200)
+        params = variant_params(variant)
+        for indices in (range(0, 13), range(5, 12), [7, 3, 11], [999], []):
+            got = _simulate(params, sc, indices)
+            expected = naive_simulate(params, sc, list(indices))
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.fixture
+    def draws(self, cold_streams, monkeypatch):
+        calls = []
+
+        def counting_run_rngs(base_seed, domain, run_index):
+            calls.append((base_seed, domain, run_index))
+            return _run_rngs(base_seed, domain, run_index)
+
+        monkeypatch.setattr(experiment, "_run_rngs", counting_run_rngs)
+        return calls
+
+    def test_grid_draws_each_stream_once(self, draws):
+        config = GridConfig(
+            noise_levels=(0.30,), alphas=(0.2,), lms_etas=(0.027,),
+            fractional_orders=(0.25,), n_runs=30, n_iters=100,
+            checkpoint_interval=100, calibration_runs=20,
+        )
+        full_grid(config)
+        assert len(draws) == config.n_runs + config.calibration_runs
+        assert len(set(draws)) == len(draws)
+
+    def test_other_seed_redraws(self, draws):
+        _simulate(lms_params(0.1), scenario(), range(10))
+        _simulate(lms_params(0.1), scenario(base_seed=43), range(10))
+        assert len(draws) == 20
+        assert {seed for seed, _, _ in draws[10:]} == {43}
+
+    def test_smaller_request_reuses_block(self, draws):
+        _simulate(lms_params(0.1), scenario(n_iters=300), range(20))
+        _simulate(lms_params(0.1), scenario(n_iters=100), [3, 19, 0])
+        _simulate(lms_params(0.1), scenario(n_iters=200), range(5, 15))
+        assert len(draws) == 20
+
+    def test_ensemble_independent_of_cache_state(self, cold_streams):
+        sc = scenario(n_runs=20)
+        cold = _simulate(lms_params(0.1), sc, range(20))
+        _simulate(lms_params(0.1), replace(sc, n_iters=600), range(40))
+        larger = _simulate(lms_params(0.1), sc, range(20))
+        _simulate(lms_params(0.1), replace(sc, base_seed=7), range(20))
+        other_seed = _simulate(lms_params(0.1), sc, range(20))
+        for warm in (larger, other_seed):
+            for a, b in zip(cold, warm):
+                np.testing.assert_array_equal(a, b)
+
+    def test_negative_run_index_rejected(self, cold_streams):
+        # A negative index must not alias the last run of a cached block.
+        _simulate(lms_params(0.1), scenario(), range(6))
+        with pytest.raises(ValueError):
+            _simulate(lms_params(0.1), scenario(), [5, -1])
+
+    def test_cached_arrays_are_read_only(self, cold_streams):
+        _simulate(lms_params(0.1), scenario(), range(5))
+        for _, w0, z in experiment._stream_blocks.values():
+            with pytest.raises(ValueError):
+                w0[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                z[0, 0] = 0.0
+
+    def test_warm_ensemble_holds_no_runs_by_iters_array(self, cold_streams):
+        # A 1000 x 1000 ensemble's desired samples alone would take 8 MB.
+        sc = scenario(n_runs=1000, n_iters=1000)
+        run_monte_carlo(lms_params(0.027), sc)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(lms_params(0.027), sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestTrajectoryContract:
