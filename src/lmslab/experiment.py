@@ -25,11 +25,14 @@ Those streams are drawn once per process and stream domain (the main
 ensemble, the calibration probes): a read-only block of initial weights
 and unit-variance noise, which every ensemble and calibration probe at
 that seed reads and scales by its own noise level (common random
-numbers).  A block holds about ``n_runs x n_iters x 8`` bytes for the
-largest run count and iteration count requested (8 MB for the main
-ensembles and 1.6 MB for the calibration probes at the default
-protocol) and is kept until a request with another seed, or a larger
-one, replaces it.
+numbers).  A run is drawn the first time a request names it.  A block
+holds about ``rows x n_iters x 8`` bytes: the block grows by doubling,
+so ``rows`` is under twice the highest run index requested plus one, and
+``n_iters`` is the iteration count of the request that built or last
+grew it (8 MB for the main ensembles and 1.6 MB for the calibration
+probes at the default protocol).  It is kept until a request with
+another seed or more iterations replaces it with a block of that
+request's size.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ _DOMAIN_CALIBRATION = 1
 # time, so a simulation holds no (n_iters, n_runs) array of its own.
 _CHUNK_ELEMENTS = 2**13
 
-# Stream domain -> (base_seed, w0 (R, M), z (N, R)); see _streams.
-_stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+# Stream domain -> (base_seed, drawn (R,), w0 (R, M), z (R, N)); see _streams.
+_stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 class CalibrationError(RuntimeError):
@@ -203,29 +206,37 @@ def _run_rngs(base_seed: int, domain: int, run_index: int):
     return rng_w, rng_e
 
 
-def _streams(base_seed: int, domain: int, m: int, n_runs: int, n_iters: int):
-    """Read-only ``(w0, z)`` of runs ``0 .. n_runs - 1`` over ``n_iters`` iterations.
+def _streams(base_seed: int, domain: int, m: int, run_indices: np.ndarray, n_iters: int):
+    """Read-only ``(w0, z)`` holding runs ``run_indices`` over at least ``n_iters`` iterations.
 
-    Row ``r`` of ``w0`` holds run ``r``'s initial weights and column ``r``
-    of ``z`` its unit-variance noise; either may be longer than asked.
-    A domain's block is drawn once and read by every later request it
-    covers; another seed or a larger request draws it anew.
+    Row ``r`` of ``w0`` holds run ``r``'s initial weights and row ``r`` of
+    ``z`` its unit-variance noise; rows of runs never requested are unset.
+    A domain's block draws each run once, when a request first names it.
+    A request past its last row at least doubles its rows, keeping the
+    drawn runs cut to the request's ``n_iters``; another seed or more
+    iterations start a block of the request's size.
     """
+    n_rows = int(run_indices.max(initial=-1)) + 1
     block = _stream_blocks.get(domain)
-    if block is not None and block[0] == base_seed and block[1].shape[1] == m:
-        _, w0, z = block
-        if w0.shape[0] >= n_runs and z.shape[0] >= n_iters:
-            return w0, z
-        n_runs, n_iters = max(n_runs, w0.shape[0]), max(n_iters, z.shape[0])
-    w0 = np.empty((n_runs, m))
-    z = np.empty((n_iters, n_runs))
-    for run_index in range(n_runs):
+    if block is None or block[0] != base_seed or block[3].shape[1] < n_iters:
+        block = (base_seed, np.zeros(n_rows, bool), np.empty((n_rows, m)), np.empty((n_rows, n_iters)))
+    elif len(block[1]) < n_rows:
+        _, drawn, w0, z = block
+        rows = max(n_rows, 2 * len(drawn))
+        block = (base_seed, np.zeros(rows, bool), np.empty((rows, m)), np.empty((rows, n_iters)))
+        block[1][:len(drawn)] = drawn
+        block[2][:len(drawn)] = w0
+        block[3][:len(drawn)] = z[:, :n_iters]
+    _, drawn, w0, z = block
+    missing = sorted(set(run_indices[~drawn[run_indices]].tolist()))
+    w0.flags.writeable = z.flags.writeable = True
+    for run_index in missing:
         rng_w, rng_e = _run_rngs(base_seed, domain, run_index)
         w0[run_index] = rng_w.standard_normal(m)
-        z[:, run_index] = rng_e.standard_normal(n_iters)
-    w0.flags.writeable = False
-    z.flags.writeable = False
-    _stream_blocks[domain] = (base_seed, w0, z)
+        z[run_index] = rng_e.standard_normal(z.shape[1])
+    drawn[missing] = True
+    w0.flags.writeable = z.flags.writeable = False
+    _stream_blocks[domain] = block
     return w0, z
 
 
@@ -254,7 +265,7 @@ def _simulate(
     d_clean = (psi * truth.theta_bc).sum(axis=-1)
 
     n_runs = len(run_indices)
-    w0, z = _streams(scenario.base_seed, domain, m, int(run_indices.max(initial=-1)) + 1, n_iters)
+    w0, z = _streams(scenario.base_seed, domain, m, run_indices, n_iters)
     w = w0[run_indices]  # a copy: the kernel writes in place
     chunk = max(1, _CHUNK_ELEMENTS // max(n_runs, 1))
 
@@ -269,11 +280,11 @@ def _simulate(
         for k in range(n_iters):
             if k % chunk == 0:
                 # Desired samples of the next chunk of iterations, one row
-                # per iteration: the clean signal plus every run's noise.
-                d = z[k:min(k + chunk, n_iters), run_indices]
+                # per run: the clean signal plus the run's noise.
+                d = z[run_indices, k:min(k + chunk, n_iters)]
                 d *= scenario.noise_std
-                d += d_clean[k:k + chunk, None]
-            step(state, psi[k], d[k % chunk], algorithm, in_place=True)
+                d += d_clean[k:k + chunk]
+            step(state, psi[k], d[:, k % chunk], algorithm, in_place=True)
             bad = diverged_rows(state.w) | frozen
             if bad.any():
                 # Diverged runs stay frozen at their last in-bound weights.

@@ -227,6 +227,27 @@ class TestSharedStreams:
         _simulate(lms_params(0.1), scenario(n_iters=200), range(5, 15))
         assert len(draws) == 20
 
+    def test_run_single_draws_only_the_runs_it_names(self, draws):
+        sc = scenario(n_runs=1000, n_iters=100)
+        for run_index in range(40):
+            run_single(lms_params(0.1), sc, run_index)
+        assert draws == [(42, 0, r) for r in range(40)]
+        assert len(experiment._stream_blocks[0][1]) == 64  # grown by doubling
+        run_single(lms_params(0.1), sc, 999)
+        assert draws[40:] == [(42, 0, 999)]
+
+    def test_block_grows_to_the_request_not_the_cross_product(self, draws):
+        # Growing past a long narrow block keeps its runs, cut to the
+        # request's iterations, instead of holding 100 runs x 2000 iterations.
+        _simulate(lms_params(0.1), scenario(n_iters=2000), range(10))
+        got = _simulate(lms_params(0.1), scenario(n_iters=100), range(100))
+        _, _, w0, z = experiment._stream_blocks[0]
+        assert w0.shape == (100, 8) and z.shape == (100, 100)
+        assert len(draws) == 100
+        expected = naive_simulate(lms_params(0.1), scenario(n_iters=100), range(100))
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
     def test_ensemble_independent_of_cache_state(self, cold_streams):
         sc = scenario(n_runs=20)
         cold = _simulate(lms_params(0.1), sc, range(20))
@@ -246,7 +267,7 @@ class TestSharedStreams:
 
     def test_cached_arrays_are_read_only(self, cold_streams):
         _simulate(lms_params(0.1), scenario(), range(5))
-        for _, w0, z in experiment._stream_blocks.values():
+        for _, _, w0, z in experiment._stream_blocks.values():
             with pytest.raises(ValueError):
                 w0[0, 0] = 0.0
             with pytest.raises(ValueError):
