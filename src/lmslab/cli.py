@@ -25,17 +25,9 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import (
-    ALGORITHM_NAMES,
-    ConfigError,
-    Settings,
-    apply_override,
-    parse_config,
-    validate_settings,
-)
+from .config import ConfigError, Settings, apply_override, parse_config, validate_settings
 from .experiment import (
     GridEntry,
     calibrate_mu1,
@@ -87,9 +79,7 @@ def _load_settings(args) -> Settings:
         key, value = item.split("=", 1)
         settings = apply_override(settings, key, value)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-        settings = replace(settings, base_seed=args.seed)
+        settings = apply_override(settings, "base_seed", str(args.seed))
     return validate_settings(settings)
 
 
@@ -111,15 +101,16 @@ def _check_workers(args) -> None:
 
 def _single_algorithm(settings: Settings, scenario) -> FilterParams:
     """Build the FilterParams for the run/calibrate subcommands."""
-    variant = ALGORITHM_NAMES[settings.algorithm or "mflms"]
+    variant = settings.algorithm
     if variant is Variant.LMS:
         return lms_params(scenario.lms_eta)
     if variant is Variant.MFLMS_ASSEMBLED:
         mu1 = scenario.mflms_mu1
         if mu1 is None:
             log.info("no mflms_mu1 configured; calibrating against LMS(eta=%g)", scenario.lms_eta)
-            mu1 = calibrate_mu1(scenario, tolerance=settings.calibration_tolerance,
-                                calibration_runs=settings.calibration_runs)
+            grid = settings.grid_config()
+            mu1 = calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
+                                calibration_runs=grid.calibration_runs)
         return mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf)
     # remaining variants share the scenario's step sizes directly
     mu1 = scenario.mflms_mu1 if scenario.mflms_mu1 is not None else scenario.lms_eta
@@ -139,7 +130,7 @@ def _cmd_grid(settings: Settings, out_dir: Path) -> int:
 
 
 def _cmd_run(settings: Settings, out_dir: Path) -> int:
-    variant, eta, scenario = settings.single_scenario()
+    scenario = settings.single_scenario()
     algorithm = _single_algorithm(settings, scenario)
     aggregate = run_monte_carlo(algorithm, scenario)
     entry = GridEntry(
@@ -163,18 +154,13 @@ def _cmd_run(settings: Settings, out_dir: Path) -> int:
 def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
     grid = settings.grid_config()
     if settings.noise_level is not None or settings.alpha is not None or settings.f is not None:
-        _, _, scenario = settings.single_scenario()
-        jobs = [(settings.noise_level, scenario.alpha, scenario.f, scenario)]
+        jobs = [(settings.noise_level, settings.single_scenario())]
     else:
-        jobs = []
-        for level in grid.noise_levels:
-            for alpha, eta in zip(grid.alphas, grid.lms_etas):
-                for f in grid.fractional_orders:
-                    jobs.append((level, alpha, f, grid.scenario(level, alpha, f, eta)))
-    for level, alpha, f, scenario in jobs:
+        jobs = [(level, scenario) for level, f, scenario in grid.cells() if f is not None]
+    for level, scenario in jobs:
         mu1 = calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
                             calibration_runs=grid.calibration_runs)
-        print(f"sigma={sigma_label(level)} alpha={alpha:g} f={f:g}: mu1={mu1!r}")
+        print(f"sigma={sigma_label(level)} alpha={scenario.alpha:g} f={scenario.f:g}: mu1={mu1!r}")
     return 0
 
 

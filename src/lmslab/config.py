@@ -5,39 +5,26 @@ The format is line-based: one ``key = value`` assignment per line,
 comma-separated numbers.  Unknown keys are rejected (not ignored), and
 range violations name the offending key.
 
-Grid keys shape the full benchmark sweep; the single-scenario keys
-(``algorithm``, ``noise_level``, ``alpha``, ``f``, ``lms_eta``) select
-one cell for the ``run`` and ``calibrate`` subcommands and have no
+Grid keys are the fields of :class:`~lmslab.experiment.GridConfig`,
+which declares their defaults and cross-field rules; the
+single-scenario keys (``algorithm``, ``noise_level``, ``alpha``, ``f``,
+``lms_eta``) select one cell for the ``run`` and ``calibrate``
+subcommands.  Apart from ``algorithm`` (default ``mflms``) they have no
 defaults: ``run`` refuses to guess a scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .experiment import (
-    ALPHAS,
-    DEFAULT_BASE_SEED,
-    FRACTIONAL_ORDERS,
-    GridConfig,
-    NOISE_LEVELS,
-    PAIRED_LMS_ETAS,
-    ScenarioConfig,
-)
+from .experiment import GridConfig, ScenarioConfig
 from .filters import Variant
 from .metrics import MetricSpace
 
 __all__ = ["ConfigError", "Settings", "parse_config", "apply_override", "validate_settings"]
 
-ALGORITHM_NAMES = {
-    "lms": Variant.LMS,
-    "momentum_lms": Variant.MOMENTUM_LMS,
-    "flms": Variant.FLMS,
-    "mflms": Variant.MFLMS_ASSEMBLED,
-    "mflms_published16": Variant.MFLMS_PUBLISHED16,
-    "mflms_corrected": Variant.MFLMS_CORRECTED,
-}
+_GRID_KEYS = frozenset(f.name for f in fields(GridConfig))
 
 
 class ConfigError(ValueError):
@@ -46,62 +33,32 @@ class ConfigError(ValueError):
 
 @dataclass
 class Settings:
-    """Parsed configuration: the grid plus optional single-scenario keys."""
+    """Parsed configuration: grid overrides plus optional single-scenario keys."""
 
-    noise_levels: tuple = NOISE_LEVELS
-    noise_scale: str = "variance"
-    alphas: tuple = ALPHAS
-    fractional_orders: tuple = FRACTIONAL_ORDERS
-    lms_etas: tuple = PAIRED_LMS_ETAS
-    mflms_mu1: float | None = None
-    n_runs: int = 1000
-    n_iters: int = 1000
-    checkpoint_interval: int = 100
-    base_seed: int = DEFAULT_BASE_SEED
-    metric_space: str = "aphi"
-    calibration_runs: int = 200
-    calibration_tolerance: float = 0.05
-    # single-scenario selection (no defaults on purpose)
-    algorithm: str | None = None
+    grid: dict = field(default_factory=dict)
+    algorithm: Variant = Variant.MFLMS_ASSEMBLED
     noise_level: float | None = None
     alpha: float | None = None
     f: float | None = None
     lms_eta: float | None = None
 
     def grid_config(self) -> GridConfig:
-        return GridConfig(
-            noise_levels=self.noise_levels,
-            noise_scale=self.noise_scale,
-            alphas=self.alphas,
-            fractional_orders=self.fractional_orders,
-            lms_etas=self.lms_etas,
-            mflms_mu1=self.mflms_mu1,
-            n_runs=self.n_runs,
-            n_iters=self.n_iters,
-            checkpoint_interval=self.checkpoint_interval,
-            base_seed=self.base_seed,
-            metric_space=MetricSpace(self.metric_space),
-            calibration_runs=self.calibration_runs,
-            calibration_tolerance=self.calibration_tolerance,
-        )
+        return GridConfig(**self.grid)
 
-    def single_scenario(self) -> tuple[Variant, float, ScenarioConfig]:
+    def single_scenario(self) -> ScenarioConfig:
         """Scenario for ``run``/``calibrate``; raises on missing keys."""
         missing = [k for k in ("noise_level", "alpha", "f") if getattr(self, k) is None]
         if missing:
             raise ConfigError(f"missing required scenario key(s): {', '.join(missing)}")
-        variant = ALGORITHM_NAMES[self.algorithm or "mflms"]
+        grid = self.grid_config()
         eta = self.lms_eta
         if eta is None:
-            pairing = dict(zip(self.alphas, self.lms_etas))
-            eta = pairing.get(self.alpha)
+            eta = dict(zip(grid.alphas, grid.lms_etas)).get(self.alpha)
             if eta is None:
                 raise ConfigError(
                     "lms_eta is required when alpha is not one of the paired grid values"
                 )
-        grid = self.grid_config()
-        scenario = grid.scenario(self.noise_level, self.alpha, self.f, eta)
-        return variant, eta, scenario
+        return grid.scenario(self.noise_level, self.alpha, self.f, eta)
 
 
 def _parse_float(key, text):
@@ -123,9 +80,16 @@ def _parse_int(key, text):
 
 def _parse_float_list(key, text):
     items = [t.strip() for t in text.split(",")]
-    if not any(items):
-        raise ConfigError(f"{key}: empty list")
-    return tuple(_parse_float(key, t) for t in items if t)
+    if not all(items):
+        raise ConfigError(f"{key}: empty list item in {text!r}")
+    return tuple(_parse_float(key, t) for t in items)
+
+
+def _parse_enum(key, text, allowed):
+    value = text.strip().lower()
+    if value not in allowed:
+        raise ConfigError(f"{key}: expected one of {sorted(allowed)}, got {value!r}")
+    return value
 
 
 def _check_probability_open(key, value, lo_open=False):
@@ -145,7 +109,7 @@ def _check_positive(key, value):
 _KEY_PARSERS = {
     "noise_levels": lambda v: tuple(_check_positive("noise_levels", x)
                                     for x in _parse_float_list("noise_levels", v)),
-    "noise_scale": None,  # handled below
+    "noise_scale": lambda v: _parse_enum("noise_scale", v, {"variance", "std"}),
     "alphas": lambda v: tuple(_check_probability_open("alphas", x)
                               for x in _parse_float_list("alphas", v)),
     "fractional_orders": lambda v: tuple(_check_probability_open("fractional_orders", x, lo_open=True)
@@ -158,24 +122,18 @@ _KEY_PARSERS = {
     "checkpoint_interval": lambda v: _check_positive("checkpoint_interval",
                                                      _parse_int("checkpoint_interval", v)),
     "base_seed": lambda v: _parse_int("base_seed", v),
-    "metric_space": None,
+    "metric_space": lambda v: MetricSpace(_parse_enum("metric_space", v,
+                                                      {m.value for m in MetricSpace})),
     "calibration_runs": lambda v: _check_positive("calibration_runs",
                                                   _parse_int("calibration_runs", v)),
     "calibration_tolerance": lambda v: _check_positive("calibration_tolerance",
                                                        _parse_float("calibration_tolerance", v)),
-    "algorithm": None,
+    "algorithm": lambda v: Variant(_parse_enum("algorithm", v, {m.value for m in Variant})),
     "noise_level": lambda v: _check_positive("noise_level", _parse_float("noise_level", v)),
     "alpha": lambda v: _check_probability_open("alpha", _parse_float("alpha", v)),
     "f": lambda v: _check_probability_open("f", _parse_float("f", v), lo_open=True),
     "lms_eta": lambda v: _check_positive("lms_eta", _parse_float("lms_eta", v)),
 }
-
-
-def _parse_enum(key, value, allowed):
-    value = value.strip().lower()
-    if value not in allowed:
-        raise ConfigError(f"{key}: expected one of {sorted(allowed)}, got {value!r}")
-    return value
 
 
 def apply_override(settings: Settings, key: str, value: str) -> Settings:
@@ -187,26 +145,18 @@ def apply_override(settings: Settings, key: str, value: str) -> Settings:
     key = key.strip()
     if key not in _KEY_PARSERS:
         raise ConfigError(f"unknown configuration key: {key!r}")
-    value = value.strip()
-    if key == "noise_scale":
-        parsed = _parse_enum(key, value, {"variance", "std"})
-    elif key == "metric_space":
-        parsed = _parse_enum(key, value, {"aphi", "bc"})
-    elif key == "algorithm":
-        parsed = _parse_enum(key, value, set(ALGORITHM_NAMES))
-    else:
-        parsed = _KEY_PARSERS[key](value)
+    parsed = _KEY_PARSERS[key](value.strip())
+    if key in _GRID_KEYS:
+        return replace(settings, grid={**settings.grid, key: parsed})
     return replace(settings, **{key: parsed})
 
 
 def validate_settings(settings: Settings) -> Settings:
-    """Check constraints that couple several keys; returns the settings."""
-    if settings.n_iters % settings.checkpoint_interval:
-        raise ConfigError("checkpoint_interval: must divide n_iters")
-    if len(settings.alphas) != len(settings.lms_etas):
-        raise ConfigError("lms_etas: must pair one-to-one with alphas")
-    if not 0 <= settings.base_seed < 2**64:
-        raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
+    """Check the constraints that couple several keys; returns the settings."""
+    try:
+        settings.grid_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return settings
 
 

@@ -497,6 +497,10 @@ class GridConfig:
             raise ValueError("alphas and lms_etas must pair up one-to-one")
         if not self.noise_levels or not self.alphas or not self.fractional_orders:
             raise ValueError("grid axes must be non-empty")
+        if self.checkpoint_interval < 1 or self.n_iters % self.checkpoint_interval:
+            raise ValueError("checkpoint_interval must divide n_iters")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError("base_seed must fit in an unsigned 64-bit integer")
 
     def noise_std(self, level: float) -> float:
         """Disturbance standard deviation for a grid noise level."""
@@ -515,6 +519,19 @@ class GridConfig:
             base_seed=self.base_seed,
             metric_space=self.metric_space,
         )
+
+    def cells(self):
+        """Yield ``(level, f, scenario)`` for every table row, in row order.
+
+        For each noise level and momentum block: one row per fractional
+        order, then the block's paired-LMS row, which has ``f=None`` and
+        a scenario at the first fractional order.
+        """
+        for level in self.noise_levels:
+            for alpha, eta in zip(self.alphas, self.lms_etas):
+                for f in self.fractional_orders:
+                    yield level, f, self.scenario(level, alpha, f, eta)
+                yield level, None, self.scenario(level, alpha, self.fractional_orders[0], eta)
 
 
 @dataclass(frozen=True)
@@ -558,20 +575,10 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
     :func:`calibrate_mu1` (falling back to the closest achievable match
     rather than aborting the grid).
     """
-    tasks = []
-    for level in config.noise_levels:
-        for alpha, eta in zip(config.alphas, config.lms_etas):
-            for f in config.fractional_orders:
-                tasks.append(("mflms", level, alpha, eta, f))
-            tasks.append(("lms", level, alpha, eta, config.fractional_orders[0]))
-
-    def run_task(task) -> GridEntry:
-        kind, level, alpha, eta, f = task
-        scenario = config.scenario(level, alpha, f, eta)
-        if kind == "lms":
-            algorithm = lms_params(eta)
-            entry_f = None
-            size = eta
+    entries = []
+    for level, f, scenario in config.cells():
+        if f is None:
+            algorithm = lms_params(scenario.lms_eta)
         else:
             mu1 = scenario.mflms_mu1
             if mu1 is None:
@@ -581,24 +588,21 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
                     calibration_runs=config.calibration_runs,
                     on_no_match="closest",
                 )
-            algorithm = mflms_params(mu1, alpha, f, scenario.mflms_muf)
-            entry_f = f
-            size = mu1
+            algorithm = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf)
         aggregate = run_monte_carlo(algorithm, scenario)
         log.info(
             "scenario sigma=%s alpha=%g %s step=%.5g: final mean NWD %.4f",
-            sigma_label(level), alpha,
-            "lms" if kind == "lms" else f"f={f:g}", size,
+            sigma_label(level), scenario.alpha,
+            "lms" if f is None else f"f={f:g}", algorithm.mu1,
             aggregate.mean_nwd_at_checkpoints[-1],
         )
-        return GridEntry(
+        entries.append(GridEntry(
             sigma_label=sigma_label(level),
             variant=algorithm.variant,
-            alpha=alpha,
-            f=entry_f,
-            step_size=size,
+            alpha=scenario.alpha,
+            f=f,
+            step_size=algorithm.mu1,
             scenario=scenario,
             aggregate=aggregate,
-        )
-
-    return [run_task(t) for t in tasks]
+        ))
+    return entries

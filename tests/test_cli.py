@@ -187,6 +187,10 @@ class TestErrors:
         assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "aggregates.csv").exists()
 
+    def test_seed_out_of_range(self, capsys):
+        assert main(["grid", "--seed", str(2**64), *SMALL_GRID]) == 1
+        assert "base_seed" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["grid", "--config", str(tmp_path / "nope.cfg")]) == 1
 

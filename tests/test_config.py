@@ -1,10 +1,13 @@
 """Configuration parsing tests: defaults, overrides, rejection rules."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
+from lmslab import config
 from lmslab.config import ConfigError, Settings, apply_override, parse_config
+from lmslab.experiment import GridConfig
 from lmslab.metrics import MetricSpace
 
 
@@ -22,23 +25,37 @@ class TestDefaults:
         assert grid.metric_space is MetricSpace.APHI
         assert grid.mflms_mu1 is None
 
+    def test_defaults_are_grid_config_defaults(self):
+        assert parse_config("").grid_config() == GridConfig()
+
+    def test_keys_are_grid_fields_plus_scenario_keys(self):
+        scenario_keys = {"algorithm", "noise_level", "alpha", "f", "lms_eta"}
+        assert set(config._KEY_PARSERS) == {f.name for f in fields(GridConfig)} | scenario_keys
+
     def test_variance_scale_default(self):
         grid = parse_config("").grid_config()
         assert grid.noise_std(0.30) == pytest.approx(math.sqrt(0.30), rel=1e-15)
 
     def test_comments_and_blanks(self):
         settings = parse_config("\n# full comment\n  \nn_runs = 50  # trailing\n")
-        assert settings.n_runs == 50
+        assert settings.grid_config().n_runs == 50
 
 
 class TestOverrides:
     def test_n_runs(self):
-        assert parse_config("n_runs = 50").n_runs == 50
+        assert parse_config("n_runs = 50").grid_config().n_runs == 50
 
     def test_lists(self):
-        settings = parse_config("noise_levels = 0.1, 0.2\nalphas = 0.3,0.4\nlms_etas = 0.01,0.02")
-        assert settings.noise_levels == (0.1, 0.2)
-        assert settings.alphas == (0.3, 0.4)
+        # Cross-field checks wait for the end of parsing, so the paired
+        # lists may be assigned in either order.
+        for text in (
+            "noise_levels = 0.1, 0.2\nalphas = 0.3,0.4\nlms_etas = 0.01,0.02",
+            "noise_levels = 0.1, 0.2\nlms_etas = 0.01,0.02\nalphas = 0.3,0.4",
+        ):
+            grid = parse_config(text).grid_config()
+            assert grid.noise_levels == (0.1, 0.2)
+            assert grid.alphas == (0.3, 0.4)
+            assert grid.lms_etas == (0.01, 0.02)
 
     def test_metric_space_and_scale(self):
         settings = parse_config("metric_space = bc\nnoise_scale = std")
@@ -47,11 +64,11 @@ class TestOverrides:
         assert grid.noise_std(0.30) == 0.30
 
     def test_mu1_override(self):
-        assert parse_config("mflms_mu1 = 0.01").mflms_mu1 == 0.01
+        assert parse_config("mflms_mu1 = 0.01").grid_config().mflms_mu1 == 0.01
 
     def test_set_style_override(self):
         settings = apply_override(Settings(), "base_seed", "7")
-        assert settings.base_seed == 7
+        assert settings.grid_config().base_seed == 7
 
 
 class TestRejections:
@@ -88,8 +105,17 @@ class TestRejections:
             parse_config("lms_etas = -0.1, 0.2, 0.3\n")
 
     def test_bad_algorithm(self):
-        with pytest.raises(ConfigError, match="algorithm"):
+        with pytest.raises(ConfigError, match="algorithm.*mflms_corrected"):
             parse_config("algorithm = adam")
+
+    @pytest.mark.parametrize("value", ["0.1,,0.2", "0.1, 0.2,", ",0.1", ""])
+    def test_empty_list_item(self, value):
+        with pytest.raises(ConfigError, match="noise_levels: empty list item"):
+            parse_config(f"noise_levels = {value}")
+
+    def test_seed_range(self):
+        with pytest.raises(ConfigError, match="base_seed"):
+            parse_config(f"base_seed = {2**64}")
 
 
 class TestSingleScenario:
@@ -99,8 +125,8 @@ class TestSingleScenario:
 
     def test_paired_eta_defaulting(self):
         settings = parse_config("noise_level = 0.30\nalpha = 0.5\nf = 0.25")
-        variant, eta, scenario = settings.single_scenario()
-        assert eta == 0.042
+        scenario = settings.single_scenario()
+        assert scenario.lms_eta == 0.042
         assert scenario.alpha == 0.5
         assert scenario.noise_std == pytest.approx(math.sqrt(0.30), rel=1e-15)
 
@@ -109,5 +135,4 @@ class TestSingleScenario:
         with pytest.raises(ConfigError, match="lms_eta"):
             settings.single_scenario()
         settings = parse_config("noise_level = 0.30\nalpha = 0.3\nf = 0.25\nlms_eta = 0.05")
-        _, eta, _ = settings.single_scenario()
-        assert eta == 0.05
+        assert settings.single_scenario().lms_eta == 0.05
