@@ -33,6 +33,20 @@ grew it (8 MB for the main ensembles and 1.6 MB for the calibration
 probes at the default protocol).  It is kept until a request with
 another seed or more iterations replaces it with a block of that
 request's size.
+
+The engine (:func:`_simulate`) holds a batch component-major: ``w``,
+``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
+calls ``step`` once on their ``(runs, M)`` views, so the kernel's
+operations run over contiguous runs.  Each step is guarded by the
+batch's largest and smallest weight; only when either is NaN or beyond
+``WEIGHT_LIMIT`` are the diverged rows found (:func:`diverged_rows`).
+Those runs are reset to their last in-bound weights, copied to the
+row-major output and dropped from the batch, so frozen runs cost
+nothing further; their later checkpoints repeat their frozen fitness.
+Checkpoint metrics read that row-major output, several checkpoints at a
+time, which keeps them bit-identical to a row-major engine.  The
+paired-LMS calibration reference is memoized (:func:`_calibration_curve`),
+so the cells of a momentum block share one reference simulation.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .filters import (
+    WEIGHT_LIMIT,
     FilterParams,
     FilterState,
     Variant,
@@ -102,6 +117,11 @@ _CHUNK_ELEMENTS = 2**13
 
 # Stream domain -> (base_seed, drawn (R,), w0 (R, M), z (R, N)); see _streams.
 _stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+# (algorithm, noise_std, n_iters, checkpoint_interval, base_seed,
+# metric_space, runs) -> plain-LMS calibration curve; see _calibration_curve.
+_reference_curves: dict[tuple, np.ndarray] = {}
+_MAX_REFERENCE_CURVES = 64
 
 
 class CalibrationError(RuntimeError):
@@ -250,7 +270,8 @@ def _simulate(
     """Advance a batch of runs; returns (nwd_ck, final_bc, diverged).
 
     Every run owns its seed-derived streams, so the returned rows do not
-    depend on how runs are grouped into batches.
+    depend on how runs are grouped into batches.  Runs that hit the
+    guard keep their last in-bound weights and leave the active batch.
     """
     run_indices = np.asarray(list(run_indices), dtype=np.intp)
     if run_indices.min(initial=0) < 0:
@@ -266,11 +287,19 @@ def _simulate(
 
     n_runs = len(run_indices)
     w0, z = _streams(scenario.base_seed, domain, m, run_indices, n_iters)
-    w = w0[run_indices]  # a copy: the kernel writes in place
-    chunk = max(1, _CHUNK_ELEMENTS // max(n_runs, 1))
-
-    state = FilterState(w=w, w_prev=w.copy(), v=np.zeros_like(w))
+    # Component-major buffers; the kernel steps their (runs, M) views.
+    buffers = np.zeros((3, m, n_runs))
+    buffers[0] = buffers[1] = w0[run_indices].T
+    state = FilterState(*(b.T for b in buffers))
+    active = np.arange(n_runs)
     frozen = np.zeros(n_runs, dtype=bool)
+    # Row-major weights the metrics read: a strided view changes their bits.
+    w_out = np.empty((n_runs, m))
+    chunk = max(1, _CHUNK_ELEMENTS // max(n_runs, 1))
+    # Checkpoint weights are gathered and measured this many at a time;
+    # one at a time, the metrics read w_out itself.
+    n_slots = min(n_ck, max(1, _CHUNK_ELEMENTS // max(n_runs * m, 1)))
+    ck = w_out[None] if n_slots == 1 else np.empty((n_slots, n_runs, m))
     nwd_ck = np.empty((n_runs, n_ck))
 
     aphi = scenario.metric_space is MetricSpace.APHI
@@ -280,21 +309,35 @@ def _simulate(
         for k in range(n_iters):
             if k % chunk == 0:
                 # Desired samples of the next chunk of iterations, one row
-                # per run: the clean signal plus the run's noise.
-                d = z[run_indices, k:min(k + chunk, n_iters)]
-                d *= scenario.noise_std
-                d += d_clean[k:k + chunk]
-            step(state, psi[k], d[:, k % chunk], algorithm, in_place=True)
-            bad = diverged_rows(state.w) | frozen
-            if bad.any():
-                # Diverged runs stay frozen at their last in-bound weights.
-                state.w[bad] = state.w_prev[bad]
-                frozen = bad
+                # per iteration: the clean signal plus each active run's noise.
+                zc = z[run_indices[active], k:min(k + chunk, n_iters)]
+                d = np.multiply(zc.T, scenario.noise_std, out=np.empty(zc.shape[::-1]))
+                d += d_clean[k:k + chunk, None]
+            if len(active):
+                step(state, psi[k], d[k % chunk], algorithm, in_place=True)
+                if not (state.w.max() <= WEIGHT_LIMIT and state.w.min() >= -WEIGHT_LIMIT):
+                    # Diverged runs freeze at their last in-bound weights and
+                    # leave the batch; their later checkpoints repeat them.
+                    bad = diverged_rows(state.w)
+                    w_out[active[bad]] = state.w_prev[bad]
+                    frozen[active[bad]] = True
+                    keep = ~bad
+                    active = active[keep]
+                    d = np.compress(keep, d, axis=1)
+                    state.w, state.w_prev, state.v = (
+                        np.compress(keep, a.T, axis=1).T for a in (state.w, state.w_prev, state.v)
+                    )
             if (k + 1) % interval == 0:
-                estimate = aphi_from_bc(state.w) if aphi else state.w
-                nwd_ck[:, (k + 1) // interval - 1] = nwd(estimate, truth_vec)
+                j = (k + 1) // interval - 1
+                slot = j % n_slots
+                w_out[active] = state.w
+                if n_slots > 1:
+                    ck[slot] = w_out
+                if slot == n_slots - 1 or j == n_ck - 1:
+                    estimate = aphi_from_bc(ck[:slot + 1]) if aphi else ck[:slot + 1]
+                    nwd_ck[:, j - slot:j + 1] = nwd(estimate, truth_vec).T
 
-    return nwd_ck, state.w, frozen
+    return nwd_ck, w_out, frozen
 
 
 def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:
@@ -342,15 +385,29 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
 
 
 def _calibration_curve(algorithm, scenario, calibration_runs, n_iters=None):
-    """Mean checkpointed fitness over the calibration ensemble (inf if all diverge)."""
+    """Mean checkpointed fitness over the calibration ensemble (inf if all diverge).
+
+    Plain-LMS curves, the references that every cell of a momentum block
+    shares, are memoized on what the simulation reads and returned
+    read-only.
+    """
+    n_iters = scenario.n_iters if n_iters is None else n_iters
+    key = (algorithm, scenario.noise_std, n_iters, scenario.checkpoint_interval,
+           scenario.base_seed, scenario.metric_space, calibration_runs)
+    if key in _reference_curves:
+        return _reference_curves[key]
     cal = replace(scenario, n_runs=calibration_runs)
     nwd_ck, _, frozen = _simulate(
         algorithm, cal, range(calibration_runs), domain=_DOMAIN_CALIBRATION, n_iters=n_iters
     )
     alive = ~frozen
-    if not alive.any():
-        return np.full(nwd_ck.shape[1], math.inf)
-    return nwd_ck[alive].mean(axis=0)
+    curve = nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
+    if algorithm.variant is Variant.LMS:
+        if len(_reference_curves) >= _MAX_REFERENCE_CURVES:
+            _reference_curves.clear()
+        curve.flags.writeable = False
+        _reference_curves[key] = curve
+    return curve
 
 
 def calibrate_mu1(

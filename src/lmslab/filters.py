@@ -32,6 +32,13 @@ batched in-place kernel.  :func:`step` and the ``*_step`` names wrap it
 as pure state transitions; the experiment engine calls
 ``step(..., in_place=True)``, which reuses the state's buffers and
 leaves the divergence guard to the caller (:func:`diverged_rows`).
+
+The kernel is layout-agnostic: a batch ``(..., M)`` may be a row-major
+array or the transposed view of a component-major ``(M, ...)`` buffer,
+as the experiment engine holds it, and gives the same bits either way.
+Its scratch follows ``w``'s layout, and the error's dot product sums
+the last axis in numpy's own pairwise order (:func:`_pairwise_sum`)
+instead of ``.sum(axis=-1)``, whose order depends on the layout.
 """
 
 from __future__ import annotations
@@ -206,6 +213,40 @@ def make_filter(
     return state, params
 
 
+def _pairwise_sum(x: np.ndarray):
+    """Sum over the last axis, bit-equal to ``x.sum(axis=-1)`` in any layout.
+
+    numpy reduces a contiguous row pairwise: a left fold below 8 terms;
+    8 strided accumulators joined as ``((0+1)+(2+3))+((4+5)+(6+7))``,
+    then the remainder, up to 128; halving above that; all added to an
+    initial ``0.0``.  Done here with one vector operation per term, so a
+    component-major batch keeps that order instead of folding rows left.
+    """
+
+    def tree(x):
+        n = x.shape[-1]
+        if n < 8:
+            s = x[..., 0] if n else np.zeros(x.shape[:-1])
+            for i in range(1, n):
+                s = s + x[..., i]
+            return s
+        if n <= 128:
+            tail = n - n % 8
+            r = x[..., :8]
+            for i in range(8, tail, 8):
+                r = r + x[..., i:i + 8]
+            r = r[..., 0::2] + r[..., 1::2]
+            r = r[..., 0::2] + r[..., 1::2]
+            s = r[..., 0] + r[..., 1]
+            for i in range(tail, n):
+                s = s + x[..., i]
+            return s
+        half = n // 2 - n // 2 % 8
+        return tree(x[..., :half]) + tree(x[..., half:])
+
+    return 0.0 + tree(x)
+
+
 def diverged_rows(w: np.ndarray) -> np.ndarray:
     """Mask of batch rows holding a NaN, an inf or a weight beyond the guard."""
     return ~(np.abs(w) <= WEIGHT_LIMIT).all(axis=-1)
@@ -252,12 +293,13 @@ def update_rule(params: FilterParams) -> Rule:
 def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
     """Advance every row of a batch one iteration in place; return the error.
 
-    ``w``, ``w_prev`` and ``v`` share a shape ``(..., M)``; ``u`` has
-    length ``M`` and ``d`` one entry per row.  The new weights overwrite
-    ``w_prev``; the velocity form also updates ``v``.
+    ``w``, ``w_prev`` and ``v`` share a shape ``(..., M)`` and any
+    memory layout; ``u`` has length ``M`` and ``d`` one entry per row.
+    The new weights overwrite ``w_prev``; the velocity form also updates
+    ``v``.
     """
-    g, t, x = np.empty((3, *w.shape))
-    e = np.asarray(d - np.multiply(u, w, out=g).sum(axis=-1))
+    g, t, x = (np.empty_like(w) for _ in range(3))
+    e = np.asarray(d - _pairwise_sum(np.multiply(u, w, out=g)))
     col = e[..., None]
     np.multiply(rule.a * col, u, out=g)
     if rule.b != 0.0:

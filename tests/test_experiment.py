@@ -153,8 +153,13 @@ class TestSeeding:
 
 
 def naive_simulate(algorithm, scenario, run_indices, domain=0):
-    """Reference engine: seeds every run afresh and draws its noise at full scale."""
+    """Reference engine: seeds every run afresh and draws its noise at full scale.
+
+    Steps every run, frozen or not, as one row-major batch and masks the
+    diverged rows back to their last in-bound weights after each step.
+    """
     n_iters, interval = scenario.n_iters, scenario.checkpoint_interval
+    aphi = scenario.metric_space is MetricSpace.APHI
     spec, truth = benchmark_spec(scenario.noise_std)
     m = len(truth.theta_bc)
     psi = regressor(spec.frequencies, np.arange(1, n_iters + 1))
@@ -175,7 +180,8 @@ def naive_simulate(algorithm, scenario, run_indices, domain=0):
             state.w[bad] = state.w_prev[bad]
             frozen = bad
             if (k + 1) % interval == 0:
-                nwd_ck[:, (k + 1) // interval - 1] = nwd(aphi_from_bc(state.w), truth.theta_aphi)
+                estimate = aphi_from_bc(state.w) if aphi else state.w
+                nwd_ck[:, (k + 1) // interval - 1] = nwd(estimate, truth.theta_aphi if aphi else truth.theta_bc)
     return nwd_ck, state.w, frozen
 
 
@@ -284,6 +290,81 @@ class TestSharedStreams:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+# Per variant: a step size and an iteration count at which some of 300
+# runs have hit the divergence guard and some have not.
+FREEZING = {
+    Variant.LMS: (0.55, 140),
+    Variant.MOMENTUM_LMS: (0.5, 64),
+    Variant.FLMS: (0.2, 20),
+    Variant.MFLMS_ASSEMBLED: (0.1, 60),
+    Variant.MFLMS_PUBLISHED16: (0.2, 40),
+    Variant.MFLMS_CORRECTED: (0.1, 100),
+}
+
+
+def freezing_params(variant: Variant, mu1: float) -> FilterParams:
+    muf = 0.0 if variant in (Variant.LMS, Variant.MOMENTUM_LMS) else mu1
+    alpha = 0.0 if variant in (Variant.LMS, Variant.FLMS) else 0.5
+    return FilterParams(mu1=mu1, muf=muf, f=0.25, alpha=alpha, variant=variant)
+
+
+class TestFrozenRowCompaction:
+    """Diverged runs leave the active batch; the outputs keep every bit."""
+
+    @pytest.fixture
+    def freeze_iterations(self, monkeypatch):
+        # (iteration, rows flagged) for every step at which the engine
+        # built a row mask.
+        seen = {"k": -1, "events": []}
+
+        def counting_step(*args, **kwargs):
+            seen["k"] += 1
+            return step(*args, **kwargs)
+
+        def recording_diverged_rows(w):
+            mask = diverged_rows(w)
+            seen["events"].append((seen["k"], int(mask.sum())))
+            return mask
+
+        monkeypatch.setattr(experiment, "step", counting_step)
+        monkeypatch.setattr(experiment, "diverged_rows", recording_diverged_rows)
+        return seen["events"]
+
+    @pytest.mark.parametrize("space", list(MetricSpace), ids=lambda s: s.value)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_partial_freezing_matches_row_mask_oracle(self, freeze_iterations, variant, space):
+        mu1, n_iters = FREEZING[variant]
+        sc = scenario(noise_std=1.0, n_runs=300, n_iters=n_iters, checkpoint_interval=2, metric_space=space)
+        params = freezing_params(variant, mu1)
+        got = _simulate(params, sc, range(300))
+        assert 0 < got[2].sum() < 300
+        frozen_at = [k for k, n in freeze_iterations if n]
+        chunk = experiment._CHUNK_ELEMENTS // 300
+        assert any((k + 1) % 2 == 0 for k in frozen_at)  # at a checkpoint
+        assert any((k + 1) % 2 and k % chunk for k in frozen_at)  # mid-chunk, between checkpoints
+        for a, b in zip(got, naive_simulate(params, sc, range(300))):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("space", list(MetricSpace), ids=lambda s: s.value)
+    def test_every_row_frozen_matches_row_mask_oracle(self, space):
+        sc = scenario(noise_std=1.0, n_runs=60, n_iters=300, checkpoint_interval=10, metric_space=space)
+        params = freezing_params(Variant.LMS, 0.55)
+        got = _simulate(params, sc, range(60))
+        assert got[2].all()
+        for a, b in zip(got, naive_simulate(params, sc, range(60))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_checkpoint_metrics_span_several_buffers(self):
+        # A checkpoint at every iteration: the metrics are measured many
+        # checkpoints at a time, and the last buffer is partly filled.
+        assert 130 % (experiment._CHUNK_ELEMENTS // (20 * 8))
+        params = variant_params(Variant.MFLMS_ASSEMBLED)
+        for space in MetricSpace:
+            sc = scenario(n_runs=20, n_iters=130, checkpoint_interval=1, metric_space=space)
+            for a, b in zip(_simulate(params, sc, range(20)), naive_simulate(params, sc, range(20))):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestTrajectoryContract:
@@ -404,6 +485,35 @@ class TestCalibration:
         sc = scenario(alpha=0.0, mflms_muf=0.0, n_iters=300, n_runs=30)
         with pytest.raises(CalibrationError):
             calibrate_mu1(sc, calibration_runs=30, tolerance=1e-12)
+
+    def test_grid_block_simulates_its_reference_once(self, monkeypatch):
+        # The three cells of a momentum block share one LMS reference:
+        # it is simulated once, yet every calibration still asks for it.
+        monkeypatch.setattr(experiment, "_reference_curves", {})
+        simulated, requested = [], []
+        real_simulate, real_curve = experiment._simulate, experiment._calibration_curve
+
+        def counting_simulate(algorithm, *args, **kwargs):
+            simulated.append((algorithm.variant, kwargs.get("domain")))
+            return real_simulate(algorithm, *args, **kwargs)
+
+        def recording_curve(algorithm, *args, **kwargs):
+            curve = real_curve(algorithm, *args, **kwargs)
+            requested.append((algorithm.variant, curve))
+            return curve
+
+        monkeypatch.setattr(experiment, "_simulate", counting_simulate)
+        monkeypatch.setattr(experiment, "_calibration_curve", recording_curve)
+        config = GridConfig(
+            noise_levels=(0.30,), alphas=(0.2,), lms_etas=(0.027,),
+            n_runs=10, n_iters=200, checkpoint_interval=100, calibration_runs=20,
+        )
+        full_grid(config)
+        assert simulated.count((Variant.LMS, experiment._DOMAIN_CALIBRATION)) == 1
+        references = [curve for variant, curve in requested if variant is Variant.LMS]
+        assert len(references) == 3
+        assert all(curve is references[0] for curve in references)
+        assert not references[0].flags.writeable
 
     def test_closest_mode_returns_value(self):
         sc = scenario(alpha=0.0, mflms_muf=0.0, n_iters=300, n_runs=30)

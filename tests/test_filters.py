@@ -17,6 +17,7 @@ from lmslab.filters import (
     FilterState,
     Variant,
     WEIGHT_LIMIT,
+    _pairwise_sum,
     advance,
     default_muf,
     diverged_rows,
@@ -408,6 +409,40 @@ class TestKernel:
             np.testing.assert_array_equal(state.v, pure.v)
             assert state.n == pure.n == k + 1
         assert {id(state.w), id(state.w_prev), id(state.v)} == buffers
+
+
+class TestLayout:
+    """The kernel gives the same bits on a row-major batch and on the
+    transposed view of a component-major buffer, as the engine holds it."""
+
+    @pytest.mark.parametrize("m", [*range(1, 21), 64, 128, 129, 300])
+    def test_pairwise_sum_matches_numpy_sum(self, m):
+        rng = np.random.default_rng(m)
+        # Magnitudes spread over 16 decades make any change of order show.
+        x = rng.normal(0, 1, (37, m)) * 10.0 ** rng.integers(-8, 9, (37, m))
+        expected = x.sum(axis=-1).view(np.int64)
+        for layout in (x, np.asfortranarray(x)):
+            np.testing.assert_array_equal(_pairwise_sum(layout).view(np.int64), expected)
+        assert np.float64(_pairwise_sum(x[5])).view(np.int64) == expected[5]
+
+    def test_pairwise_sum_keeps_numpy_signed_zero(self):
+        x = np.full((3, 9), -0.0)
+        np.testing.assert_array_equal(np.signbit(_pairwise_sum(x.T.copy().T)), np.signbit(x.sum(axis=-1)))
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_component_major_views_match_row_major(self, variant):
+        rng = np.random.default_rng(31 + list(Variant).index(variant))
+        for _ in range(20):
+            params = random_case(rng, variant)[3]
+            rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+            arrays = [rng.normal(0, 2, (rows, m)) for _ in range(3)]
+            u, d = rng.normal(0, 1.5, m), rng.normal(0, 2, rows)
+            views = [np.ascontiguousarray(a.T).T for a in arrays]
+            e_row = advance(update_rule(params), *arrays, u, d)
+            e_col = advance(update_rule(params), *views, u, d)
+            np.testing.assert_array_equal(e_col, e_row)
+            for a, b in zip(views, arrays):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestStepRecord:

@@ -9,6 +9,7 @@ name still resolves to a callable.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,24 @@ def test_worker_names_are_callable():
     settings = parse_config("noise_level = 0.30\nalpha = 0.2\nf = 0.25")
     assert isinstance(settings.grid_config(), lmslab.experiment.GridConfig)
     assert isinstance(settings.single_scenario(), lmslab.experiment.ScenarioConfig)
+
+
+def test_engine_steps_each_iteration_with_rows_first(monkeypatch):
+    # The harness's per-variant ns per row-step divides a step's time by
+    # state.w.shape[0], so a non-diverging ensemble must call step once
+    # per iteration with the runs along the first axis.
+    shapes = []
+    real_step = lmslab.experiment.step
+
+    def counting_step(state, *args, **kwargs):
+        shapes.append(state.w.shape)
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(lmslab.experiment, "step", counting_step)
+    scenario = lmslab.experiment.ScenarioConfig(
+        noise_std=math.sqrt(0.30), alpha=0.2, f=0.25, lms_eta=0.027,
+        n_runs=37, n_iters=300, checkpoint_interval=100,
+    )
+    aggregate = lmslab.experiment.run_monte_carlo(lmslab.experiment.lms_params(0.027), scenario)
+    assert aggregate.divergence_count == 0
+    assert shapes == [(37, 8)] * 300
