@@ -32,7 +32,8 @@ so ``rows`` is under twice the highest run index requested plus one, and
 grew it (8 MB for the main ensembles and 1.6 MB for the calibration
 probes at the default protocol).  It is kept until a request with
 another seed or more iterations replaces it with a block of that
-request's size.
+request's size, or until a grid has calibrated every cell and releases
+the calibration block.
 
 The engine (:func:`_simulate`) holds a batch component-major: ``w``,
 ``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
@@ -44,9 +45,15 @@ Those runs are reset to their last in-bound weights, copied to the
 row-major output and dropped from the batch, so frozen runs cost
 nothing further; their later checkpoints repeat their frozen fitness.
 Checkpoint metrics read that row-major output, several checkpoints at a
-time, which keeps them bit-identical to a row-major engine.  The
-paired-LMS calibration reference is memoized (:func:`_calibration_curve`),
-so the cells of a momentum block share one reference simulation.
+time, which keeps them bit-identical to a row-major engine.  A batch may
+also hold blocks with their own coefficients and noise levels.
+
+A grid calibrates its cells in lockstep (:func:`prefetch_calibration`):
+each round's probes of every cell run as a few wide batches, one
+contiguous block per probe.  Each cell then replays its search from
+those curves, in row order, so the log and every calibrated step size
+are those of calibrating the cells one by one.  Outside a grid, the
+paired-LMS reference is memoized (:func:`_calibration_curve`).
 """
 
 from __future__ import annotations
@@ -61,10 +68,12 @@ from .filters import (
     WEIGHT_LIMIT,
     FilterParams,
     FilterState,
+    Rule,
     Variant,
     default_muf,
     diverged_rows,
     step,
+    update_rule,
 )
 from .metrics import MetricSpace, mse, nwd
 from .signal_model import ModelTruth, aphi_from_bc, benchmark_spec, regressor
@@ -80,6 +89,7 @@ __all__ = [
     "run_single",
     "run_monte_carlo",
     "calibrate_mu1",
+    "prefetch_calibration",
     "full_grid",
     "lms_params",
     "mflms_params",
@@ -122,6 +132,10 @@ _stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 # metric_space, runs) -> plain-LMS calibration curve; see _calibration_curve.
 _reference_curves: dict[tuple, np.ndarray] = {}
 _MAX_REFERENCE_CURVES = 64
+
+# Lockstep calibration simulates its probes at most this many rows at a
+# time; see _simulate_curves.
+_BATCH_ROWS = 5000
 
 
 class CalibrationError(RuntimeError):
@@ -261,8 +275,8 @@ def _streams(base_seed: int, domain: int, m: int, run_indices: np.ndarray, n_ite
 
 
 def _simulate(
-    algorithm: FilterParams,
-    scenario: ScenarioConfig,
+    algorithm: FilterParams | tuple[FilterParams, ...],
+    scenario: ScenarioConfig | tuple[ScenarioConfig, ...],
     run_indices,
     domain: int = _DOMAIN_MAIN,
     n_iters: int | None = None,
@@ -272,10 +286,27 @@ def _simulate(
     Every run owns its seed-derived streams, so the returned rows do not
     depend on how runs are grouped into batches.  Runs that hit the
     guard keep their last in-bound weights and leave the active batch.
+
+    ``algorithm`` and ``scenario`` may instead be tuples, one entry per
+    block: block ``i`` is the next ``scenario[i].n_runs`` runs, stepped
+    with ``algorithm[i]`` at ``scenario[i]``'s noise level.
     """
     run_indices = np.asarray(list(run_indices), dtype=np.intp)
     if run_indices.min(initial=0) < 0:
         raise ValueError("run indices must be non-negative")
+    n_runs = len(run_indices)
+    if isinstance(algorithm, tuple):
+        rows = [sc.n_runs for sc in scenario]
+        if (len(algorithm) != len(scenario) or sum(rows) != n_runs
+                or len({(sc.checkpoint_interval, sc.base_seed, sc.metric_space) for sc in scenario}) > 1):
+            raise ValueError("a batch needs a scenario per block, n_runs rows each and one protocol")
+        rule = _batch_rule(algorithm, rows)
+        noise_std = np.repeat([sc.noise_std for sc in scenario], rows)
+        algorithm, scenario = algorithm[0], scenario[0]
+    else:
+        rule, noise_std = update_rule(algorithm), np.full(n_runs, scenario.noise_std)
+    # Per-row coefficient columns, at full batch size; compacted with the rows.
+    columns = {name: c for name, c in zip(Rule._fields, rule) if isinstance(c, np.ndarray)}
     n_iters = scenario.n_iters if n_iters is None else n_iters
     interval = scenario.checkpoint_interval
     n_ck = n_iters // interval
@@ -285,7 +316,6 @@ def _simulate(
     psi = regressor(spec.frequencies, np.arange(1, n_iters + 1))
     d_clean = (psi * truth.theta_bc).sum(axis=-1)
 
-    n_runs = len(run_indices)
     w0, z = _streams(scenario.base_seed, domain, m, run_indices, n_iters)
     # Component-major buffers; the kernel steps their (runs, M) views.
     buffers = np.zeros((3, m, n_runs))
@@ -311,10 +341,10 @@ def _simulate(
                 # Desired samples of the next chunk of iterations, one row
                 # per iteration: the clean signal plus each active run's noise.
                 zc = z[run_indices[active], k:min(k + chunk, n_iters)]
-                d = np.multiply(zc.T, scenario.noise_std, out=np.empty(zc.shape[::-1]))
+                d = np.multiply(zc.T, noise_std[active], out=np.empty(zc.shape[::-1]))
                 d += d_clean[k:k + chunk, None]
             if len(active):
-                step(state, psi[k], d[k % chunk], algorithm, in_place=True)
+                step(state, psi[k], d[k % chunk], algorithm, in_place=True, rule=rule)
                 if not (state.w.max() <= WEIGHT_LIMIT and state.w.min() >= -WEIGHT_LIMIT):
                     # Diverged runs freeze at their last in-bound weights and
                     # leave the batch; their later checkpoints repeat them.
@@ -327,6 +357,7 @@ def _simulate(
                     state.w, state.w_prev, state.v = (
                         np.compress(keep, a.T, axis=1).T for a in (state.w, state.w_prev, state.v)
                     )
+                    rule = rule._replace(**{name: c[active] for name, c in columns.items()})
             if (k + 1) % interval == 0:
                 j = (k + 1) // interval - 1
                 slot = j % n_slots
@@ -338,6 +369,32 @@ def _simulate(
                     nwd_ck[:, j - slot:j + 1] = nwd(estimate, truth_vec).T
 
     return nwd_ck, w_out, frozen
+
+
+def _batch_key(algorithm: FilterParams) -> tuple:
+    """What the blocks of a batch share: the variant, the exponent and which of ``b`` and ``alpha`` are zero."""
+    rule = update_rule(algorithm)
+    return algorithm.variant, rule.p, rule.b == 0.0, rule.alpha == 0.0
+
+
+def _batch_rule(algorithms, rows) -> Rule:
+    """The update rule of a batch whose block ``i`` has ``rows[i]`` runs stepping with ``algorithms[i]``.
+
+    Each block's coefficients are its own :func:`update_rule`'s floats;
+    those that differ between blocks become per-row ``(runs, 1)``
+    columns, which ``step`` applies row by row with the same bits.  The
+    blocks must share their :func:`_batch_key`, so that the kernel takes
+    one branch for every row.
+    """
+    if len({_batch_key(a) for a in algorithms}) > 1:
+        raise ValueError("the blocks of a batch must share the variant, the exponent and the zero coefficients")
+    rules = [update_rule(a) for a in algorithms]
+    columns = {}
+    for name in ("a", "b", "alpha"):
+        values = [getattr(rule, name) for rule in rules]
+        if len(set(values)) > 1:
+            columns[name] = np.repeat(values, rows)[:, None]
+    return rules[0]._replace(**columns)
 
 
 def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:
@@ -384,24 +441,36 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
     return _aggregate(nwd_ck, final_bc, frozen, truth)
 
 
-def _calibration_curve(algorithm, scenario, calibration_runs, n_iters=None):
+def _curve_key(algorithm, scenario, calibration_runs, n_iters):
+    """What a calibration curve's simulation reads."""
+    return (algorithm, scenario.noise_std, n_iters, scenario.checkpoint_interval,
+            scenario.base_seed, scenario.metric_space, calibration_runs)
+
+
+def _mean_curve(nwd_ck, frozen):
+    """Mean fitness of the runs that stayed in bounds (inf if none did)."""
+    alive = ~frozen
+    return nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
+
+
+def _calibration_curve(algorithm, scenario, calibration_runs, n_iters=None, curves=None):
     """Mean checkpointed fitness over the calibration ensemble (inf if all diverge).
 
-    Plain-LMS curves, the references that every cell of a momentum block
-    shares, are memoized on what the simulation reads and returned
-    read-only.
+    A curve already in ``curves`` (see :func:`prefetch_calibration`) is
+    returned without simulating.  Plain-LMS curves, the references that
+    every cell of a momentum block shares, are memoized on what the
+    simulation reads and returned read-only.
     """
     n_iters = scenario.n_iters if n_iters is None else n_iters
-    key = (algorithm, scenario.noise_std, n_iters, scenario.checkpoint_interval,
-           scenario.base_seed, scenario.metric_space, calibration_runs)
-    if key in _reference_curves:
-        return _reference_curves[key]
+    key = _curve_key(algorithm, scenario, calibration_runs, n_iters)
+    for known in (curves or {}, _reference_curves):
+        if key in known:
+            return known[key]
     cal = replace(scenario, n_runs=calibration_runs)
     nwd_ck, _, frozen = _simulate(
         algorithm, cal, range(calibration_runs), domain=_DOMAIN_CALIBRATION, n_iters=n_iters
     )
-    alive = ~frozen
-    curve = nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
+    curve = _mean_curve(nwd_ck, frozen)
     if algorithm.variant is Variant.LMS:
         if len(_reference_curves) >= _MAX_REFERENCE_CURVES:
             _reference_curves.clear()
@@ -410,64 +479,20 @@ def _calibration_curve(algorithm, scenario, calibration_runs, n_iters=None):
     return curve
 
 
-def calibrate_mu1(
-    scenario: ScenarioConfig,
-    target_checkpoint: int = 0,
-    tolerance: float = 0.05,
-    calibration_runs: int = 200,
-    on_no_match: str = "raise",
-) -> float:
-    """Step size at which the momentum-fractional filter matches the paired LMS.
+def _mu1_search(target: float, ref_floor: float, tolerance: float):
+    """The search of :func:`calibrate_mu1`, as a generator of probe requests.
 
-    The paired LMS is run on a reduced ensemble and its mean fitness at
-    ``checkpoints[target_checkpoint]`` becomes the target; bisection
-    over ``mu1`` in ``[1e-4, 0.5]`` then matches the candidate's mean
-    fitness at the same checkpoint to within ``tolerance`` (relative).
-
-    Two regimes of the reference trajectory need different roots of the
-    match equation:
-
-    * still converging at the checkpoint (its value sits well above its
-      final floor): equal convergence means matching the transient, so
-      the bisection solves the descending branch of the fitness-vs-mu1
-      curve;
-    * already at steady state: the match equation degenerates (a whole
-      interval of step sizes matches), so the search resolves the
-      ascending branch near the upper edge of the tolerance band: the
-      fastest-converging configuration consistent with the match.
-
-    ``on_no_match`` selects the failure behaviour: ``"raise"`` (default)
-    raises :class:`CalibrationError`, ``"closest"`` returns the bracket
-    point whose fitness comes closest to the target.
+    It yields lists of ``mu1`` to probe (the doubling scan, then one
+    bisection midpoint at a time) and is sent their fitness at the
+    target checkpoint, in the same order.  It returns ``(mu1, fitness,
+    miss)``: ``miss`` is None on a match, otherwise why there is none,
+    with ``mu1`` the fallback (None if every scan probe diverged).
     """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive (a zero-width match is unreachable)")
-    if calibration_runs < 1:
-        raise ValueError("calibration_runs must be positive")
-    if on_no_match not in ("raise", "closest"):
-        raise ValueError("on_no_match must be 'raise' or 'closest'")
-    checkpoints = scenario.checkpoints
-    if not 0 <= target_checkpoint < len(checkpoints):
-        raise ValueError("target_checkpoint out of range")
-    probe_iters = int(checkpoints[target_checkpoint])
-
-    reference = lms_params(scenario.lms_eta)
-    ref_curve = _calibration_curve(reference, scenario, calibration_runs)
-    target = float(ref_curve[target_checkpoint])
-    ref_floor = float(ref_curve[-1])
-    if not math.isfinite(target):
-        raise CalibrationError("the reference LMS ensemble diverged")
-
-    def h(mu1: float) -> float:
-        algorithm = mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf)
-        curve = _calibration_curve(algorithm, scenario, calibration_runs, n_iters=probe_iters)
-        return float(curve[target_checkpoint])
-
     lo, hi = _MU_BRACKET
     grid = [lo]
     while grid[-1] < hi:
         grid.append(min(grid[-1] * 2, hi))
-    values = [h(mu) for mu in grid]
+    values = yield grid
 
     transient = target > _CONVERGED_RATIO * ref_floor
     if transient:
@@ -492,25 +517,16 @@ def calibrate_mu1(
         finite = [(mu, v) for mu, v in zip(grid, values) if math.isfinite(v)]
         best_mu, best_v = min(finite, key=lambda t: abs(t[1] - target), default=(None, math.inf))
         if best_mu is not None and abs(best_v - target) <= tolerance * target:
-            return best_mu
-        if on_no_match == "closest" and best_mu is not None:
-            log.warning(
-                "no mu1 in [%g, %g] matches the reference fitness %.4g within %g%%; "
-                "using closest (mu1=%.4g, fitness %.4g)",
-                lo, hi, target, 100 * tolerance, best_mu, best_v,
-            )
-            return best_mu
-        raise CalibrationError(
+            return best_mu, best_v, None
+        return best_mu, best_v, (
             f"no mu1 in [{lo:g}, {hi:g}] matches the reference fitness {target:.4g} "
             f"within {100 * tolerance:g}%"
         )
 
     a, b = grid[bracket - 1], grid[bracket]
-    h_mid = values[bracket]
-    mid = b
     for _ in range(60):
         mid = 0.5 * (a + b)
-        h_mid = h(mid)
+        (h_mid,) = yield [mid]
         # Descending branch: a value above the level means the root lies
         # to the right of mid; ascending branch is the mirror image.
         if (h_mid > level) == descending:
@@ -520,13 +536,150 @@ def calibrate_mu1(
         if (b - a) <= 1e-4 * b:
             break
     if abs(h_mid - target) > tolerance * target:
-        if on_no_match == "closest":
-            return mid
-        raise CalibrationError(
+        return mid, h_mid, (
             f"bisection converged to mu1={mid:.4g} but its fitness {h_mid:.4g} "
             f"misses the reference {target:.4g} by more than {100 * tolerance:g}%"
         )
-    return mid
+    return mid, h_mid, None
+
+
+def calibrate_mu1(
+    scenario: ScenarioConfig,
+    target_checkpoint: int = 0,
+    tolerance: float = 0.05,
+    calibration_runs: int = 200,
+    on_no_match: str = "raise",
+    curves: dict | None = None,
+) -> float:
+    """Step size at which the momentum-fractional filter matches the paired LMS.
+
+    The paired LMS is run on a reduced ensemble and its mean fitness at
+    ``checkpoints[target_checkpoint]`` becomes the target; bisection
+    over ``mu1`` in ``[1e-4, 0.5]`` then matches the candidate's mean
+    fitness at the same checkpoint to within ``tolerance`` (relative).
+
+    Two regimes of the reference trajectory need different roots of the
+    match equation:
+
+    * still converging at the checkpoint (its value sits well above its
+      final floor): equal convergence means matching the transient, so
+      the bisection solves the descending branch of the fitness-vs-mu1
+      curve;
+    * already at steady state: the match equation degenerates (a whole
+      interval of step sizes matches), so the search resolves the
+      ascending branch near the upper edge of the tolerance band: the
+      fastest-converging configuration consistent with the match.
+
+    ``on_no_match`` selects the failure behaviour: ``"raise"`` (default)
+    raises :class:`CalibrationError`; ``"closest"`` logs a warning and
+    returns the scan point whose fitness comes closest to the target
+    or, when the bisection misses, its last midpoint.
+
+    ``curves`` holds curves simulated ahead by
+    :func:`prefetch_calibration`; the search then replays them instead
+    of simulating, with the same result.
+    """
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive (a zero-width match is unreachable)")
+    if calibration_runs < 1:
+        raise ValueError("calibration_runs must be positive")
+    if on_no_match not in ("raise", "closest"):
+        raise ValueError("on_no_match must be 'raise' or 'closest'")
+    checkpoints = scenario.checkpoints
+    if not 0 <= target_checkpoint < len(checkpoints):
+        raise ValueError("target_checkpoint out of range")
+    probe_iters = int(checkpoints[target_checkpoint])
+
+    reference = lms_params(scenario.lms_eta)
+    ref_curve = _calibration_curve(reference, scenario, calibration_runs, curves=curves)
+    target = float(ref_curve[target_checkpoint])
+    if not math.isfinite(target):
+        raise CalibrationError("the reference LMS ensemble diverged")
+
+    def h(mu1: float) -> float:
+        algorithm = mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf)
+        curve = _calibration_curve(algorithm, scenario, calibration_runs, n_iters=probe_iters, curves=curves)
+        return float(curve[target_checkpoint])
+
+    search = _mu1_search(target, float(ref_curve[-1]), tolerance)
+    try:
+        request = next(search)
+        while True:
+            request = search.send([h(mu1) for mu1 in request])
+    except StopIteration as done:
+        mu1, fitness, miss = done.value
+    if miss is None:
+        return mu1
+    if on_no_match == "closest" and mu1 is not None:
+        log.warning("%s; using closest (mu1=%.4g, fitness %.4g)", miss, mu1, fitness)
+        return mu1
+    raise CalibrationError(miss)
+
+
+def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
+    """Calibration curves of ``probes``, ``(algorithm, scenario, n_iters)`` each, in order.
+
+    Probes not yet in ``curves`` are simulated and added to it, read-only.
+    Those that can share a batch (see :func:`_batch_key`) run together,
+    each a contiguous block of ``calibration_runs`` rows, in batches of
+    at most ``_BATCH_ROWS`` rows (one block at least).
+    """
+    keys = [_curve_key(algorithm, scenario, calibration_runs, n_iters) for algorithm, scenario, n_iters in probes]
+    groups = {}
+    for key, (algorithm, scenario, n_iters) in dict(zip(keys, probes)).items():
+        if key not in curves:
+            group = groups.setdefault((_batch_key(algorithm), n_iters), [])
+            group.append((key, algorithm, replace(scenario, n_runs=calibration_runs)))
+    per_batch = max(1, _BATCH_ROWS // calibration_runs)
+    for (_, n_iters), group in groups.items():
+        size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
+        for start in range(0, len(group), size):
+            batch_keys, algorithms, scenarios = zip(*group[start:start + size])
+            nwd_ck, _, frozen = _simulate(
+                algorithms, scenarios, np.tile(np.arange(calibration_runs), len(algorithms)),
+                domain=_DOMAIN_CALIBRATION, n_iters=n_iters,
+            )
+            for i, key in enumerate(batch_keys):
+                rows = slice(i * calibration_runs, (i + 1) * calibration_runs)
+                curve = _mean_curve(nwd_ck[rows], frozen[rows])
+                curve.flags.writeable = False
+                curves[key] = curve
+    return [curves[key] for key in keys]
+
+
+def prefetch_calibration(scenarios, tolerance: float = 0.05, calibration_runs: int = 200) -> dict:
+    """Every curve that :func:`calibrate_mu1` asks for in ``scenarios``, simulated in lockstep.
+
+    The searches of all cells advance together: the paired-LMS
+    references first (so the calibration streams are drawn once, at full
+    length), then every cell's doubling scan, then one bisection
+    midpoint per unfinished cell per round.  Each round's probes run in
+    a few wide batches (:func:`_simulate_curves`).  Nothing is logged or
+    raised here: passing the result to ``calibrate_mu1(scenario,
+    tolerance=..., calibration_runs=..., curves=...)`` replays each
+    cell's search, with the default target checkpoint, in microseconds.
+    """
+    references = [(lms_params(sc.lms_eta), sc, sc.n_iters) for sc in scenarios]
+    curves: dict = {}
+    pending = []
+    for sc, ref_curve in zip(scenarios, _simulate_curves(references, calibration_runs, curves)):
+        if math.isfinite(ref_curve[0]):
+            search = _mu1_search(float(ref_curve[0]), float(ref_curve[-1]), tolerance)
+            pending.append((sc, search, next(search)))
+    while pending:
+        probes = [
+            (mflms_params(mu1, sc.alpha, sc.f, sc.mflms_muf), sc, sc.checkpoint_interval)
+            for sc, _, request in pending for mu1 in request
+        ]
+        found = iter(_simulate_curves(probes, calibration_runs, curves))
+        advanced = []
+        for sc, search, request in pending:
+            try:
+                advanced.append((sc, search, search.send([float(next(found)[0]) for _ in request])))
+            except StopIteration:
+                pass
+        pending = advanced
+    return curves
 
 
 @dataclass(frozen=True)
@@ -630,8 +783,19 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
     scenarios first, then the paired LMS row.  Momentum-fractional step
     sizes come from ``config.mflms_mu1`` when set, otherwise from
     :func:`calibrate_mu1` (falling back to the closest achievable match
-    rather than aborting the grid).
+    rather than aborting the grid): every cell's calibration is
+    simulated first, in lockstep (:func:`prefetch_calibration`), then
+    replayed cell by cell in row order before that cell's ensemble.
     """
+    curves = None
+    if config.mflms_mu1 is None:
+        curves = prefetch_calibration(
+            [scenario for _, f, scenario in config.cells() if f is not None],
+            config.calibration_tolerance, config.calibration_runs,
+        )
+        # Nothing else in the grid reads the calibration streams: release
+        # them before the ensembles draw theirs.
+        _stream_blocks.pop(_DOMAIN_CALIBRATION, None)
     entries = []
     for level, f, scenario in config.cells():
         if f is None:
@@ -644,6 +808,7 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
                     tolerance=config.calibration_tolerance,
                     calibration_runs=config.calibration_runs,
                     on_no_match="closest",
+                    curves=curves,
                 )
             algorithm = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf)
         aggregate = run_monte_carlo(algorithm, scenario)

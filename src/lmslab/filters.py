@@ -290,26 +290,33 @@ def update_rule(params: FilterParams) -> Rule:
     return Rule(form, a, b, 1.0 - params.f, params.alpha)
 
 
+def _nonzero(coefficient) -> bool:
+    """Whether a coefficient, a float or a column of nonzero floats, is nonzero."""
+    return isinstance(coefficient, np.ndarray) or coefficient != 0.0
+
+
 def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
     """Advance every row of a batch one iteration in place; return the error.
 
     ``w``, ``w_prev`` and ``v`` share a shape ``(..., M)`` and any
     memory layout; ``u`` has length ``M`` and ``d`` one entry per row.
     The new weights overwrite ``w_prev``; the velocity form also updates
-    ``v``.
+    ``v``.  ``rule.a``, ``rule.b`` and ``rule.alpha`` may be per-row
+    ``(..., 1)`` columns, so one batch can mix step sizes; a column of
+    ``b`` or ``alpha`` must hold no zero, as it takes the nonzero branch.
     """
     g, t, x = (np.empty_like(w) for _ in range(3))
     e = np.asarray(d - _pairwise_sum(np.multiply(u, w, out=g)))
     col = e[..., None]
     np.multiply(rule.a * col, u, out=g)
-    if rule.b != 0.0:
+    if _nonzero(rule.b):
         abs_pow(w, rule.p, out=t)
         t *= np.multiply(rule.b * col, u, out=x)
         g += t
     if rule.form is Form.PLAIN:
         np.add(w, g, out=w_prev)
     elif rule.form is Form.VELOCITY:
-        if rule.alpha == 0.0:
+        if not _nonzero(rule.alpha):
             np.copyto(v, g)
         else:
             v *= rule.alpha
@@ -323,7 +330,7 @@ def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
     return e
 
 
-def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = False):
+def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = False, rule: Rule | None = None):
     """Advance one iteration with the update rule selected by ``params.variant``.
 
     Returns the new state and a :class:`StepRecord`; an unbatched step
@@ -333,6 +340,10 @@ def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = Fal
     ``w`` and ``w_prev`` buffers swap, ``v`` updates in place) and
     returns only the error, leaving the guard to the caller: this is how
     the experiment engine steps a batch without per-step allocations.
+
+    ``rule`` replaces ``update_rule(params)``: the engine passes per-row
+    coefficient columns for a batch that mixes step sizes (see
+    :func:`advance`), with ``params`` one of the batch's parameter sets.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != state.w.shape[-1]:
@@ -340,13 +351,14 @@ def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = Fal
             f"regressor length {u.shape[-1]} does not match filter length "
             f"{state.w.shape[-1]}"
         )
+    rule = update_rule(params) if rule is None else rule
     if in_place:
-        e = advance(update_rule(params), state.w, state.w_prev, state.v, u, d)
+        e = advance(rule, state.w, state.w_prev, state.v, u, d)
         state.w, state.w_prev = state.w_prev, state.w
         state.n += 1
         return e
     new = FilterState(w=state.w_prev.copy(), w_prev=state.w.copy(), v=state.v.copy(), n=state.n + 1)
-    e = advance(update_rule(params), state.w, new.w, new.v, u, d)
+    e = advance(rule, state.w, new.w, new.v, u, d)
     if new.w.ndim == 1 and diverged_rows(new.w):
         raise DivergenceError(
             f"weights left the guard (NaN or magnitude above {WEIGHT_LIMIT:g}) "

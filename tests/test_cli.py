@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lmslab.cli import main
+from lmslab.experiment import GridConfig, calibrate_mu1
 
 SMALL_GRID = [
     "--set", "noise_levels=0.30",
@@ -164,6 +165,33 @@ class TestCalibrate:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("sigma=0.30 alpha=0.2 f=0.25: mu1=")
+
+    def test_grid_prints_cells_until_one_fails(self, tmp_path, capsys):
+        # The grid path calibrates every cell in lockstep, then prints in
+        # row order; at this tolerance the third cell's bisection misses,
+        # so the first two lines print before exit code 2.
+        grid = GridConfig(noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+                          fractional_orders=(0.25, 0.75), n_iters=300)
+        cells = [sc for _, f, sc in grid.cells() if f is not None]
+        expected = "".join(
+            f"sigma=0.30 alpha={sc.alpha:g} f={sc.f:g}: "
+            f"mu1={calibrate_mu1(sc, tolerance=1e-4, calibration_runs=20)!r}\n"
+            for sc in cells[:2]
+        )
+        code = main([
+            "calibrate", "--out", str(tmp_path), "--seed", "42",
+            "--set", "noise_levels=0.30",
+            "--set", "alphas=0.2,0.8",
+            "--set", "lms_etas=0.027,0.1",
+            "--set", "fractional_orders=0.25,0.75",
+            "--set", "n_iters=300",
+            "--set", "calibration_runs=20",
+            "--set", "calibration_tolerance=1e-4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == expected
+        assert captured.err.startswith("error: bisection converged to mu1=")
 
 
 class TestErrors:

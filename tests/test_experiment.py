@@ -5,6 +5,7 @@ Reduced run counts keep these fast; the statistical reproduction checks
 at full scale live in the acceptance suite.
 """
 
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -220,6 +221,9 @@ class TestSharedStreams:
         full_grid(config)
         assert len(draws) == config.n_runs + config.calibration_runs
         assert len(set(draws)) == len(draws)
+        # Calibrated before the ensembles, the grid holds no calibration
+        # streams while they run.
+        assert list(experiment._stream_blocks) == [experiment._DOMAIN_MAIN]
 
     def test_other_seed_redraws(self, draws):
         _simulate(lms_params(0.1), scenario(), range(10))
@@ -367,6 +371,62 @@ class TestFrozenRowCompaction:
                 np.testing.assert_array_equal(a, b)
 
 
+def block_params(variant: Variant, mu1: float, alpha: float) -> FilterParams:
+    fractional = variant not in (Variant.LMS, Variant.MOMENTUM_LMS)
+    momentum = variant not in (Variant.LMS, Variant.FLMS)
+    return FilterParams(mu1=mu1, muf=mu1 if fractional else 0.0, f=0.25,
+                        alpha=alpha if momentum else 0.0, variant=variant)
+
+
+class TestBatchedBlocks:
+    """A batch of blocks with their own coefficients and noise levels."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_blocks_match_separate_simulations(self, variant):
+        # Each block's rows equal its own simulation bit for bit, while
+        # the first block's runs freeze and leave the batch mid-run.
+        mu1, n_iters = FREEZING[variant]
+        blocks = [
+            (block_params(variant, mu1, 0.5), 1.0, range(40)),
+            (block_params(variant, mu1 / 4, 0.3), math.sqrt(0.3), range(3, 10)),
+            (block_params(variant, mu1 / 3, 0.8), 0.0, range(25)),
+        ]
+        algorithms = tuple(params for params, _, _ in blocks)
+        scenarios = tuple(
+            scenario(noise_std=noise_std, n_runs=len(runs), n_iters=n_iters, checkpoint_interval=2)
+            for _, noise_std, runs in blocks
+        )
+        indices = [i for _, _, runs in blocks for i in runs]
+        got = _simulate(algorithms, scenarios, indices, n_iters=n_iters)
+        assert 0 < got[2][:40].sum() < 40 and not got[2][40:].any()
+        parts = [_simulate(a, sc, runs) for a, sc, (_, _, runs) in zip(algorithms, scenarios, blocks)]
+        for i, batched in enumerate(got):
+            np.testing.assert_array_equal(batched, np.concatenate([p[i] for p in parts]))
+
+    def test_uniform_coefficients_stay_scalar(self):
+        params = block_params(Variant.MFLMS_ASSEMBLED, 0.01, 0.5)
+        rule = experiment._batch_rule((params, params), [3, 4])
+        assert rule == experiment.update_rule(params)
+        mixed = experiment._batch_rule((params, replace(params, alpha=0.2)), [3, 4])
+        assert mixed.a == params.mu1 and mixed.alpha.shape == (7, 1)
+
+    @pytest.mark.parametrize("other", [
+        lms_params(0.01),
+        block_params(Variant.MFLMS_ASSEMBLED, 0.01, 0.0),
+        replace(block_params(Variant.MFLMS_ASSEMBLED, 0.01, 0.5), f=0.5),
+        replace(block_params(Variant.MFLMS_ASSEMBLED, 0.01, 0.5), muf=0.0),
+    ], ids=["variant", "alpha-zero", "exponent", "b-zero"])
+    def test_blocks_must_share_the_kernel_branches(self, other):
+        first = block_params(Variant.MFLMS_ASSEMBLED, 0.02, 0.5)
+        with pytest.raises(ValueError):
+            _simulate((first, other), (scenario(n_runs=2),) * 2, range(4))
+
+    def test_block_rows_must_cover_the_indices(self):
+        params = block_params(Variant.LMS, 0.01, 0.0)
+        with pytest.raises(ValueError):
+            _simulate((params, params), (scenario(n_runs=2),) * 2, range(5))
+
+
 class TestTrajectoryContract:
     def test_checkpoint_count(self):
         sc = scenario(n_iters=600, checkpoint_interval=100)
@@ -488,13 +548,15 @@ class TestCalibration:
 
     def test_grid_block_simulates_its_reference_once(self, monkeypatch):
         # The three cells of a momentum block share one LMS reference:
-        # it is simulated once, yet every calibration still asks for it.
+        # it is simulated once (one block of a batch), yet every
+        # calibration still asks for it.
         monkeypatch.setattr(experiment, "_reference_curves", {})
         simulated, requested = [], []
         real_simulate, real_curve = experiment._simulate, experiment._calibration_curve
 
         def counting_simulate(algorithm, *args, **kwargs):
-            simulated.append((algorithm.variant, kwargs.get("domain")))
+            blocks = algorithm if isinstance(algorithm, tuple) else (algorithm,)
+            simulated.extend((block.variant, kwargs.get("domain")) for block in blocks)
             return real_simulate(algorithm, *args, **kwargs)
 
         def recording_curve(algorithm, *args, **kwargs):
@@ -520,6 +582,65 @@ class TestCalibration:
         mu1 = calibrate_mu1(sc, calibration_runs=30, tolerance=1e-12, on_no_match="closest")
         assert 1e-4 <= mu1 <= 0.5
         assert mu1 == pytest.approx(sc.lms_eta, rel=0.05)
+
+    def test_closest_after_bisection_warns(self, caplog):
+        # The bisection misses the tolerance: its last midpoint is used,
+        # and the fallback is logged as the bracket fallback is.
+        sc = scenario(alpha=0.0, mflms_muf=0.0, n_iters=300, n_runs=30)
+        with caplog.at_level(logging.WARNING, logger="lmslab.experiment"):
+            mu1 = calibrate_mu1(sc, calibration_runs=30, tolerance=1e-12, on_no_match="closest")
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        miss, fallback = record.getMessage().split("; ")
+        assert miss.startswith(f"bisection converged to mu1={mu1:.4g} but its fitness ")
+        assert fallback.startswith(f"using closest (mu1={mu1:.4g}, fitness ")
+        with pytest.raises(CalibrationError) as raised:
+            calibrate_mu1(sc, calibration_runs=30, tolerance=1e-12)
+        assert str(raised.value) == miss
+
+    # Cells on the transient branch (alpha 0.2) and on the steady-state
+    # branch (alpha 0.8); at this tolerance the bisection of the cell
+    # alpha 0.8, f 0.25 misses and falls back to "closest".
+    LOCKSTEP_GRID = GridConfig(
+        noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+        fractional_orders=(0.25, 0.75), n_runs=10, n_iters=300, checkpoint_interval=100,
+        calibration_runs=20, calibration_tolerance=1e-4,
+    )
+
+    @pytest.mark.parametrize("blocks_per_batch", [None, 3])
+    def test_lockstep_grid_equals_sequential_calibration(self, monkeypatch, caplog, blocks_per_batch):
+        # The grid simulates every cell's probes in shared batches, then
+        # replays each cell: the calibrated mu1, every probed mu1 in order
+        # and every curve equal per-cell calibrations without prefetch.
+        config = self.LOCKSTEP_GRID
+        if blocks_per_batch is not None:
+            monkeypatch.setattr(experiment, "_BATCH_ROWS", blocks_per_batch * config.calibration_runs)
+        monkeypatch.setattr(experiment, "_reference_curves", {})
+        calls = []
+        real_curve = experiment._calibration_curve
+
+        def recording_curve(algorithm, *args, **kwargs):
+            curve = real_curve(algorithm, *args, **kwargs)
+            calls.append((algorithm.mu1, curve))
+            return curve
+
+        monkeypatch.setattr(experiment, "_calibration_curve", recording_curve)
+        with caplog.at_level(logging.WARNING, logger="lmslab.experiment"):
+            entries = full_grid(config)
+        assert [r.getMessage().startswith("bisection converged") for r in caplog.records] == [True]
+        grid_calls, calls[:] = calls[:], []
+        cells = [sc for _, f, sc in config.cells() if f is not None]
+        expected = [
+            calibrate_mu1(sc, tolerance=config.calibration_tolerance,
+                          calibration_runs=config.calibration_runs, on_no_match="closest")
+            for sc in cells
+        ]
+        assert [e.step_size for e in entries if e.f is not None] == expected
+        assert [mu1 for mu1, _ in grid_calls] == [mu1 for mu1, _ in calls]
+        for (_, got), (_, want) in zip(grid_calls, calls):
+            np.testing.assert_array_equal(got, want)
+        references = [curve for mu1, curve in calls if mu1 in config.lms_etas]
+        assert {bool(c[0] > experiment._CONVERGED_RATIO * c[-1]) for c in references} == {True, False}
 
 
 class TestFullGrid:

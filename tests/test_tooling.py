@@ -1,14 +1,18 @@
-"""Guard the program names the benchmark harness under ``perfbench/`` uses.
+"""Guard the program names and the log protocol the benchmark harness under ``perfbench/`` uses.
 
 The harness wraps module-level functions of ``lmslab.experiment`` and
 ``lmslab.cli`` by name to time each layer, and its worker calls a few
 more.  A refactor that renames or removes one of them leaves that layer
 unmeasured instead of failing, so this test reads the harness's name
 lists (without importing or changing the harness) and checks that each
-name still resolves to a callable.
+name still resolves to a callable.  The harness's correctness checks
+also parse the order of calibration curves and log lines; a small grid
+must pass them.
 """
 
 import ast
+import importlib.util
+import logging
 import math
 from pathlib import Path
 
@@ -17,6 +21,7 @@ import pytest
 import lmslab.cli
 import lmslab.experiment
 from lmslab.config import parse_config
+from lmslab.reporting import write_aggregates_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,3 +77,69 @@ def test_engine_steps_each_iteration_with_rows_first(monkeypatch):
     aggregate = lmslab.experiment.run_monte_carlo(lmslab.experiment.lms_params(0.027), scenario)
     assert aggregate.divergence_count == 0
     assert shapes == [(37, 8)] * 300
+
+
+class _Capture(logging.Handler):
+    def __init__(self, records):
+        super().__init__(logging.INFO)
+        self.records = records
+
+    def emit(self, record):
+        self.records.append((record.name, record.levelno, record.getMessage()))
+
+
+def test_calibrating_grid_passes_the_harness_checks(monkeypatch, caplog):
+    # Recorded as the harness's worker records them: the grid's log lines
+    # and every _calibration_curve result, in one stream.  Per cell the
+    # reference curve, then each probe curve, then the cell's INFO line.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+
+    records = []
+    real_curve = lmslab.experiment._calibration_curve
+
+    def recording_curve(algorithm, *args, **kwargs):
+        curve = real_curve(algorithm, *args, **kwargs)
+        records.append((checks.CURVE_LOG, 0, {
+            "mu1": float(algorithm.mu1), "curve": [float(c) for c in curve],
+        }))
+        return curve
+
+    monkeypatch.setattr(lmslab.experiment, "_calibration_curve", recording_curve)
+    config = lmslab.experiment.GridConfig(
+        noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+        fractional_orders=(0.25, 0.75), n_runs=10, n_iters=300, checkpoint_interval=100,
+        calibration_runs=20, calibration_tolerance=checks.CALIBRATION_TOLERANCE,
+    )
+    logger = logging.getLogger("lmslab.experiment")
+    handler = _Capture(records)
+    logger.addHandler(handler)
+    try:
+        with caplog.at_level(logging.INFO, logger="lmslab.experiment"):
+            entries = lmslab.experiment.full_grid(config)
+    finally:
+        logger.removeHandler(handler)
+
+    rows = checks.parse_aggregates(write_aggregates_csv(entries))
+    keys = [checks.scenario_key(r) for r in rows]
+    assert len(rows) == 6 and sum(name == checks.CURVE_LOG for name, _, _ in records) > 4 * 13
+    assert checks.check_fallback(records, keys) == {}
+    assert checks.check_calibration(records, rows) == {}
+    # Curves sit between the scenario lines: a calibrated cell's own
+    # reference, then its 13 scan probes and at least one midpoint; none
+    # before a paired-LMS row.
+    segments, segment = [], []
+    for name, _, message in records:
+        if name == checks.CURVE_LOG:
+            segment.append(message["mu1"])
+        elif message.startswith("scenario "):
+            segments.append(segment)
+            segment = []
+    assert segment == [] and len(segments) == len(entries)
+    for entry, mu1s in zip(entries, segments):
+        if entry.f is None:
+            assert mu1s == []
+        else:
+            assert mu1s[0] == entry.scenario.lms_eta and len(mu1s) >= 1 + 13 + 1
