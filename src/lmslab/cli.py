@@ -30,11 +30,11 @@ from pathlib import Path
 from .config import ConfigError, Settings, apply_override, parse_config, validate_settings
 from .experiment import (
     GridEntry,
+    calibrate_grid,
     calibrate_mu1,
     full_grid,
     lms_params,
     mflms_params,
-    prefetch_calibration,
     run_monte_carlo,
     sigma_label,
 )
@@ -154,16 +154,14 @@ def _cmd_run(settings: Settings, out_dir: Path) -> int:
 
 def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
     grid = settings.grid_config()
-    curves = None
     if settings.noise_level is not None or settings.alpha is not None or settings.f is not None:
-        jobs = [(settings.noise_level, settings.single_scenario())]
+        scenario = settings.single_scenario()
+        cells = [(settings.noise_level, scenario,
+                  calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
+                                calibration_runs=grid.calibration_runs))]
     else:
-        jobs = [(level, scenario) for level, f, scenario in grid.cells() if f is not None]
-        curves = prefetch_calibration([scenario for _, scenario in jobs],
-                                      grid.calibration_tolerance, grid.calibration_runs)
-    for level, scenario in jobs:
-        mu1 = calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
-                            calibration_runs=grid.calibration_runs, curves=curves)
+        cells = calibrate_grid(grid, on_no_match="raise")
+    for level, scenario, mu1 in cells:
         print(f"sigma={sigma_label(level)} alpha={scenario.alpha:g} f={scenario.f:g}: mu1={mu1!r}")
     return 0
 

@@ -48,12 +48,12 @@ Checkpoint metrics read that row-major output, several checkpoints at a
 time, which keeps them bit-identical to a row-major engine.  A batch may
 also hold blocks with their own coefficients and noise levels.
 
-A grid calibrates its cells in lockstep (:func:`prefetch_calibration`):
-each round's probes of every cell run as a few wide batches, one
-contiguous block per probe.  Each cell then replays its search from
+Calibration runs in lockstep (:func:`prefetch_calibration`): the
+searches of all cells to calibrate (one cell, or every cell of a grid)
+advance in rounds, and each round's probes run as a few wide batches,
+one contiguous block per probe.  Each cell then replays its search from
 those curves, in row order, so the log and every calibrated step size
-are those of calibrating the cells one by one.  Outside a grid, the
-paired-LMS reference is memoized (:func:`_calibration_curve`).
+are those of calibrating the cells one by one.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ __all__ = [
     "run_monte_carlo",
     "calibrate_mu1",
     "prefetch_calibration",
+    "calibrate_grid",
     "full_grid",
     "lms_params",
     "mflms_params",
@@ -127,11 +128,6 @@ _CHUNK_ELEMENTS = 2**13
 
 # Stream domain -> (base_seed, drawn (R,), w0 (R, M), z (R, N)); see _streams.
 _stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-# (algorithm, noise_std, n_iters, checkpoint_interval, base_seed,
-# metric_space, runs) -> plain-LMS calibration curve; see _calibration_curve.
-_reference_curves: dict[tuple, np.ndarray] = {}
-_MAX_REFERENCE_CURVES = 64
 
 # Lockstep calibration simulates its probes at most this many rows at a
 # time; see _simulate_curves.
@@ -453,30 +449,9 @@ def _mean_curve(nwd_ck, frozen):
     return nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
 
 
-def _calibration_curve(algorithm, scenario, calibration_runs, n_iters=None, curves=None):
-    """Mean checkpointed fitness over the calibration ensemble (inf if all diverge).
-
-    A curve already in ``curves`` (see :func:`prefetch_calibration`) is
-    returned without simulating.  Plain-LMS curves, the references that
-    every cell of a momentum block shares, are memoized on what the
-    simulation reads and returned read-only.
-    """
-    n_iters = scenario.n_iters if n_iters is None else n_iters
-    key = _curve_key(algorithm, scenario, calibration_runs, n_iters)
-    for known in (curves or {}, _reference_curves):
-        if key in known:
-            return known[key]
-    cal = replace(scenario, n_runs=calibration_runs)
-    nwd_ck, _, frozen = _simulate(
-        algorithm, cal, range(calibration_runs), domain=_DOMAIN_CALIBRATION, n_iters=n_iters
-    )
-    curve = _mean_curve(nwd_ck, frozen)
-    if algorithm.variant is Variant.LMS:
-        if len(_reference_curves) >= _MAX_REFERENCE_CURVES:
-            _reference_curves.clear()
-        curve.flags.writeable = False
-        _reference_curves[key] = curve
-    return curve
+def _calibration_curve(algorithm, scenario, calibration_runs, n_iters, curves):
+    """The curve of this probe in ``curves`` (see :func:`prefetch_calibration`)."""
+    return curves[_curve_key(algorithm, scenario, calibration_runs, n_iters)]
 
 
 def _mu1_search(target: float, ref_floor: float, tolerance: float):
@@ -575,9 +550,10 @@ def calibrate_mu1(
     returns the scan point whose fitness comes closest to the target
     or, when the bisection misses, its last midpoint.
 
-    ``curves`` holds curves simulated ahead by
-    :func:`prefetch_calibration`; the search then replays them instead
-    of simulating, with the same result.
+    The search is simulated by :func:`prefetch_calibration`, then
+    replayed from its curves; ``curves`` passes curves that it prefetched
+    for several cells at once, with the same ``tolerance``,
+    ``calibration_runs`` and ``target_checkpoint``.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive (a zero-width match is unreachable)")
@@ -589,16 +565,18 @@ def calibrate_mu1(
     if not 0 <= target_checkpoint < len(checkpoints):
         raise ValueError("target_checkpoint out of range")
     probe_iters = int(checkpoints[target_checkpoint])
+    if curves is None:
+        curves = prefetch_calibration([scenario], tolerance, calibration_runs, target_checkpoint)
 
     reference = lms_params(scenario.lms_eta)
-    ref_curve = _calibration_curve(reference, scenario, calibration_runs, curves=curves)
+    ref_curve = _calibration_curve(reference, scenario, calibration_runs, scenario.n_iters, curves)
     target = float(ref_curve[target_checkpoint])
     if not math.isfinite(target):
         raise CalibrationError("the reference LMS ensemble diverged")
 
     def h(mu1: float) -> float:
         algorithm = mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf)
-        curve = _calibration_curve(algorithm, scenario, calibration_runs, n_iters=probe_iters, curves=curves)
+        curve = _calibration_curve(algorithm, scenario, calibration_runs, probe_iters, curves)
         return float(curve[target_checkpoint])
 
     search = _mu1_search(target, float(ref_curve[-1]), tolerance)
@@ -647,7 +625,9 @@ def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
     return [curves[key] for key in keys]
 
 
-def prefetch_calibration(scenarios, tolerance: float = 0.05, calibration_runs: int = 200) -> dict:
+def prefetch_calibration(
+    scenarios, tolerance: float = 0.05, calibration_runs: int = 200, target_checkpoint: int = 0
+) -> dict:
     """Every curve that :func:`calibrate_mu1` asks for in ``scenarios``, simulated in lockstep.
 
     The searches of all cells advance together: the paired-LMS
@@ -656,26 +636,28 @@ def prefetch_calibration(scenarios, tolerance: float = 0.05, calibration_runs: i
     midpoint per unfinished cell per round.  Each round's probes run in
     a few wide batches (:func:`_simulate_curves`).  Nothing is logged or
     raised here: passing the result to ``calibrate_mu1(scenario,
-    tolerance=..., calibration_runs=..., curves=...)`` replays each
-    cell's search, with the default target checkpoint, in microseconds.
+    target_checkpoint, tolerance, calibration_runs, curves=...)``
+    replays each cell's search in microseconds.
     """
     references = [(lms_params(sc.lms_eta), sc, sc.n_iters) for sc in scenarios]
     curves: dict = {}
     pending = []
     for sc, ref_curve in zip(scenarios, _simulate_curves(references, calibration_runs, curves)):
-        if math.isfinite(ref_curve[0]):
-            search = _mu1_search(float(ref_curve[0]), float(ref_curve[-1]), tolerance)
-            pending.append((sc, search, next(search)))
+        target = float(ref_curve[target_checkpoint])
+        if math.isfinite(target):
+            search = _mu1_search(target, float(ref_curve[-1]), tolerance)
+            pending.append((sc, int(sc.checkpoints[target_checkpoint]), search, next(search)))
     while pending:
         probes = [
-            (mflms_params(mu1, sc.alpha, sc.f, sc.mflms_muf), sc, sc.checkpoint_interval)
-            for sc, _, request in pending for mu1 in request
+            (mflms_params(mu1, sc.alpha, sc.f, sc.mflms_muf), sc, n_iters)
+            for sc, n_iters, _, request in pending for mu1 in request
         ]
         found = iter(_simulate_curves(probes, calibration_runs, curves))
         advanced = []
-        for sc, search, request in pending:
+        for sc, n_iters, search, request in pending:
             try:
-                advanced.append((sc, search, search.send([float(next(found)[0]) for _ in request])))
+                fitness = [float(next(found)[target_checkpoint]) for _ in request]
+                advanced.append((sc, n_iters, search, search.send(fitness)))
             except StopIteration:
                 pass
         pending = advanced
@@ -776,40 +758,49 @@ def sigma_label(level: float) -> str:
     return f"{level:.2f}"
 
 
+def calibrate_grid(config: GridConfig, on_no_match: str = "closest"):
+    """Yield ``(level, scenario, mu1)`` for every momentum-fractional cell, in row order.
+
+    Every cell's search is simulated first, in lockstep
+    (:func:`prefetch_calibration`); each cell's :func:`calibrate_mu1`
+    replays it when the generator reaches that cell, so its log lines
+    fall where calibrating the cells one by one would put them.
+    ``on_no_match`` is passed to :func:`calibrate_mu1`.
+    """
+    cells = [(level, scenario) for level, f, scenario in config.cells() if f is not None]
+    curves = prefetch_calibration(
+        [scenario for _, scenario in cells], config.calibration_tolerance, config.calibration_runs
+    )
+    # Nothing after the prefetch reads the calibration streams: release
+    # them before a grid's ensembles draw theirs.
+    _stream_blocks.pop(_DOMAIN_CALIBRATION, None)
+    for level, scenario in cells:
+        yield level, scenario, calibrate_mu1(
+            scenario,
+            tolerance=config.calibration_tolerance,
+            calibration_runs=config.calibration_runs,
+            on_no_match=on_no_match,
+            curves=curves,
+        )
+
+
 def full_grid(config: GridConfig) -> list[GridEntry]:
     """Run the complete benchmark grid in table row order.
 
     For each noise level and each momentum block: the fractional-order
     scenarios first, then the paired LMS row.  Momentum-fractional step
     sizes come from ``config.mflms_mu1`` when set, otherwise from
-    :func:`calibrate_mu1` (falling back to the closest achievable match
-    rather than aborting the grid): every cell's calibration is
-    simulated first, in lockstep (:func:`prefetch_calibration`), then
-    replayed cell by cell in row order before that cell's ensemble.
+    :func:`calibrate_grid` (falling back to the closest achievable match
+    rather than aborting the grid), which simulates every cell's
+    calibration before the first ensemble.
     """
-    curves = None
-    if config.mflms_mu1 is None:
-        curves = prefetch_calibration(
-            [scenario for _, f, scenario in config.cells() if f is not None],
-            config.calibration_tolerance, config.calibration_runs,
-        )
-        # Nothing else in the grid reads the calibration streams: release
-        # them before the ensembles draw theirs.
-        _stream_blocks.pop(_DOMAIN_CALIBRATION, None)
+    calibrated = calibrate_grid(config) if config.mflms_mu1 is None else None
     entries = []
     for level, f, scenario in config.cells():
         if f is None:
             algorithm = lms_params(scenario.lms_eta)
         else:
-            mu1 = scenario.mflms_mu1
-            if mu1 is None:
-                mu1 = calibrate_mu1(
-                    scenario,
-                    tolerance=config.calibration_tolerance,
-                    calibration_runs=config.calibration_runs,
-                    on_no_match="closest",
-                    curves=curves,
-                )
+            mu1 = scenario.mflms_mu1 if calibrated is None else next(calibrated)[2]
             algorithm = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf)
         aggregate = run_monte_carlo(algorithm, scenario)
         log.info(

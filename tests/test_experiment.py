@@ -550,7 +550,6 @@ class TestCalibration:
         # The three cells of a momentum block share one LMS reference:
         # it is simulated once (one block of a batch), yet every
         # calibration still asks for it.
-        monkeypatch.setattr(experiment, "_reference_curves", {})
         simulated, requested = [], []
         real_simulate, real_curve = experiment._simulate, experiment._calibration_curve
 
@@ -576,6 +575,25 @@ class TestCalibration:
         assert len(references) == 3
         assert all(curve is references[0] for curve in references)
         assert not references[0].flags.writeable
+
+    def test_later_target_checkpoint_probes_up_to_it(self, monkeypatch):
+        # At target checkpoint 1 every probe runs to the second checkpoint
+        # and is read there; the match holds at that checkpoint.
+        sc = scenario(n_iters=400, n_runs=10)
+        calls = []
+        real_curve = experiment._calibration_curve
+
+        def recording_curve(algorithm, *args):
+            curve = real_curve(algorithm, *args)
+            calls.append((algorithm, curve))
+            return curve
+
+        monkeypatch.setattr(experiment, "_calibration_curve", recording_curve)
+        mu1 = calibrate_mu1(sc, target_checkpoint=1, calibration_runs=40)
+        (_, reference), *probes = calls
+        assert len(reference) == 4 and {len(curve) for _, curve in probes} == {2}
+        (match,) = {float(curve[1]) for algorithm, curve in probes if algorithm.mu1 == mu1}
+        assert match == pytest.approx(reference[1], rel=0.05)
 
     def test_closest_mode_returns_value(self):
         sc = scenario(alpha=0.0, mflms_muf=0.0, n_iters=300, n_runs=30)
@@ -611,17 +629,17 @@ class TestCalibration:
     def test_lockstep_grid_equals_sequential_calibration(self, monkeypatch, caplog, blocks_per_batch):
         # The grid simulates every cell's probes in shared batches, then
         # replays each cell: the calibrated mu1, every probed mu1 in order
-        # and every curve equal per-cell calibrations without prefetch.
+        # and every curve equal per-cell calibrations without a shared
+        # prefetch, and every curve equals its probe's own simulation.
         config = self.LOCKSTEP_GRID
         if blocks_per_batch is not None:
             monkeypatch.setattr(experiment, "_BATCH_ROWS", blocks_per_batch * config.calibration_runs)
-        monkeypatch.setattr(experiment, "_reference_curves", {})
         calls = []
         real_curve = experiment._calibration_curve
 
-        def recording_curve(algorithm, *args, **kwargs):
-            curve = real_curve(algorithm, *args, **kwargs)
-            calls.append((algorithm.mu1, curve))
+        def recording_curve(algorithm, scenario, calibration_runs, n_iters, curves):
+            curve = real_curve(algorithm, scenario, calibration_runs, n_iters, curves)
+            calls.append((algorithm, replace(scenario, n_runs=calibration_runs), n_iters, curve))
             return curve
 
         monkeypatch.setattr(experiment, "_calibration_curve", recording_curve)
@@ -636,10 +654,15 @@ class TestCalibration:
             for sc in cells
         ]
         assert [e.step_size for e in entries if e.f is not None] == expected
-        assert [mu1 for mu1, _ in grid_calls] == [mu1 for mu1, _ in calls]
-        for (_, got), (_, want) in zip(grid_calls, calls):
+        assert [a.mu1 for a, *_ in grid_calls] == [a.mu1 for a, *_ in calls]
+        for (*_, got), (*_, want) in zip(grid_calls, calls):
             np.testing.assert_array_equal(got, want)
-        references = [curve for mu1, curve in calls if mu1 in config.lms_etas]
+        for algorithm, cal, n_iters, got in grid_calls:
+            nwd_ck, _, frozen = _simulate(
+                algorithm, cal, range(cal.n_runs), domain=experiment._DOMAIN_CALIBRATION, n_iters=n_iters
+            )
+            np.testing.assert_array_equal(got, experiment._mean_curve(nwd_ck, frozen))
+        references = [curve for a, _, _, curve in calls if a.variant is Variant.LMS]
         assert {bool(c[0] > experiment._CONVERGED_RATIO * c[-1]) for c in references} == {True, False}
 
 
