@@ -160,7 +160,7 @@ def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
                   calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
                                 calibration_runs=grid.calibration_runs))]
     else:
-        cells = calibrate_grid(grid, on_no_match="raise")
+        _, cells = calibrate_grid(grid, on_no_match="raise")
     for level, scenario, mu1 in cells:
         print(f"sigma={sigma_label(level)} alpha={scenario.alpha:g} f={scenario.f:g}: mu1={mu1!r}")
     return 0

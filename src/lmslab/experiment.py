@@ -48,12 +48,17 @@ Checkpoint metrics read that row-major output, several checkpoints at a
 time, which keeps them bit-identical to a row-major engine.  A batch may
 also hold blocks with their own coefficients and noise levels.
 
+Ensembles and calibration probes share one batching helper
+(:func:`_simulate_blocks`): blocks with one kernel branch and protocol
+run together, one contiguous block of runs each, in even batches of at
+most ``_BATCH_ROWS`` rows, a cap on the memory a batch holds.
 Calibration runs in lockstep (:func:`prefetch_calibration`): the
 searches of all cells to calibrate (one cell, or every cell of a grid)
-advance in rounds, and each round's probes run as a few wide batches,
-one contiguous block per probe.  Each cell then replays its search from
-those curves, in row order, so the log and every calibrated step size
-are those of calibrating the cells one by one.
+advance in rounds, each round's probes in a few batches.  A grid then
+runs every cell's ensemble in a few batches too.  Each row then replays
+its search from the curves and logs its line, in row order, so the log,
+every step size and every error are those of running the cells one by
+one.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from .filters import (
     update_rule,
 )
 from .metrics import MetricSpace, mse, nwd
-from .signal_model import ModelTruth, aphi_from_bc, benchmark_spec, regressor
+from .signal_model import aphi_from_bc, benchmark_spec, regressor
 
 __all__ = [
     "ScenarioConfig",
@@ -129,9 +134,10 @@ _CHUNK_ELEMENTS = 2**13
 # Stream domain -> (base_seed, drawn (R,), w0 (R, M), z (R, N)); see _streams.
 _stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
-# Lockstep calibration simulates its probes at most this many rows at a
-# time; see _simulate_curves.
-_BATCH_ROWS = 5000
+# Rows of a batch of blocks (see _simulate_blocks), a memory bound: a
+# batch holds about 0.65 KB per row.  The default grid's ensembles run
+# 3 x 1000 rows a batch; 5 x 1000 raised its peak RSS by about 5%.
+_BATCH_ROWS = 4000
 
 
 class CalibrationError(RuntimeError):
@@ -317,7 +323,9 @@ def _simulate(
     buffers = np.zeros((3, m, n_runs))
     buffers[0] = buffers[1] = w0[run_indices].T
     state = FilterState(*(b.T for b in buffers))
-    active = np.arange(n_runs)
+    # The active rows, their run indices and noise levels; all three
+    # change only when rows freeze.
+    active, active_runs, active_std = np.arange(n_runs), run_indices, noise_std
     frozen = np.zeros(n_runs, dtype=bool)
     # Row-major weights the metrics read: a strided view changes their bits.
     w_out = np.empty((n_runs, m))
@@ -336,8 +344,8 @@ def _simulate(
             if k % chunk == 0:
                 # Desired samples of the next chunk of iterations, one row
                 # per iteration: the clean signal plus each active run's noise.
-                zc = z[run_indices[active], k:min(k + chunk, n_iters)]
-                d = np.multiply(zc.T, noise_std[active], out=np.empty(zc.shape[::-1]))
+                zc = z[active_runs, k:min(k + chunk, n_iters)]
+                d = np.multiply(zc.T, active_std, out=np.empty(zc.shape[::-1]))
                 d += d_clean[k:k + chunk, None]
             if len(active):
                 step(state, psi[k], d[k % chunk], algorithm, in_place=True, rule=rule)
@@ -348,7 +356,7 @@ def _simulate(
                     w_out[active[bad]] = state.w_prev[bad]
                     frozen[active[bad]] = True
                     keep = ~bad
-                    active = active[keep]
+                    active, active_runs, active_std = active[keep], active_runs[keep], active_std[keep]
                     d = np.compress(keep, d, axis=1)
                     state.w, state.w_prev, state.v = (
                         np.compress(keep, a.T, axis=1).T for a in (state.w, state.w_prev, state.v)
@@ -393,6 +401,38 @@ def _batch_rule(algorithms, rows) -> Rule:
     return rules[0]._replace(**columns)
 
 
+def _simulate_blocks(blocks, reduce, domain: int = _DOMAIN_MAIN) -> list:
+    """``reduce(scenario, nwd_ck, final_bc, frozen)`` of every block, in order.
+
+    Block ``(algorithm, scenario)`` is runs ``0 .. scenario.n_runs - 1``
+    of one ``_simulate`` batch.  Blocks with one :func:`_batch_key` and
+    protocol share batches of at most ``_BATCH_ROWS`` rows (one block at
+    least), and each block is reduced from its own rows when its batch
+    returns, so one batch's rows are held at a time.
+    """
+    groups = {}
+    for i, (algorithm, sc) in enumerate(blocks):
+        protocol = (sc.n_iters, sc.checkpoint_interval, sc.base_seed, sc.metric_space)
+        groups.setdefault((_batch_key(algorithm), protocol), []).append(i)
+    results = [None] * len(blocks)
+    for group in groups.values():
+        per_batch = max(1, _BATCH_ROWS // max(blocks[i][1].n_runs for i in group))
+        size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
+        for start in range(0, len(group), size):
+            batch = group[start:start + size]
+            algorithms, scenarios = zip(*(blocks[i] for i in batch))
+            # n_iters is passed because a tuple of scenarios has none of its own.
+            rows = _simulate(
+                algorithms, scenarios, np.concatenate([np.arange(sc.n_runs) for sc in scenarios]),
+                domain=domain, n_iters=scenarios[0].n_iters,
+            )
+            bounds = np.cumsum([0, *(sc.n_runs for sc in scenarios)])
+            for i, sc, lo, hi in zip(batch, scenarios, bounds, bounds[1:]):
+                results[i] = reduce(sc, *(a[lo:hi] for a in rows))
+            del rows  # before the next batch allocates its own
+    return results
+
+
 def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:
     """One seeded run: Gaussian weight init, noisy samples, checkpointed fitness.
 
@@ -411,10 +451,11 @@ def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int
     )
 
 
-def _aggregate(nwd_ck: np.ndarray, final_bc: np.ndarray, frozen: np.ndarray, truth: ModelTruth) -> AggregateResult:
+def _aggregate(scenario: ScenarioConfig, nwd_ck: np.ndarray, final_bc: np.ndarray, frozen: np.ndarray) -> AggregateResult:
     alive = ~frozen
     if not alive.any():
         raise AllRunsDivergedError("every run in the ensemble diverged")
+    _, truth = benchmark_spec(scenario.noise_std)
     final_aphi = aphi_from_bc(final_bc[alive])
     mean_aphi = final_aphi.mean(axis=0)
     per_run = mse(final_aphi, truth.theta_aphi)
@@ -432,9 +473,8 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
 
     Diverged runs are excluded from the means and counted.
     """
-    nwd_ck, final_bc, frozen = _simulate(algorithm, scenario, range(scenario.n_runs))
-    _, truth = benchmark_spec(scenario.noise_std)
-    return _aggregate(nwd_ck, final_bc, frozen, truth)
+    (aggregate,) = _simulate_blocks([(algorithm, scenario)], _aggregate)
+    return aggregate
 
 
 def _curve_key(algorithm, scenario, calibration_runs, n_iters):
@@ -566,7 +606,7 @@ def calibrate_mu1(
         raise ValueError("target_checkpoint out of range")
     probe_iters = int(checkpoints[target_checkpoint])
     if curves is None:
-        curves = prefetch_calibration([scenario], tolerance, calibration_runs, target_checkpoint)
+        curves, _ = prefetch_calibration([scenario], tolerance, calibration_runs, target_checkpoint)
 
     reference = lms_params(scenario.lms_eta)
     ref_curve = _calibration_curve(reference, scenario, calibration_runs, scenario.n_iters, curves)
@@ -597,37 +637,28 @@ def calibrate_mu1(
 def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
     """Calibration curves of ``probes``, ``(algorithm, scenario, n_iters)`` each, in order.
 
-    Probes not yet in ``curves`` are simulated and added to it, read-only.
-    Those that can share a batch (see :func:`_batch_key`) run together,
-    each a contiguous block of ``calibration_runs`` rows, in batches of
-    at most ``_BATCH_ROWS`` rows (one block at least).
+    Probes not yet in ``curves`` are simulated, ``calibration_runs`` runs
+    over ``n_iters`` iterations each, in a few wide batches
+    (:func:`_simulate_blocks`), and added to it.
     """
     keys = [_curve_key(algorithm, scenario, calibration_runs, n_iters) for algorithm, scenario, n_iters in probes]
-    groups = {}
-    for key, (algorithm, scenario, n_iters) in dict(zip(keys, probes)).items():
-        if key not in curves:
-            group = groups.setdefault((_batch_key(algorithm), n_iters), [])
-            group.append((key, algorithm, replace(scenario, n_runs=calibration_runs)))
-    per_batch = max(1, _BATCH_ROWS // calibration_runs)
-    for (_, n_iters), group in groups.items():
-        size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
-        for start in range(0, len(group), size):
-            batch_keys, algorithms, scenarios = zip(*group[start:start + size])
-            nwd_ck, _, frozen = _simulate(
-                algorithms, scenarios, np.tile(np.arange(calibration_runs), len(algorithms)),
-                domain=_DOMAIN_CALIBRATION, n_iters=n_iters,
-            )
-            for i, key in enumerate(batch_keys):
-                rows = slice(i * calibration_runs, (i + 1) * calibration_runs)
-                curve = _mean_curve(nwd_ck[rows], frozen[rows])
-                curve.flags.writeable = False
-                curves[key] = curve
+    missing = {}
+    for key, (algorithm, scenario, n_iters) in zip(keys, probes):
+        if key not in curves and key not in missing:
+            missing[key] = (algorithm, replace(scenario, n_runs=calibration_runs, n_iters=n_iters))
+
+    def read_only_curve(scenario, nwd_ck, final_bc, frozen):
+        curve = _mean_curve(nwd_ck, frozen)
+        curve.flags.writeable = False
+        return curve
+
+    curves.update(zip(missing, _simulate_blocks(list(missing.values()), read_only_curve, _DOMAIN_CALIBRATION)))
     return [curves[key] for key in keys]
 
 
 def prefetch_calibration(
     scenarios, tolerance: float = 0.05, calibration_runs: int = 200, target_checkpoint: int = 0
-) -> dict:
+) -> tuple[dict, list]:
     """Every curve that :func:`calibrate_mu1` asks for in ``scenarios``, simulated in lockstep.
 
     The searches of all cells advance together: the paired-LMS
@@ -635,33 +666,38 @@ def prefetch_calibration(
     length), then every cell's doubling scan, then one bisection
     midpoint per unfinished cell per round.  Each round's probes run in
     a few wide batches (:func:`_simulate_curves`).  Nothing is logged or
-    raised here: passing the result to ``calibrate_mu1(scenario,
+    raised here: passing the curves to ``calibrate_mu1(scenario,
     target_checkpoint, tolerance, calibration_runs, curves=...)``
     replays each cell's search in microseconds.
+
+    Returns ``(curves, mu1s)``: ``mu1s[i]`` is the step size the search
+    of ``scenarios[i]`` ends at, which its replay returns unless it
+    raises, or None when its reference or every scan probe diverged.
     """
     references = [(lms_params(sc.lms_eta), sc, sc.n_iters) for sc in scenarios]
     curves: dict = {}
+    mu1s = [None] * len(scenarios)
     pending = []
-    for sc, ref_curve in zip(scenarios, _simulate_curves(references, calibration_runs, curves)):
+    for i, (sc, ref_curve) in enumerate(zip(scenarios, _simulate_curves(references, calibration_runs, curves))):
         target = float(ref_curve[target_checkpoint])
         if math.isfinite(target):
             search = _mu1_search(target, float(ref_curve[-1]), tolerance)
-            pending.append((sc, int(sc.checkpoints[target_checkpoint]), search, next(search)))
+            pending.append((i, sc, int(sc.checkpoints[target_checkpoint]), search, next(search)))
     while pending:
         probes = [
             (mflms_params(mu1, sc.alpha, sc.f, sc.mflms_muf), sc, n_iters)
-            for sc, n_iters, _, request in pending for mu1 in request
+            for _, sc, n_iters, _, request in pending for mu1 in request
         ]
         found = iter(_simulate_curves(probes, calibration_runs, curves))
         advanced = []
-        for sc, n_iters, search, request in pending:
+        for i, sc, n_iters, search, request in pending:
             try:
                 fitness = [float(next(found)[target_checkpoint]) for _ in request]
-                advanced.append((sc, n_iters, search, search.send(fitness)))
-            except StopIteration:
-                pass
+                advanced.append((i, sc, n_iters, search, search.send(fitness)))
+            except StopIteration as done:
+                mu1s[i] = done.value[0]
         pending = advanced
-    return curves
+    return curves, mu1s
 
 
 @dataclass(frozen=True)
@@ -759,29 +795,35 @@ def sigma_label(level: float) -> str:
 
 
 def calibrate_grid(config: GridConfig, on_no_match: str = "closest"):
-    """Yield ``(level, scenario, mu1)`` for every momentum-fractional cell, in row order.
+    """Calibrate every momentum-fractional cell of the grid: ``(mu1s, replays)``.
 
     Every cell's search is simulated first, in lockstep
-    (:func:`prefetch_calibration`); each cell's :func:`calibrate_mu1`
-    replays it when the generator reaches that cell, so its log lines
-    fall where calibrating the cells one by one would put them.
+    (:func:`prefetch_calibration`); ``mu1s`` lists the step size each
+    search ends at, in row order (None where there is none).
+    ``replays`` yields ``(level, scenario, mu1)`` for every cell in row
+    order: each cell's :func:`calibrate_mu1` replays its search when the
+    generator reaches that cell, so its log lines and its error fall
+    where calibrating the cells one by one would put them.
     ``on_no_match`` is passed to :func:`calibrate_mu1`.
     """
     cells = [(level, scenario) for level, f, scenario in config.cells() if f is not None]
-    curves = prefetch_calibration(
+    curves, mu1s = prefetch_calibration(
         [scenario for _, scenario in cells], config.calibration_tolerance, config.calibration_runs
     )
     # Nothing after the prefetch reads the calibration streams: release
     # them before a grid's ensembles draw theirs.
     _stream_blocks.pop(_DOMAIN_CALIBRATION, None)
-    for level, scenario in cells:
-        yield level, scenario, calibrate_mu1(
+    replays = (
+        (level, scenario, calibrate_mu1(
             scenario,
             tolerance=config.calibration_tolerance,
             calibration_runs=config.calibration_runs,
             on_no_match=on_no_match,
             curves=curves,
-        )
+        ))
+        for level, scenario in cells
+    )
+    return mu1s, replays
 
 
 def full_grid(config: GridConfig) -> list[GridEntry]:
@@ -791,18 +833,41 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
     scenarios first, then the paired LMS row.  Momentum-fractional step
     sizes come from ``config.mflms_mu1`` when set, otherwise from
     :func:`calibrate_grid` (falling back to the closest achievable match
-    rather than aborting the grid), which simulates every cell's
-    calibration before the first ensemble.
+    rather than aborting the grid).  Every cell's calibration is
+    simulated first, then every cell's ensemble, in a few wide batches
+    (:func:`_simulate_blocks`).  Then each row replays its calibration
+    and logs its line in row order, so a row's error is raised after the
+    lines of the rows before it, as when the cells run one by one.
     """
-    calibrated = calibrate_grid(config) if config.mflms_mu1 is None else None
-    entries = []
-    for level, f, scenario in config.cells():
+    cells = list(config.cells())
+    replays = None
+    if config.mflms_mu1 is None:
+        mu1s, replays = calibrate_grid(config)
+        mu1s = iter(mu1s)
+    blocks = {}
+    for i, (_, f, scenario) in enumerate(cells):
         if f is None:
-            algorithm = lms_params(scenario.lms_eta)
+            blocks[i] = lms_params(scenario.lms_eta), scenario
         else:
-            mu1 = scenario.mflms_mu1 if calibrated is None else next(calibrated)[2]
-            algorithm = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf)
-        aggregate = run_monte_carlo(algorithm, scenario)
+            mu1 = scenario.mflms_mu1 if replays is None else next(mu1s)
+            if mu1 is not None:  # a cell without one raises CalibrationError at its row
+                blocks[i] = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf), scenario
+
+    def aggregate_or_error(*block):
+        try:
+            return _aggregate(*block)
+        except AllRunsDivergedError as error:
+            return error  # raised at its row
+
+    aggregates = dict(zip(blocks, _simulate_blocks(list(blocks.values()), aggregate_or_error)))
+
+    entries = []
+    for i, (level, f, scenario) in enumerate(cells):
+        if f is not None and replays is not None:
+            next(replays)
+        (algorithm, _), aggregate = blocks[i], aggregates[i]
+        if isinstance(aggregate, AllRunsDivergedError):
+            raise aggregate
         log.info(
             "scenario sigma=%s alpha=%g %s step=%.5g: final mean NWD %.4f",
             sigma_label(level), scenario.alpha,

@@ -708,3 +708,104 @@ class TestFullGrid:
     def test_eta_alpha_pairing_validated(self):
         with pytest.raises(ValueError):
             GridConfig(alphas=(0.2, 0.5), lms_etas=(0.027,))
+
+    # At mu1 0.16 some runs of the alpha 0.2, f 0.25 cells freeze (5, 6
+    # and 9 of 12 at the three noise levels) and no other run does.
+    FREEZING_GRID = GridConfig(
+        noise_levels=(0.30, 0.60, 0.90), alphas=(0.1, 0.2), lms_etas=(0.027, 0.1),
+        fractional_orders=(0.25, 0.75), mflms_mu1=0.16, n_runs=12, n_iters=200, checkpoint_interval=100,
+    )
+
+    @pytest.mark.parametrize("blocks_per_batch", [1, 2, 6])
+    def test_lockstep_ensembles_equal_per_cell_ensembles(self, monkeypatch, blocks_per_batch):
+        # Each kernel branch has six cells; whether a cell's ensemble
+        # shares its batch with none, one or all of the others, its row
+        # is bit-equal to the cell's own single-block simulation.
+        config = self.FREEZING_GRID
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", blocks_per_batch * config.n_runs)
+        entries = full_grid(config)
+        counts = [e.aggregate.divergence_count for e in entries]
+        assert min(counts) == 0 and 0 < max(counts) < config.n_runs
+        for entry in entries:
+            algorithm = (lms_params(entry.step_size) if entry.f is None
+                         else mflms_params(entry.step_size, entry.alpha, entry.f))
+            nwd_ck, final_bc, frozen = _simulate(algorithm, entry.scenario, range(config.n_runs))
+            alive = ~frozen
+            final_aphi = aphi_from_bc(final_bc[alive])
+            truth = benchmark_spec(entry.scenario.noise_std)[1].theta_aphi
+            got = entry.aggregate
+            np.testing.assert_array_equal(got.mean_nwd_at_checkpoints, nwd_ck[alive].mean(axis=0))
+            np.testing.assert_array_equal(got.mean_final_theta_aphi, final_aphi.mean(axis=0))
+            assert got.mse_of_mean == mse(final_aphi.mean(axis=0), truth)
+            assert got.mean_per_run_mse == np.mean(mse(final_aphi, truth))
+            assert got.divergence_count == frozen.sum()
+
+    @staticmethod
+    def main_domain_blocks(monkeypatch):
+        """Record the blocks of every main-domain ``_simulate`` call, one list per call."""
+        calls = []
+        real_simulate = experiment._simulate
+
+        def recording_simulate(algorithm, scenario, *args, **kwargs):
+            if kwargs.get("domain", experiment._DOMAIN_MAIN) == experiment._DOMAIN_MAIN:
+                pairs = zip(algorithm, scenario) if isinstance(algorithm, tuple) else [(algorithm, scenario)]
+                calls.append(list(pairs))
+            return real_simulate(algorithm, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_simulate", recording_simulate)
+        return calls
+
+    def test_default_shape_grid_runs_one_call_per_batch(self, monkeypatch):
+        # 36 ensembles of 20 runs in four kernel branches (LMS and one
+        # per fractional order): four batches of nine 20-run blocks.
+        calls = self.main_domain_blocks(monkeypatch)
+        config = GridConfig(mflms_mu1=0.011, n_runs=20, n_iters=100, checkpoint_interval=100)
+        entries = full_grid(config)
+        assert len(entries) == 36
+        assert [len(blocks) for blocks in calls] == [9] * 4
+
+    def test_all_diverged_ensemble_raises_at_its_row(self, caplog):
+        # At mu1 0.05 every run of the alpha 0.8 cells diverges: the first
+        # of them (row 3) raises after the lines of rows 0-2 and before any
+        # later line, as running the cells one by one does.
+        config = GridConfig(
+            noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+            fractional_orders=(0.25, 0.75), mflms_mu1=0.05, n_runs=12, n_iters=200, checkpoint_interval=100,
+        )
+        cells = list(config.cells())
+        with pytest.raises(AllRunsDivergedError):
+            run_monte_carlo(mflms_params(0.05, 0.8, 0.25), cells[3][2])
+        with caplog.at_level(logging.INFO, logger="lmslab.experiment"):
+            with pytest.raises(AllRunsDivergedError):
+                full_grid(config)
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split(" step=")[0] for line in lines] == [
+            "scenario sigma=0.30 alpha=0.2 f=0.25",
+            "scenario sigma=0.30 alpha=0.2 f=0.75",
+            "scenario sigma=0.30 alpha=0.2 lms",
+        ]
+
+    def test_uncalibrated_cell_raises_at_its_row(self, monkeypatch, caplog):
+        # With the bracket narrowed to [0.05, 0.5], every scan probe of
+        # the alpha 0.8, f 0.25 cell diverges: that cell raises
+        # CalibrationError at its row (3), after the lines of rows 0-2,
+        # and its ensemble is never simulated.
+        monkeypatch.setattr(experiment, "_MU_BRACKET", (0.05, 0.5))
+        calls = self.main_domain_blocks(monkeypatch)
+        config = GridConfig(
+            noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+            fractional_orders=(0.25, 0.75), n_runs=12, n_iters=200, checkpoint_interval=100,
+            calibration_runs=20,
+        )
+        with caplog.at_level(logging.INFO, logger="lmslab.experiment"):
+            with pytest.raises(CalibrationError, match="no mu1 in"):
+                full_grid(config)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert [line.split(" step=")[0] for line in lines] == [
+            "scenario sigma=0.30 alpha=0.2 f=0.25",
+            "scenario sigma=0.30 alpha=0.2 f=0.75",
+            "scenario sigma=0.30 alpha=0.2 lms",
+        ]
+        failing = list(config.cells())[3][2]
+        mflms_blocks = [sc for blocks in calls for a, sc in blocks if a.variant is not Variant.LMS]
+        assert len(mflms_blocks) >= 2 and failing not in mflms_blocks
