@@ -421,7 +421,8 @@ def _simulate_blocks(blocks, reduce, domain: int = _DOMAIN_MAIN) -> list:
         for start in range(0, len(group), size):
             batch = group[start:start + size]
             algorithms, scenarios = zip(*(blocks[i] for i in batch))
-            # n_iters is passed because a tuple of scenarios has none of its own.
+            # n_iters is passed so that the call's arguments state its length:
+            # the traced benchmark reads it there, and a tuple has none.
             rows = _simulate(
                 algorithms, scenarios, np.concatenate([np.arange(sc.n_runs) for sc in scenarios]),
                 domain=domain, n_iters=scenarios[0].n_iters,
