@@ -160,7 +160,8 @@ def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
                   calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
                                 calibration_runs=grid.calibration_runs))]
     else:
-        _, cells = calibrate_grid(grid, on_no_match="raise")
+        # Settled one by one, so a failing cell exits after the lines before it.
+        cells = ((level, record.scenario, record.settle()) for level, record in calibrate_grid(grid))
     for level, scenario, mu1 in cells:
         print(f"sigma={sigma_label(level)} alpha={scenario.alpha:g} f={scenario.f:g}: mu1={mu1!r}")
     return 0

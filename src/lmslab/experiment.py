@@ -54,11 +54,12 @@ run together, one contiguous block of runs each, in even batches of at
 most ``_BATCH_ROWS`` rows, a cap on the memory a batch holds.
 Calibration runs in lockstep (:func:`prefetch_calibration`): the
 searches of all cells to calibrate (one cell, or every cell of a grid)
-advance in rounds, each round's probes in a few batches.  A grid then
-runs every cell's ensemble in a few batches too.  Each row then replays
-its search from the curves and logs its line, in row order, so the log,
-every step size and every error are those of running the cells one by
-one.
+advance in rounds, each round's probes in a few batches, and each search
+runs once, leaving a :class:`Calibration` record of the curves it read
+and where it ended.  A grid then runs every cell's ensemble in a few
+batches too.  Each row then settles its record and logs its line, in
+row order, so the log, every step size and every error are those of
+running the cells one by one.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ __all__ = [
     "AllRunsDivergedError",
     "run_single",
     "run_monte_carlo",
+    "Calibration",
     "calibrate_mu1",
     "prefetch_calibration",
     "calibrate_grid",
@@ -283,7 +285,7 @@ def _simulate(
     domain: int = _DOMAIN_MAIN,
     n_iters: int | None = None,
 ):
-    """Advance a batch of runs; returns (nwd_ck, final_bc, diverged).
+    """Advance a batch of runs; returns (nwd_ck, final_bc, frozen).
 
     Every run owns its seed-derived streams, so the returned rows do not
     depend on how runs are grouped into batches.  Runs that hit the
@@ -495,22 +497,36 @@ def _calibration_curve(algorithm, scenario, calibration_runs, n_iters, curves):
     return curves[_curve_key(algorithm, scenario, calibration_runs, n_iters)]
 
 
-def _mu1_search(target: float, ref_floor: float, tolerance: float):
-    """The search of :func:`calibrate_mu1`, as a generator of probe requests.
+def _mu1_search(scenario: ScenarioConfig, tolerance: float, target_checkpoint: int):
+    """The search of :func:`calibrate_mu1` for one cell, as a generator of curve requests.
 
-    It yields lists of ``mu1`` to probe (the doubling scan, then one
-    bisection midpoint at a time) and is sent their fitness at the
-    target checkpoint, in the same order.  It returns ``(mu1, fitness,
-    miss)``: ``miss`` is None on a match, otherwise why there is none,
-    with ``mu1`` the fallback (None if every scan probe diverged).
+    It yields lists of ``(algorithm, n_iters)`` whose calibration curves
+    it reads (the paired-LMS reference, the doubling scan, then one
+    bisection midpoint at a time) and is sent those curves, in the same
+    order.  It returns ``(mu1, fitness, miss)``: ``miss`` is None on a
+    match, otherwise why there is none, with ``mu1`` the fallback (None
+    if the reference or every scan probe diverged).
     """
+    (reference,) = yield [(lms_params(scenario.lms_eta), scenario.n_iters)]
+    target = float(reference[target_checkpoint])
+    if not math.isfinite(target):
+        return None, math.inf, "the reference LMS ensemble diverged"
+    probe_iters = int(scenario.checkpoints[target_checkpoint])
+
+    def fitness(mu1s):
+        """Each probe's fitness at the target checkpoint."""
+        curves = yield [
+            (mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf), probe_iters) for mu1 in mu1s
+        ]
+        return [float(curve[target_checkpoint]) for curve in curves]
+
     lo, hi = _MU_BRACKET
     grid = [lo]
     while grid[-1] < hi:
         grid.append(min(grid[-1] * 2, hi))
-    values = yield grid
+    values = yield from fitness(grid)
 
-    transient = target > _CONVERGED_RATIO * ref_floor
+    transient = target > _CONVERGED_RATIO * float(reference[-1])
     if transient:
         # Descending branch: first crossing of the target from above.
         bracket = next(
@@ -542,7 +558,7 @@ def _mu1_search(target: float, ref_floor: float, tolerance: float):
     a, b = grid[bracket - 1], grid[bracket]
     for _ in range(60):
         mid = 0.5 * (a + b)
-        (h_mid,) = yield [mid]
+        (h_mid,) = yield from fitness([mid])
         # Descending branch: a value above the level means the root lies
         # to the right of mid; ascending branch is the mirror image.
         if (h_mid > level) == descending:
@@ -559,13 +575,43 @@ def _mu1_search(target: float, ref_floor: float, tolerance: float):
     return mid, h_mid, None
 
 
+@dataclass(frozen=True)
+class Calibration:
+    """One cell's calibration search, as :func:`prefetch_calibration` ran it.
+
+    ``reads`` lists the ``(algorithm, n_iters)`` of every curve in
+    ``curves`` that the search read, in order, the paired-LMS reference
+    first; ``(mu1, fitness, miss)`` is where it ended (see
+    :func:`_mu1_search`).  A reference that diverged is a miss with no
+    ``mu1``.
+    """
+
+    scenario: ScenarioConfig
+    calibration_runs: int
+    curves: dict
+    reads: list
+    mu1: float | None
+    fitness: float
+    miss: str | None
+
+    def settle(self, on_no_match: str = "raise") -> float:
+        """Read the search's curves again, in order, then return, warn or raise as :func:`calibrate_mu1` does."""
+        for algorithm, n_iters in self.reads:
+            _calibration_curve(algorithm, self.scenario, self.calibration_runs, n_iters, self.curves)
+        if self.miss is None:
+            return self.mu1
+        if on_no_match == "closest" and self.mu1 is not None:
+            log.warning("%s; using closest (mu1=%.4g, fitness %.4g)", self.miss, self.mu1, self.fitness)
+            return self.mu1
+        raise CalibrationError(self.miss)
+
+
 def calibrate_mu1(
     scenario: ScenarioConfig,
     target_checkpoint: int = 0,
     tolerance: float = 0.05,
     calibration_runs: int = 200,
     on_no_match: str = "raise",
-    curves: dict | None = None,
 ) -> float:
     """Step size at which the momentum-fractional filter matches the paired LMS.
 
@@ -591,10 +637,8 @@ def calibrate_mu1(
     returns the scan point whose fitness comes closest to the target
     or, when the bisection misses, its last midpoint.
 
-    The search is simulated by :func:`prefetch_calibration`, then
-    replayed from its curves; ``curves`` passes curves that it prefetched
-    for several cells at once, with the same ``tolerance``,
-    ``calibration_runs`` and ``target_checkpoint``.
+    The search runs as a one-cell :func:`prefetch_calibration`, whose
+    record is then settled (:meth:`Calibration.settle`).
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive (a zero-width match is unreachable)")
@@ -602,37 +646,10 @@ def calibrate_mu1(
         raise ValueError("calibration_runs must be positive")
     if on_no_match not in ("raise", "closest"):
         raise ValueError("on_no_match must be 'raise' or 'closest'")
-    checkpoints = scenario.checkpoints
-    if not 0 <= target_checkpoint < len(checkpoints):
+    if not 0 <= target_checkpoint < len(scenario.checkpoints):
         raise ValueError("target_checkpoint out of range")
-    probe_iters = int(checkpoints[target_checkpoint])
-    if curves is None:
-        curves, _ = prefetch_calibration([scenario], tolerance, calibration_runs, target_checkpoint)
-
-    reference = lms_params(scenario.lms_eta)
-    ref_curve = _calibration_curve(reference, scenario, calibration_runs, scenario.n_iters, curves)
-    target = float(ref_curve[target_checkpoint])
-    if not math.isfinite(target):
-        raise CalibrationError("the reference LMS ensemble diverged")
-
-    def h(mu1: float) -> float:
-        algorithm = mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf)
-        curve = _calibration_curve(algorithm, scenario, calibration_runs, probe_iters, curves)
-        return float(curve[target_checkpoint])
-
-    search = _mu1_search(target, float(ref_curve[-1]), tolerance)
-    try:
-        request = next(search)
-        while True:
-            request = search.send([h(mu1) for mu1 in request])
-    except StopIteration as done:
-        mu1, fitness, miss = done.value
-    if miss is None:
-        return mu1
-    if on_no_match == "closest" and mu1 is not None:
-        log.warning("%s; using closest (mu1=%.4g, fitness %.4g)", miss, mu1, fitness)
-        return mu1
-    raise CalibrationError(miss)
+    (record,) = prefetch_calibration([scenario], tolerance, calibration_runs, target_checkpoint)
+    return record.settle(on_no_match)
 
 
 def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
@@ -659,46 +676,34 @@ def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
 
 def prefetch_calibration(
     scenarios, tolerance: float = 0.05, calibration_runs: int = 200, target_checkpoint: int = 0
-) -> tuple[dict, list]:
-    """Every curve that :func:`calibrate_mu1` asks for in ``scenarios``, simulated in lockstep.
+) -> list[Calibration]:
+    """The calibration search of every cell in ``scenarios``, run in lockstep: one :class:`Calibration` each.
 
-    The searches of all cells advance together: the paired-LMS
+    The searches (:func:`_mu1_search`) advance together: the paired-LMS
     references first (so the calibration streams are drawn once, at full
     length), then every cell's doubling scan, then one bisection
     midpoint per unfinished cell per round.  Each round's probes run in
     a few wide batches (:func:`_simulate_curves`).  Nothing is logged or
-    raised here: passing the curves to ``calibrate_mu1(scenario,
-    target_checkpoint, tolerance, calibration_runs, curves=...)``
-    replays each cell's search in microseconds.
-
-    Returns ``(curves, mu1s)``: ``mu1s[i]`` is the step size the search
-    of ``scenarios[i]`` ends at, which its replay returns unless it
-    raises, or None when its reference or every scan probe diverged.
+    raised here; each record's :meth:`~Calibration.settle` does that.
     """
-    references = [(lms_params(sc.lms_eta), sc, sc.n_iters) for sc in scenarios]
     curves: dict = {}
-    mu1s = [None] * len(scenarios)
+    records = [None] * len(scenarios)
     pending = []
-    for i, (sc, ref_curve) in enumerate(zip(scenarios, _simulate_curves(references, calibration_runs, curves))):
-        target = float(ref_curve[target_checkpoint])
-        if math.isfinite(target):
-            search = _mu1_search(target, float(ref_curve[-1]), tolerance)
-            pending.append((i, sc, int(sc.checkpoints[target_checkpoint]), search, next(search)))
+    for i, sc in enumerate(scenarios):
+        search = _mu1_search(sc, tolerance, target_checkpoint)
+        pending.append((i, search, [], next(search)))
     while pending:
-        probes = [
-            (mflms_params(mu1, sc.alpha, sc.f, sc.mflms_muf), sc, n_iters)
-            for _, sc, n_iters, _, request in pending for mu1 in request
-        ]
+        probes = [(algorithm, scenarios[i], n_iters) for i, *_, request in pending for algorithm, n_iters in request]
         found = iter(_simulate_curves(probes, calibration_runs, curves))
         advanced = []
-        for i, sc, n_iters, search, request in pending:
+        for i, search, reads, request in pending:
+            reads += request
             try:
-                fitness = [float(next(found)[target_checkpoint]) for _ in request]
-                advanced.append((i, sc, n_iters, search, search.send(fitness)))
+                advanced.append((i, search, reads, search.send([next(found) for _ in request])))
             except StopIteration as done:
-                mu1s[i] = done.value[0]
+                records[i] = Calibration(scenarios[i], calibration_runs, curves, reads, *done.value)
         pending = advanced
-    return curves, mu1s
+    return records
 
 
 @dataclass(frozen=True)
@@ -726,6 +731,12 @@ class GridConfig:
             raise ValueError("alphas and lms_etas must pair up one-to-one")
         if not self.noise_levels or not self.alphas or not self.fractional_orders:
             raise ValueError("grid axes must be non-empty")
+        if not all(0 <= level < math.inf for level in self.noise_levels):
+            raise ValueError("noise_levels must be finite and non-negative")
+        if self.calibration_runs < 1:
+            raise ValueError("calibration_runs must be positive")
+        if not self.calibration_tolerance > 0:
+            raise ValueError("calibration_tolerance must be positive (a zero-width match is unreachable)")
         if self.checkpoint_interval < 1 or self.n_iters % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide n_iters")
         if not 0 <= self.base_seed < 2**64:
@@ -795,36 +806,21 @@ def sigma_label(level: float) -> str:
     return f"{level:.2f}"
 
 
-def calibrate_grid(config: GridConfig, on_no_match: str = "closest"):
-    """Calibrate every momentum-fractional cell of the grid: ``(mu1s, replays)``.
+def calibrate_grid(config: GridConfig) -> list[tuple[float, Calibration]]:
+    """Calibrate every momentum-fractional cell of the grid: ``(level, record)`` per cell, in row order.
 
-    Every cell's search is simulated first, in lockstep
-    (:func:`prefetch_calibration`); ``mu1s`` lists the step size each
-    search ends at, in row order (None where there is none).
-    ``replays`` yields ``(level, scenario, mu1)`` for every cell in row
-    order: each cell's :func:`calibrate_mu1` replays its search when the
-    generator reaches that cell, so its log lines and its error fall
-    where calibrating the cells one by one would put them.
-    ``on_no_match`` is passed to :func:`calibrate_mu1`.
+    Every cell's search runs in lockstep (:func:`prefetch_calibration`);
+    nothing is logged or raised until a record is settled
+    (:meth:`Calibration.settle`), which a caller does at the cell's row.
     """
     cells = [(level, scenario) for level, f, scenario in config.cells() if f is not None]
-    curves, mu1s = prefetch_calibration(
+    records = prefetch_calibration(
         [scenario for _, scenario in cells], config.calibration_tolerance, config.calibration_runs
     )
     # Nothing after the prefetch reads the calibration streams: release
     # them before a grid's ensembles draw theirs.
     _stream_blocks.pop(_DOMAIN_CALIBRATION, None)
-    replays = (
-        (level, scenario, calibrate_mu1(
-            scenario,
-            tolerance=config.calibration_tolerance,
-            calibration_runs=config.calibration_runs,
-            on_no_match=on_no_match,
-            curves=curves,
-        ))
-        for level, scenario in cells
-    )
-    return mu1s, replays
+    return [(level, record) for (level, _), record in zip(cells, records)]
 
 
 def full_grid(config: GridConfig) -> list[GridEntry]:
@@ -836,21 +832,20 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
     :func:`calibrate_grid` (falling back to the closest achievable match
     rather than aborting the grid).  Every cell's calibration is
     simulated first, then every cell's ensemble, in a few wide batches
-    (:func:`_simulate_blocks`).  Then each row replays its calibration
-    and logs its line in row order, so a row's error is raised after the
-    lines of the rows before it, as when the cells run one by one.
+    (:func:`_simulate_blocks`).  Then each row settles its calibration
+    record and logs its line in row order, so a row's error is raised
+    after the lines of the rows before it, as when the cells run one by
+    one.
     """
     cells = list(config.cells())
-    replays = None
-    if config.mflms_mu1 is None:
-        mu1s, replays = calibrate_grid(config)
-        mu1s = iter(mu1s)
+    rows = [i for i, (_, f, _) in enumerate(cells) if f is not None]
+    records = {} if config.mflms_mu1 is not None else {i: r for i, (_, r) in zip(rows, calibrate_grid(config))}
     blocks = {}
     for i, (_, f, scenario) in enumerate(cells):
         if f is None:
             blocks[i] = lms_params(scenario.lms_eta), scenario
         else:
-            mu1 = scenario.mflms_mu1 if replays is None else next(mu1s)
+            mu1 = records[i].mu1 if records else scenario.mflms_mu1
             if mu1 is not None:  # a cell without one raises CalibrationError at its row
                 blocks[i] = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf), scenario
 
@@ -864,8 +859,8 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
 
     entries = []
     for i, (level, f, scenario) in enumerate(cells):
-        if f is not None and replays is not None:
-            next(replays)
+        if i in records:
+            records[i].settle("closest")
         (algorithm, _), aggregate = blocks[i], aggregates[i]
         if isinstance(aggregate, AllRunsDivergedError):
             raise aggregate

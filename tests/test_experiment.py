@@ -546,6 +546,28 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_mu1(sc, calibration_runs=30, tolerance=1e-12)
 
+    def test_each_cell_searches_once(self, monkeypatch):
+        # The lockstep prefetch runs each cell's search; the rows only
+        # settle its record, so no search runs a second time.
+        started = []
+        real_search = experiment._mu1_search
+
+        def counting_search(*args, **kwargs):
+            started.append(args)
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_mu1_search", counting_search)
+        calibrate_mu1(scenario(n_runs=10), calibration_runs=20)
+        assert len(started) == 1
+        config = GridConfig(
+            noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+            fractional_orders=(0.25, 0.75), n_runs=10, n_iters=300, checkpoint_interval=100,
+            calibration_runs=20,
+        )
+        started.clear()
+        full_grid(config)
+        assert len(started) == 4
+
     def test_grid_block_simulates_its_reference_once(self, monkeypatch):
         # The three cells of a momentum block share one LMS reference:
         # it is simulated once (one block of a batch), yet every
@@ -708,6 +730,21 @@ class TestFullGrid:
     def test_eta_alpha_pairing_validated(self):
         with pytest.raises(ValueError):
             GridConfig(alphas=(0.2, 0.5), lms_etas=(0.027,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("calibration_tolerance", 0.0),
+        ("calibration_tolerance", math.nan),
+        ("calibration_runs", 0),
+        ("noise_levels", (0.30, -0.30)),
+        ("noise_levels", (math.nan,)),
+    ])
+    def test_bad_grid_value_rejected_before_simulating(self, monkeypatch, field, value):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the grid")
+
+        monkeypatch.setattr(experiment, "_simulate", no_simulation)
+        with pytest.raises(ValueError, match=field):
+            full_grid(GridConfig(n_runs=2, n_iters=100, checkpoint_interval=100, **{field: value}))
 
     # At mu1 0.16 some runs of the alpha 0.2, f 0.25 cells freeze (5, 6
     # and 9 of 12 at the three noise levels) and no other run does.

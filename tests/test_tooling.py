@@ -7,17 +7,21 @@ unmeasured instead of failing, so this test reads the harness's name
 lists (without importing or changing the harness) and checks that each
 name still resolves to a callable.  The harness's correctness checks
 also parse the order of calibration curves and log lines; a small grid
-must pass them.
+must pass them.  Every module's ``__all__`` and the package's re-exports
+must resolve too.
 """
 
 import ast
+import importlib
 import importlib.util
 import logging
 import math
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import lmslab
 import lmslab.cli
 import lmslab.experiment
 from lmslab.config import parse_config
@@ -46,6 +50,31 @@ def test_span_targets_are_callable(module, name):
     assert attrs
     missing = [a for a in attrs if not callable(getattr(module, a, None))]
     assert not missing, f"{module.__name__} lacks {missing}"
+
+
+# lmslab.__main__ runs the command line when imported.
+MODULES = [m.name for m in pkgutil.iter_modules(lmslab.__path__) if m.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_resolve(name):
+    module = importlib.import_module(f"lmslab.{name}")
+    assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"lmslab.{name}.__all__ lists missing {missing}"
+
+
+def test_package_reexports_public_names():
+    # Each name lmslab/__init__.py imports from a module is that module's
+    # own object and listed in its __all__.
+    tree = ast.parse(Path(lmslab.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"lmslab.{node.module}")
+        for alias in node.names:
+            assert getattr(lmslab, alias.asname or alias.name) is getattr(module, alias.name)
+            assert alias.name in module.__all__, f"{alias.name} is not in lmslab.{node.module}.__all__"
 
 
 def test_worker_names_are_callable():
