@@ -38,15 +38,23 @@ the calibration block.
 The engine (:func:`_simulate`) holds a batch component-major: ``w``,
 ``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
 calls ``step`` once on their ``(runs, M)`` views, so the kernel's
-operations run over contiguous runs.  Each step is guarded by the
-batch's largest and smallest weight; only when either is NaN or beyond
+operations run over contiguous runs.  The kernel's scratch is one
+workspace (:func:`~lmslab.filters.workspace`, laid out like the state),
+allocated with the batch and freed with it, so a step allocates no
+``(runs, M)`` array.  Desired samples are formed ``_CHUNK_ELEMENTS``
+values at a time, a chunk of iterations for every active run: the unit
+noise is gathered with ``np.take``, then scaled and shifted into one
+sample buffer the batch reuses.  Each step is guarded by the batch's
+largest and smallest weight; only when either is NaN or beyond
 ``WEIGHT_LIMIT`` are the diverged rows found (:func:`diverged_rows`).
 Those runs are reset to their last in-bound weights, copied to the
-row-major output and dropped from the batch, so frozen runs cost
-nothing further; their later checkpoints repeat their frozen fitness.
-Checkpoint metrics read that row-major output, several checkpoints at a
-time, which keeps them bit-identical to a row-major engine.  A batch may
-also hold blocks with their own coefficients and noise levels.
+row-major output and dropped from the batch: the kept rows move to the
+front of the state's buffers, and the leading rows of the workspace
+serve them, so frozen runs cost nothing further; their later checkpoints
+repeat their frozen fitness.  Checkpoint metrics read that row-major
+output, several checkpoints at a time, which keeps them bit-identical to
+a row-major engine.  A batch may also hold blocks with their own
+coefficients and noise levels.
 
 Ensembles and calibration probes share one batching helper
 (:func:`_simulate_blocks`): blocks with one kernel branch and protocol
@@ -80,6 +88,7 @@ from .filters import (
     diverged_rows,
     step,
     update_rule,
+    workspace,
 )
 from .metrics import MetricSpace, mse, nwd
 from .signal_model import aphi_from_bc, benchmark_spec, regressor
@@ -325,6 +334,8 @@ def _simulate(
     buffers = np.zeros((3, m, n_runs))
     buffers[0] = buffers[1] = w0[run_indices].T
     state = FilterState(*(b.T for b in buffers))
+    # The kernel's scratch, laid out like the state; kept for the batch.
+    work = workspace(state.w)
     # The active rows, their run indices and noise levels; all three
     # change only when rows freeze.
     active, active_runs, active_std = np.arange(n_runs), run_indices, noise_std
@@ -332,6 +343,7 @@ def _simulate(
     # Row-major weights the metrics read: a strided view changes their bits.
     w_out = np.empty((n_runs, m))
     chunk = max(1, _CHUNK_ELEMENTS // max(n_runs, 1))
+    samples = np.empty((chunk, n_runs))
     # Checkpoint weights are gathered and measured this many at a time;
     # one at a time, the metrics read w_out itself.
     n_slots = min(n_ck, max(1, _CHUNK_ELEMENTS // max(n_runs * m, 1)))
@@ -346,11 +358,12 @@ def _simulate(
             if k % chunk == 0:
                 # Desired samples of the next chunk of iterations, one row
                 # per iteration: the clean signal plus each active run's noise.
-                zc = z[active_runs, k:min(k + chunk, n_iters)]
-                d = np.multiply(zc.T, active_std, out=np.empty(zc.shape[::-1]))
+                # np.take gathers the rows faster than fancy indexing.
+                zc = np.take(z[:, k:min(k + chunk, n_iters)], active_runs, axis=0).T
+                d = np.multiply(zc, active_std, out=samples[:len(zc), :len(active)])
                 d += d_clean[k:k + chunk, None]
             if len(active):
-                step(state, psi[k], d[k % chunk], algorithm, in_place=True, rule=rule)
+                step(state, psi[k], d[k % chunk], algorithm, in_place=True, rule=rule, work=work)
                 if not (state.w.max() <= WEIGHT_LIMIT and state.w.min() >= -WEIGHT_LIMIT):
                     # Diverged runs freeze at their last in-bound weights and
                     # leave the batch; their later checkpoints repeat them.
@@ -360,14 +373,20 @@ def _simulate(
                     keep = ~bad
                     active, active_runs, active_std = active[keep], active_runs[keep], active_std[keep]
                     d = np.compress(keep, d, axis=1)
-                    state.w, state.w_prev, state.v = (
-                        np.compress(keep, a.T, axis=1).T for a in (state.w, state.w_prev, state.v)
-                    )
+                    # The kept rows move to the front of the batch's buffers.
+                    for name in ("w", "w_prev", "v"):
+                        a = getattr(state, name).T
+                        a[:, :len(active)] = np.compress(keep, a, axis=1)
+                        setattr(state, name, a[:, :len(active)].T)
                     rule = rule._replace(**{name: c[active] for name, c in columns.items()})
+                    work = tuple(a[:len(active)] for a in work)
             if (k + 1) % interval == 0:
                 j = (k + 1) // interval - 1
                 slot = j % n_slots
-                w_out[active] = state.w
+                if len(active) == n_runs:
+                    np.copyto(w_out, state.w)
+                else:
+                    w_out[active] = state.w
                 if n_slots > 1:
                     ck[slot] = w_out
                 if slot == n_slots - 1 or j == n_ck - 1:

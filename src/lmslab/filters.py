@@ -30,8 +30,9 @@ Filters know nothing about the signal model: the caller supplies the
 regressor/desired pair for each step.  :func:`advance` is the one
 batched in-place kernel.  :func:`step` and the ``*_step`` names wrap it
 as pure state transitions; the experiment engine calls
-``step(..., in_place=True)``, which reuses the state's buffers and
-leaves the divergence guard to the caller (:func:`diverged_rows`).
+``step(..., in_place=True, work=...)``, which reuses the state's buffers
+and a batch's :func:`workspace`, and leaves the divergence guard to the
+caller (:func:`diverged_rows`).
 
 The kernel is layout-agnostic: a batch ``(..., M)`` may be a row-major
 array or the transposed view of a component-major ``(M, ...)`` buffer,
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import abs_pow, gamma
+from .kernels import gamma
 
 __all__ = [
     "Variant",
@@ -63,6 +64,7 @@ __all__ = [
     "default_muf",
     "make_filter",
     "update_rule",
+    "workspace",
     "advance",
     "step",
     "lms_step",
@@ -222,29 +224,30 @@ def _pairwise_sum(x: np.ndarray):
     initial ``0.0``.  Done here with one vector operation per term, so a
     component-major batch keeps that order instead of folding rows left.
     """
+    return 0.0 + _pairwise_tree(x)
 
-    def tree(x):
-        n = x.shape[-1]
-        if n < 8:
-            s = x[..., 0] if n else np.zeros(x.shape[:-1])
-            for i in range(1, n):
-                s = s + x[..., i]
-            return s
-        if n <= 128:
-            tail = n - n % 8
-            r = x[..., :8]
-            for i in range(8, tail, 8):
-                r = r + x[..., i:i + 8]
-            r = r[..., 0::2] + r[..., 1::2]
-            r = r[..., 0::2] + r[..., 1::2]
-            s = r[..., 0] + r[..., 1]
-            for i in range(tail, n):
-                s = s + x[..., i]
-            return s
+
+def _pairwise_tree(x: np.ndarray):
+    """:func:`_pairwise_sum` before its initial ``0.0``; it recurses only above 128 terms."""
+    n = x.shape[-1]
+    if n > 128:
         half = n // 2 - n // 2 % 8
-        return tree(x[..., :half]) + tree(x[..., half:])
-
-    return 0.0 + tree(x)
+        return _pairwise_tree(x[..., :half]) + _pairwise_tree(x[..., half:])
+    if n < 8:
+        s = x[..., 0] if n else np.zeros(x.shape[:-1])
+        for i in range(1, n):
+            s = s + x[..., i]
+        return s
+    tail = n - n % 8
+    r = x[..., :8]
+    for i in range(8, tail, 8):
+        r = r + x[..., i:i + 8]
+    r = r[..., 0::2] + r[..., 1::2]
+    r = r[..., 0::2] + r[..., 1::2]
+    s = r[..., 0] + r[..., 1]
+    for i in range(tail, n):
+        s = s + x[..., i]
+    return s
 
 
 def diverged_rows(w: np.ndarray) -> np.ndarray:
@@ -295,7 +298,17 @@ def _nonzero(coefficient) -> bool:
     return isinstance(coefficient, np.ndarray) or coefficient != 0.0
 
 
-def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
+def workspace(w) -> tuple[np.ndarray, ...]:
+    """Scratch for :func:`advance` on batches shaped and laid out like ``w``.
+
+    Two arrays like ``w`` and one ``(..., 1)`` column.  A batch can step
+    with one workspace throughout: after its rows shrink to ``n``, the
+    first ``n`` rows of each array serve.
+    """
+    return np.empty_like(w), np.empty_like(w), np.empty(w.shape[:-1] + (1,))
+
+
+def advance(rule: Rule, w, w_prev, v, u, d, work=None) -> np.ndarray:
     """Advance every row of a batch one iteration in place; return the error.
 
     ``w``, ``w_prev`` and ``v`` share a shape ``(..., M)`` and any
@@ -304,15 +317,21 @@ def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
     ``v``.  ``rule.a``, ``rule.b`` and ``rule.alpha`` may be per-row
     ``(..., 1)`` columns, so one batch can mix step sizes; a column of
     ``b`` or ``alpha`` must hold no zero, as it takes the nonzero branch.
+    ``work`` is scratch from :func:`workspace`, allocated here if None.
     """
-    g, t, x = (np.empty_like(w) for _ in range(3))
+    g, t, c = workspace(w) if work is None else work
     e = np.asarray(d - _pairwise_sum(np.multiply(u, w, out=g)))
     col = e[..., None]
-    np.multiply(rule.a * col, u, out=g)
     if _nonzero(rule.b):
-        abs_pow(w, rule.p, out=t)
-        t *= np.multiply(rule.b * col, u, out=x)
-        g += t
+        # g = (a*e)*u + ((b*e)*u)*|w|**p in two scratch arrays: the
+        # fractional term is formed first and the plain term added to it,
+        # which rounds the same, as IEEE addition commutes.  The power is
+        # kernels.abs_pow without its checks: update_rule's p is in (0, 1).
+        np.power(np.abs(w, out=g), rule.p, out=g)
+        g *= np.multiply(np.multiply(rule.b, col, out=c), u, out=t)
+        g += np.multiply(np.multiply(rule.a, col, out=c), u, out=t)
+    else:
+        np.multiply(np.multiply(rule.a, col, out=c), u, out=g)
     if rule.form is Form.PLAIN:
         np.add(w, g, out=w_prev)
     elif rule.form is Form.VELOCITY:
@@ -330,7 +349,10 @@ def advance(rule: Rule, w, w_prev, v, u, d) -> np.ndarray:
     return e
 
 
-def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = False, rule: Rule | None = None):
+def step(
+    state: FilterState, u, d, params: FilterParams, *,
+    in_place: bool = False, rule: Rule | None = None, work: tuple | None = None,
+):
     """Advance one iteration with the update rule selected by ``params.variant``.
 
     Returns the new state and a :class:`StepRecord`; an unbatched step
@@ -344,6 +366,8 @@ def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = Fal
     ``rule`` replaces ``update_rule(params)``: the engine passes per-row
     coefficient columns for a batch that mixes step sizes (see
     :func:`advance`), with ``params`` one of the batch's parameter sets.
+    ``work`` is the kernel's scratch (:func:`workspace`); the engine
+    passes one per batch, so that a step allocates no ``(rows, M)`` array.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != state.w.shape[-1]:
@@ -353,12 +377,12 @@ def step(state: FilterState, u, d, params: FilterParams, *, in_place: bool = Fal
         )
     rule = update_rule(params) if rule is None else rule
     if in_place:
-        e = advance(rule, state.w, state.w_prev, state.v, u, d)
+        e = advance(rule, state.w, state.w_prev, state.v, u, d, work)
         state.w, state.w_prev = state.w_prev, state.w
         state.n += 1
         return e
     new = FilterState(w=state.w_prev.copy(), w_prev=state.w.copy(), v=state.v.copy(), n=state.n + 1)
-    e = advance(rule, state.w, new.w, new.v, u, d)
+    e = advance(rule, state.w, new.w, new.v, u, d, work)
     if new.w.ndim == 1 and diverged_rows(new.w):
         raise DivergenceError(
             f"weights left the guard (NaN or magnitude above {WEIGHT_LIMIT:g}) "

@@ -2,7 +2,9 @@
 
 These are the numerical primitives shared by every filter variant: the
 Gamma function (needed for the fractional step-size normalisation) and
-the element-wise fractional magnitude ``|w|**p``.
+the element-wise fractional magnitude ``|w|**p``, which the batched
+kernel (:func:`lmslab.filters.advance`) evaluates inline, without
+re-checking an exponent its update rule has validated.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.

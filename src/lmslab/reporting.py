@@ -82,7 +82,7 @@ def fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
             raise ValueError("checkpoint grids differ between scenarios")
         if entry.variant is Variant.LMS:
             highlight.append(i)
-        rows.append((entry.label, [float(v) for v in mean_nwd]))
+        rows.append((entry.label, _floats(mean_nwd)))
     return ReportTable(
         title=f"Mean NWD at checkpoints, noise level {sigma_label}",
         column_headers=[str(int(c)) for c in checkpoints],
@@ -100,7 +100,7 @@ def estimation_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
     highlight = []
     for i, entry in enumerate(entries):
         agg = entry.aggregate
-        values = [float(v) for v in agg.mean_final_theta_aphi] + [agg.mse_of_mean]
+        values = _floats(agg.mean_final_theta_aphi) + [agg.mse_of_mean]
         if entry.variant is Variant.LMS:
             highlight.append(i)
         rows.append((entry.label, values))
@@ -116,29 +116,40 @@ def estimation_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
 
 def learning_curves(entries: list[GridEntry]) -> str:
     """Columnar checkpoint curves: one iteration column, one column per series."""
+    return _curves_text(entries, [_reprs(e.aggregate.mean_nwd_at_checkpoints) for e in entries])
+
+
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
+def _reprs(values) -> list[str]:
+    """Full-precision text of each value (``repr`` round-trip exact)."""
+    return list(map(repr, _floats(values)))
+
+
+def _curves_text(entries: list[GridEntry], columns: list[list[str]]) -> str:
+    """Curves file of ``entries``, whose checkpoint values ``columns`` holds as text."""
     if not entries:
         raise ValueError("no series supplied")
-    checkpoints = entries[0].scenario.checkpoints
-    out = io.StringIO()
-    out.write("iteration," + ",".join(e.label for e in entries) + "\n")
-    columns = []
-    for e in entries:
-        col = e.aggregate.mean_nwd_at_checkpoints
-        if len(col) != len(checkpoints):
-            raise ValueError("checkpoint grids differ between series")
-        columns.append(col)
-    for k, it in enumerate(checkpoints):
-        out.write(str(int(it)) + "," + ",".join(repr(float(c[k])) for c in columns) + "\n")
-    return out.getvalue()
+    checkpoints = entries[0].scenario.checkpoints.tolist()
+    if any(len(c) != len(checkpoints) for c in columns):
+        raise ValueError("checkpoint grids differ between series")
+    lines = ["iteration," + ",".join(e.label for e in entries)]
+    lines += [f"{it}," + ",".join(row) for it, row in zip(checkpoints, zip(*columns))]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_text(headers: list[str], rows) -> str:
+    """Table CSV of ``(label, values as comma-joined text)`` rows."""
+    lines = ["label," + ",".join(headers)]
+    lines += [label + "," + cells for label, cells in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_table_csv(table: ReportTable) -> str:
     """Machine-readable table: full-precision values, one header line."""
-    out = io.StringIO()
-    out.write("label," + ",".join(table.column_headers) + "\n")
-    for label, values in table.rows:
-        out.write(label + "," + ",".join(repr(float(v)) for v in values) + "\n")
-    return out.getvalue()
+    return _csv_text(table.column_headers, [(label, ",".join(_reprs(values))) for label, values in table.rows])
 
 
 def parse_table_csv(text: str) -> ReportTable:
@@ -167,13 +178,12 @@ def render_table_text(table: ReportTable) -> str:
         mark = "* " if i in table.highlight_rows else "  "
         cells = [mark + label] + [format(v, fmt) for v, fmt in zip(values, formats)]
         body.append(cells)
-    widths = [max(len(r[c]) for r in [header_cells] + body) for c in range(len(header_cells))]
+    widths = [max(map(len, column)) for column in zip(header_cells, *body)]
     out = io.StringIO()
     out.write(table.title + "\n")
     out.write("  ".join(h.ljust(w) for h, w in zip(header_cells, widths)).rstrip() + "\n")
     for cells in body:
-        out.write("  ".join(c.rjust(w) if j else c.ljust(w)
-                            for j, (c, w) in enumerate(zip(cells, widths))).rstrip() + "\n")
+        out.write("  ".join([cells[0].ljust(widths[0]), *map(str.rjust, cells[1:], widths[1:])]).rstrip() + "\n")
     if table.highlight_rows:
         out.write("(* reference LMS rows)\n")
     return out.getvalue()
@@ -190,6 +200,12 @@ _AGG_FIXED_COLUMNS = [
 
 def write_aggregates_csv(entries: list[GridEntry]) -> str:
     """Serialize grid entries to the machine-readable aggregates dump."""
+    return _aggregates_header(entries) + "".join(
+        _aggregates_row(e, ",".join(_reprs(e.aggregate.mean_nwd_at_checkpoints))) for e in entries
+    )
+
+
+def _aggregates_header(entries: list[GridEntry]) -> str:
     if not entries:
         raise ValueError("no entries to serialize")
     checkpoints = entries[0].scenario.checkpoints
@@ -199,31 +215,30 @@ def write_aggregates_csv(entries: list[GridEntry]) -> str:
         + [f"theta_{i + 1}" for i in range(n_params)]
         + [f"nwd_{int(c)}" for c in checkpoints]
     )
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for e in entries:
-        s = e.scenario
-        cells = [
-            e.sigma_label,
-            e.variant.value,
-            repr(float(e.alpha)),
-            "" if e.f is None else repr(float(e.f)),
-            repr(float(e.step_size)),
-            repr(float(s.lms_eta)),
-            repr(float(s.noise_std)),
-            str(s.n_runs),
-            str(s.n_iters),
-            str(s.checkpoint_interval),
-            str(s.base_seed),
-            s.metric_space.value,
-            str(e.aggregate.divergence_count),
-            repr(float(e.aggregate.mse_of_mean)),
-            repr(float(e.aggregate.mean_per_run_mse)),
-        ]
-        cells += [repr(float(v)) for v in e.aggregate.mean_final_theta_aphi]
-        cells += [repr(float(v)) for v in e.aggregate.mean_nwd_at_checkpoints]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    return ",".join(header) + "\n"
+
+
+def _aggregates_row(e: GridEntry, nwd: str) -> str:
+    """One entry's aggregates line; ``nwd`` is its checkpoint values as comma-joined text."""
+    s = e.scenario
+    cells = [
+        e.sigma_label,
+        e.variant.value,
+        repr(float(e.alpha)),
+        "" if e.f is None else repr(float(e.f)),
+        repr(float(e.step_size)),
+        repr(float(s.lms_eta)),
+        repr(float(s.noise_std)),
+        str(s.n_runs),
+        str(s.n_iters),
+        str(s.checkpoint_interval),
+        str(s.base_seed),
+        s.metric_space.value,
+        str(e.aggregate.divergence_count),
+        repr(float(e.aggregate.mse_of_mean)),
+        repr(float(e.aggregate.mean_per_run_mse)),
+    ]
+    return ",".join(cells + _reprs(e.aggregate.mean_final_theta_aphi) + [nwd]) + "\n"
 
 
 def read_aggregates_csv(text: str) -> list[GridEntry]:
@@ -274,48 +289,73 @@ def read_aggregates_csv(text: str) -> list[GridEntry]:
     return entries
 
 
-def grid_file_names(entries: list[GridEntry]) -> dict[str, str]:
-    """Map of output file name to content for a set of grid entries.
+def _grid_files(entries: list[GridEntry], include_aggregates: bool = False):
+    """Yield ``(name, text)`` of every grid output file, in write order.
 
     Per noise level: ``fitness_sigma<s>.csv``/``.txt`` and
     ``estimation_sigma<s>.csv``/``.txt``; per (noise level, fractional
     order): ``curves_sigma<s>_f<f>.csv`` with the three momentum series
-    of that order plus every paired LMS series.
+    of that order plus every paired LMS series.  Last, with
+    ``include_aggregates``, ``aggregates.csv``.  Each checkpoint value is
+    formatted once, when its noise level is rendered, into one
+    comma-joined string per series, which the fitness CSV, the curves
+    files and the aggregates line reuse; only the aggregates lines
+    outlive their noise level.
     """
-    files: dict[str, str] = {}
+    if include_aggregates:
+        header = _aggregates_header(entries)
+        agg_rows = [""] * len(entries)
     sigma_labels = []
     for e in entries:
         if e.sigma_label not in sigma_labels:
             sigma_labels.append(e.sigma_label)
     for sig in sigma_labels:
-        block = [e for e in entries if e.sigma_label == sig]
+        indices = [i for i, e in enumerate(entries) if e.sigma_label == sig]
+        block = [entries[i] for i in indices]
         ftab = fitness_table(sig, block)
         etab = estimation_table(sig, block)
-        files[f"fitness_sigma{sig}.csv"] = render_table_csv(ftab)
-        files[f"fitness_sigma{sig}.txt"] = render_table_text(ftab)
-        files[f"estimation_sigma{sig}.csv"] = render_table_csv(etab)
-        files[f"estimation_sigma{sig}.txt"] = render_table_text(etab)
+        nwd = [",".join(_reprs(values)) for _, values in ftab.rows]
+        yield f"fitness_sigma{sig}.csv", _csv_text(ftab.column_headers, zip((e.label for e in block), nwd))
+        yield f"fitness_sigma{sig}.txt", render_table_text(ftab)
+        yield f"estimation_sigma{sig}.csv", render_table_csv(etab)
+        yield f"estimation_sigma{sig}.txt", render_table_text(etab)
         orders = []
         for e in block:
             if e.f is not None and e.f not in orders:
                 orders.append(e.f)
-        lms_rows = [e for e in block if e.variant is Variant.LMS]
+        lms_rows = [j for j, e in enumerate(block) if e.variant is Variant.LMS]
         for f in orders:
-            series = [e for e in block if e.f == f and e.variant is not Variant.LMS]
-            files[f"curves_sigma{sig}_f{f:.2f}.csv"] = learning_curves(series + lms_rows)
-    return files
+            series = [j for j, e in enumerate(block) if e.f == f and e.variant is not Variant.LMS] + lms_rows
+            columns = [nwd[j].split(",") for j in series]
+            yield f"curves_sigma{sig}_f{f:.2f}.csv", _curves_text([block[j] for j in series], columns)
+        if include_aggregates:
+            for i, text in zip(indices, nwd):
+                agg_rows[i] = _aggregates_row(entries[i], text)
+    if include_aggregates:
+        yield "aggregates.csv", header + "".join(agg_rows)
+
+
+def grid_file_names(entries: list[GridEntry]) -> dict[str, str]:
+    """Map of output file name to content for a set of grid entries, ``aggregates.csv`` aside.
+
+    Per noise level the fitness and estimation tables (``.csv`` and
+    ``.txt``) and one curves file per fractional order; see
+    :func:`_grid_files`.
+    """
+    return dict(_grid_files(entries))
 
 
 def write_grid_outputs(entries: list[GridEntry], out_dir, include_aggregates: bool = True) -> list[Path]:
-    """Write tables and curves (plus the aggregates dump); returns written paths."""
+    """Write tables and curves (plus the aggregates dump); returns written paths.
+
+    Each file is written as soon as it is rendered, so an entry that
+    fails to render leaves the files before it written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = grid_file_names(entries)
-    if include_aggregates:
-        files["aggregates.csv"] = write_aggregates_csv(entries)
     written = []
-    for name in files:
+    for name, text in _grid_files(entries, include_aggregates):
         path = out / name
-        path.write_text(files[name])
+        path.write_text(text)
         written.append(path)
     return written

@@ -188,9 +188,10 @@ def aphi_from_bc(theta_bc) -> np.ndarray:
         raise ValueError("(b, c) vector length must be even")
     b = theta[..., 0::2]
     c = theta[..., 1::2]
-    a = np.sqrt(b * b + c * c)
-    phi = np.arctan2(c, b)
-    return np.concatenate([a, phi], axis=-1)
+    a = b * b
+    a += c * c
+    np.sqrt(a, out=a)  # in place: a batch holds two temporaries fewer
+    return np.concatenate([a, np.arctan2(c, b)], axis=-1)
 
 
 def benchmark_spec(noise_std: float = 0.0) -> tuple[HarmonicSpec, ModelTruth]:

@@ -83,6 +83,92 @@ class TestGrid:
         assert tree(out1) != tree(out2)
 
 
+def sha256s(path):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(path.iterdir())}
+
+
+# SHA-256 of every file the golden grid writes, at the aggregates test's
+# checkpoint interval and at a checkpoint every iteration, where each
+# paired-LMS series repeats across three curves files.  Measured with
+# numpy 2.4.6.
+GOLDEN_FILES = {
+    20: {
+        "aggregates.csv": "0066028c7da473f1576ee563f69ad83be087c62760f2bc7b90bf7928a6607e4d",
+        "curves_sigma0.30_f0.25.csv": "372003c43f207edc16dfa9e839bcf2c385510e8db9823a0af43ade01093b9013",
+        "curves_sigma0.30_f0.50.csv": "1fa6e04052fa3317d116b0014b04631f7041febac2598826d22f60e102de1554",
+        "curves_sigma0.30_f0.75.csv": "134acd1c538723d68ba2580c17815e9c699f01a2f00ee9b56f8fae0147821908",
+        "curves_sigma0.60_f0.25.csv": "3503a123d86f621c10f78faf1610c82a35e17bbc7f40992e870e1530a83c1c5b",
+        "curves_sigma0.60_f0.50.csv": "11594bb18f8803f06c35973bcaa143fa0a4de986d6e87a1377a6dfb7e39858bd",
+        "curves_sigma0.60_f0.75.csv": "7bc736c28437c6a1fc785ce8f21ba91635a006ced612e279e453576983486c6c",
+        "curves_sigma0.90_f0.25.csv": "0d746d245d43d60f1f1dce6742cc2d877b22af0412d489493218539da0a1c787",
+        "curves_sigma0.90_f0.50.csv": "850f5b93b0154ef50b2a76c1a3a5331ff5977c1aab104c813bfd908f0838806e",
+        "curves_sigma0.90_f0.75.csv": "b4f1e00592e19f2825eb9e23f9240c46042c8cce5d577a685336422445daa0d8",
+        "estimation_sigma0.30.csv": "528bed05813abd308e3d2948c67bc9da0ef0fc0dc5de9c174a285f9dc9c3e5ba",
+        "estimation_sigma0.30.txt": "d7cea240090b70c4a0cac94408f103e04f96d3066da9f0858135f7e19a7828c0",
+        "estimation_sigma0.60.csv": "4c533585e786d5413c9f1a58bff296bbdb31f3b595e2b62e07a65d08aeaf7d80",
+        "estimation_sigma0.60.txt": "f7948f2e38458d0d6165b660511351b6625f7dd6a8f62e4bcda6e5cdf827fd1d",
+        "estimation_sigma0.90.csv": "5b897784a4ba43fccb3b2fcff67cb81fd7c1b73524f699fe01164aa8304b290c",
+        "estimation_sigma0.90.txt": "997bf17124916487af6e730cd625120f2012a79f15b80dd5e98eb211e431c7de",
+        "fitness_sigma0.30.csv": "551a2760c0f9a17bb696183a0e3a8e424c98ace650f6cc53bde4925eb26c8f91",
+        "fitness_sigma0.30.txt": "ce07ea85009bb8bd2095e868852e43fd2c4f245ddeccf3e5fc9906032ed0140f",
+        "fitness_sigma0.60.csv": "8552024bd982990b1c71245992d91641ad3056e4e1208412c427d13b14509ffc",
+        "fitness_sigma0.60.txt": "6ad998df0970ed311ed4cc97a86862cc8c2708874fbe2cb9491861b5942939ce",
+        "fitness_sigma0.90.csv": "4c5bafb08b25fa7701370903fbfee49e697eaf9db6f839884fe06c1fa640d5cb",
+        "fitness_sigma0.90.txt": "e75c3a8a9fce755fe318f089c840ed5225740ed2854ecc0d5e6acd5e68cc96f8",
+    },
+    1: {
+        "aggregates.csv": "239a74ad0e71d178733d1494c956791af10e4b14cc6953137dd9d3960f27e489",
+        "curves_sigma0.30_f0.25.csv": "c98393ca3aca282b889f17c209bbb7c95f7d5abaf33428a4818aa80c8c06c082",
+        "curves_sigma0.30_f0.50.csv": "35256e5e9e3aa69ad4f4e6e9644bc441483bcef91a4f1a218e1ad379e4da38c1",
+        "curves_sigma0.30_f0.75.csv": "93d9077793a4beaa7815850dc7dda58f7e223aa1a37e63b18e9221f02b7cf3a8",
+        "curves_sigma0.60_f0.25.csv": "fe6e03716cd4399b26d154848e73949a549ce4da1923669fa39285bbd4bc9d64",
+        "curves_sigma0.60_f0.50.csv": "1eed27743c02f3dd48ac3b681e9d181bce3ab22c4a621cb7d81ba8e5f2d354f1",
+        "curves_sigma0.60_f0.75.csv": "ec16d819dbac06db9cdd23dd14ece1086c99e411b0493d4ecd70f03cd6a617c2",
+        "curves_sigma0.90_f0.25.csv": "bca7e3bcf91f98b337cbea20e8390ad61e142125eb5d77f5a218d92d3ce442c4",
+        "curves_sigma0.90_f0.50.csv": "db7219be138b06150255ff5f2d5a94001398ff3b3d3d1fa8a8d18925163da68a",
+        "curves_sigma0.90_f0.75.csv": "e39d16b4d8b18f706d5a479851ab4ebf7266872afcb8b779319e9a75dacdf450",
+        "estimation_sigma0.30.csv": "528bed05813abd308e3d2948c67bc9da0ef0fc0dc5de9c174a285f9dc9c3e5ba",
+        "estimation_sigma0.30.txt": "d7cea240090b70c4a0cac94408f103e04f96d3066da9f0858135f7e19a7828c0",
+        "estimation_sigma0.60.csv": "4c533585e786d5413c9f1a58bff296bbdb31f3b595e2b62e07a65d08aeaf7d80",
+        "estimation_sigma0.60.txt": "f7948f2e38458d0d6165b660511351b6625f7dd6a8f62e4bcda6e5cdf827fd1d",
+        "estimation_sigma0.90.csv": "5b897784a4ba43fccb3b2fcff67cb81fd7c1b73524f699fe01164aa8304b290c",
+        "estimation_sigma0.90.txt": "997bf17124916487af6e730cd625120f2012a79f15b80dd5e98eb211e431c7de",
+        "fitness_sigma0.30.csv": "a2003398f63fd73d279d09ac9c8eb415eb2719e377ce97a49bac136418e236e0",
+        "fitness_sigma0.30.txt": "3bac299bb7c9b0aad8a7bf94ffc68bb3b38883327c87375f2d4000b4766c40da",
+        "fitness_sigma0.60.csv": "d4d8ffb6834b8ea86beab4a573e1326ddd20312ec8fda5e57843a78b6f1c7b2c",
+        "fitness_sigma0.60.txt": "4a82689dcf53ba994fe9afa2bfe974392c43ffa4903c27dc7bdf48556c430d30",
+        "fitness_sigma0.90.csv": "66f58554339ee75130bc5bc2b0fd044a078193b191817c5dada07f35458aff9b",
+        "fitness_sigma0.90.txt": "12cfea564c343eae0dd04533836a29f179f32c8235d9478115dbf6719ddcfd82",
+    },
+}
+
+
+def golden_grid(out, checkpoint_interval):
+    assert main([
+        "grid", "--out", str(out), "--seed", "42",
+        "--set", "mflms_mu1=0.011",
+        "--set", "n_runs=20",
+        "--set", "n_iters=200",
+        "--set", f"checkpoint_interval={checkpoint_interval}",
+    ]) == 0
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("checkpoint_interval", [20, 1])
+    def test_every_grid_file_digest(self, tmp_path, checkpoint_interval):
+        golden_grid(tmp_path, checkpoint_interval)
+        assert sha256s(tmp_path) == GOLDEN_FILES[checkpoint_interval]
+
+    def test_report_regenerates_every_digest(self, tmp_path):
+        golden_grid(tmp_path, 1)
+        for path in tmp_path.iterdir():
+            if path.name != "aggregates.csv":
+                path.unlink()
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert len(GOLDEN_FILES[1]) == 22
+        assert sha256s(tmp_path) == GOLDEN_FILES[1]
+
+
 class TestReport:
     def test_report_reproduces_tables_byte_for_byte(self, tmp_path):
         out = tmp_path / "results"

@@ -351,6 +351,23 @@ class TestFrozenRowCompaction:
         for a, b in zip(got, naive_simulate(params, sc, range(300))):
             np.testing.assert_array_equal(a, b)
 
+    def test_batch_steps_with_one_workspace(self, monkeypatch):
+        # Every step of a batch gets the workspace allocated with it, and
+        # its leading rows once runs have frozen and left the batch.
+        seen = []
+
+        def recording_step(state, *args, work, **kwargs):
+            seen.append((len(state.w), [a.__array_interface__["data"][0] for a in work], [len(a) for a in work]))
+            return step(state, *args, work=work, **kwargs)
+
+        monkeypatch.setattr(experiment, "step", recording_step)
+        mu1, n_iters = FREEZING[Variant.MFLMS_ASSEMBLED]
+        sc = scenario(noise_std=1.0, n_runs=300, n_iters=n_iters, checkpoint_interval=2)
+        frozen = _simulate(freezing_params(Variant.MFLMS_ASSEMBLED, mu1), sc, range(300))[2]
+        assert 0 < frozen.sum() < 300 and len(seen) == n_iters
+        assert len({rows for rows, _, _ in seen}) > 1
+        assert all(pointers == seen[0][1] and set(lengths) == {rows} for rows, pointers, lengths in seen)
+
     @pytest.mark.parametrize("space", list(MetricSpace), ids=lambda s: s.value)
     def test_every_row_frozen_matches_row_mask_oracle(self, space):
         sc = scenario(noise_std=1.0, n_runs=60, n_iters=300, checkpoint_interval=10, metric_space=space)
@@ -363,7 +380,8 @@ class TestFrozenRowCompaction:
     def test_checkpoint_metrics_span_several_buffers(self):
         # A checkpoint at every iteration: the metrics are measured many
         # checkpoints at a time, and the last buffer is partly filled.
-        assert 130 % (experiment._CHUNK_ELEMENTS // (20 * 8))
+        slots = experiment._CHUNK_ELEMENTS // (20 * 8)
+        assert 1 < slots < 130 // 2 and 130 % slots
         params = variant_params(Variant.MFLMS_ASSEMBLED)
         for space in MetricSpace:
             sc = scenario(n_runs=20, n_iters=130, checkpoint_interval=1, metric_space=space)

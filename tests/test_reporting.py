@@ -1,12 +1,16 @@
 """Reporting tests on fabricated aggregates: layouts, round-trips,
 deterministic rendering."""
 
+import builtins
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lmslab.experiment import AggregateResult, GridEntry, ScenarioConfig
+from lmslab import reporting
 from lmslab.filters import Variant
 from lmslab.reporting import (
     ReportTable,
@@ -19,6 +23,7 @@ from lmslab.reporting import (
     render_table_csv,
     render_table_text,
     write_aggregates_csv,
+    write_grid_outputs,
 )
 
 
@@ -176,6 +181,36 @@ class TestGridFiles:
         # curve files carry 6 series: 3 momentum values + 3 LMS rows
         header = files["curves_sigma0.30_f0.25.csv"].split("\n")[0]
         assert len(header.split(",")) == 7
+
+    def test_each_checkpoint_value_is_formatted_once(self, tmp_path, monkeypatch):
+        # A paired-LMS value shows in the fitness CSV, three curves files
+        # and aggregates.csv, but is formatted once per write.
+        rng = np.random.default_rng(11)
+        entries = fake_block(0.30, rng) + fake_block(0.60, rng)
+        calls = collections.Counter()
+
+        def counting_repr(value):
+            calls[value] += 1
+            return builtins.repr(value)
+
+        monkeypatch.setattr(reporting, "repr", counting_repr, raising=False)
+        paths = write_grid_outputs(entries, tmp_path)
+        values = [v for e in entries for v in e.aggregate.mean_nwd_at_checkpoints.tolist()]
+        assert len(set(values)) == len(values) == 240
+        assert [calls[v] for v in values] == [1] * len(values)
+        assert [p.name for p in paths] == [*grid_file_names(entries), "aggregates.csv"]
+
+    def test_files_are_written_as_they_are_rendered(self, tmp_path):
+        # A noise level that fails to render leaves the levels before it
+        # written.
+        rng = np.random.default_rng(12)
+        entries = fake_block(0.30, rng) + fake_block(0.60, rng)
+        bad = entries[-1]
+        entries[-1] = replace(bad, aggregate=replace(
+            bad.aggregate, mean_nwd_at_checkpoints=bad.aggregate.mean_nwd_at_checkpoints[:-1]))
+        with pytest.raises(ValueError, match="checkpoint grids differ"):
+            write_grid_outputs(entries, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(grid_file_names(entries[:12]))
 
 
 class TestReportTableValidation:

@@ -16,7 +16,10 @@ import importlib
 import importlib.util
 import logging
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from lmslab.config import parse_config
 from lmslab.reporting import write_aggregates_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(lmslab.__file__).resolve().parents[1]
 
 
 def _targets(name):
@@ -52,8 +56,15 @@ def test_span_targets_are_callable(module, name):
     assert not missing, f"{module.__name__} lacks {missing}"
 
 
-# lmslab.__main__ runs the command line when imported.
-MODULES = [m.name for m in pkgutil.iter_modules(lmslab.__path__) if m.name != "__main__"]
+MODULES = [m.name for m in pkgutil.iter_modules(lmslab.__path__)]
+
+
+def test_python_m_lmslab_help_exits_0():
+    # `python -m lmslab` runs the command line; importing lmslab.__main__ does not.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "lmslab", "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: lmslab")
 
 
 @pytest.mark.parametrize("name", MODULES)
