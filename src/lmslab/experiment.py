@@ -22,18 +22,18 @@ bit-identical across repeated invocations and however runs are grouped
 into batches.
 
 Those streams are drawn once per process and stream domain (the main
-ensemble, the calibration probes): a read-only block of initial weights
+ensemble, the calibration probes): a read-only window of initial weights
 and unit-variance noise, which every ensemble and calibration probe at
 that seed reads and scales by its own noise level (common random
-numbers).  A run is drawn the first time a request names it.  A block
-holds about ``rows x n_iters x 8`` bytes: the block grows by doubling,
-so ``rows`` is under twice the highest run index requested plus one, and
-``n_iters`` is the iteration count of the request that built or last
-grew it (8 MB for the main ensembles and 1.6 MB for the calibration
-probes at the default protocol).  It is kept until a request with
-another seed or more iterations replaces it with a block of that
-request's size, or until a grid has calibrated every cell and releases
-the calibration block.
+numbers).  A run is drawn the first time a request names it.  A window
+holds one contiguous range of runs over the iterations of the request
+that built it, about ``runs x n_iters x 8`` bytes.  A request outside
+it, or with another seed or more iterations, replaces it with a window
+of its own runs; runs both hold move over, and a window sharing none is
+released before the next is allocated.  A grid's ensembles advance a
+slice of runs at a time, so the main window holds one slice (2.7 MB of
+noise at the default protocol); the calibration window holds every
+probe's runs (1.6 MB) and is released once every cell is calibrated.
 
 The engine (:func:`_simulate`) holds a batch component-major: ``w``,
 ``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
@@ -58,14 +58,18 @@ coefficients and noise levels.
 
 Ensembles and calibration probes share one batching helper
 (:func:`_simulate_blocks`): blocks with one kernel branch and protocol
-run together, one contiguous block of runs each, in even batches of at
-most ``_BATCH_ROWS`` rows, a cap on the memory a batch holds.
-Calibration runs in lockstep (:func:`prefetch_calibration`): the
-searches of all cells to calibrate (one cell, or every cell of a grid)
-advance in rounds, each round's probes in a few batches, and each search
-runs once, leaving a :class:`Calibration` record of the curves it read
-and where it ended.  A grid then runs every cell's ensemble in a few
-batches too.  Each row then settles its record and logs its line, in
+run together in even batches of at most ``_BATCH_ROWS`` rows, a cap on
+the memory a batch holds.  An ensemble group needing several batches is
+split by runs: batch ``b`` holds the same slice of runs of every block,
+and the groups advance slice by slice.  Each block is averaged over its
+slices by an in-order running sum (:class:`_Means`), with the bits of
+averaging the whole block at once.  Calibration probes keep whole blocks
+a batch.  Calibration runs in lockstep (:func:`prefetch_calibration`):
+the searches of all cells to calibrate (one cell, or every cell of a
+grid) advance in rounds, each round's probes in a few batches, and each
+search runs once, leaving a :class:`Calibration` record of the curves it
+read and where it ended.  A grid then runs every cell's ensemble in a
+few batches too.  Each row then settles its record and logs its line, in
 row order, so the log, every step size and every error are those of
 running the cells one by one.
 """
@@ -75,6 +79,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,12 +147,24 @@ _DOMAIN_CALIBRATION = 1
 # time, so a simulation holds no (n_iters, n_runs) array of its own.
 _CHUNK_ELEMENTS = 2**13
 
-# Stream domain -> (base_seed, drawn (R,), w0 (R, M), z (R, N)); see _streams.
-_stream_blocks: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+class _Window(NamedTuple):
+    """A domain's cached streams: runs ``start .. start + len(drawn) - 1`` (see :func:`_streams`)."""
+
+    base_seed: int
+    start: int
+    drawn: np.ndarray  # (R,) bool: which rows are drawn
+    w0: np.ndarray  # (R, M)
+    z: np.ndarray  # (R, N)
+
+
+# Stream domain -> its window of runs.
+_stream_windows: dict[int, _Window] = {}
 
 # Rows of a batch of blocks (see _simulate_blocks), a memory bound: a
 # batch holds about 0.65 KB per row.  The default grid's ensembles run
-# 3 x 1000 rows a batch; 5 x 1000 raised its peak RSS by about 5%.
+# in 12 batches of 2,997-3,006 rows: a slice of 333 or 334 runs of each
+# of a kernel branch's nine blocks.
 _BATCH_ROWS = 4000
 
 
@@ -254,37 +271,42 @@ def _run_rngs(base_seed: int, domain: int, run_index: int):
 
 
 def _streams(base_seed: int, domain: int, m: int, run_indices: np.ndarray, n_iters: int):
-    """Read-only ``(w0, z)`` holding runs ``run_indices`` over at least ``n_iters`` iterations.
+    """Read-only ``(w0, z, rows)``: row ``rows[j]`` holds run ``run_indices[j]``.
 
-    Row ``r`` of ``w0`` holds run ``r``'s initial weights and row ``r`` of
-    ``z`` its unit-variance noise; rows of runs never requested are unset.
-    A domain's block draws each run once, when a request first names it.
-    A request past its last row at least doubles its rows, keeping the
-    drawn runs cut to the request's ``n_iters``; another seed or more
-    iterations start a block of the request's size.
+    That row of ``w0`` holds the run's initial weights and that row of
+    ``z`` its unit-variance noise over at least ``n_iters`` iterations.
+    A domain keeps one window of runs and draws each run once, when a
+    request first names it.  A request outside the window, or for
+    another seed or more iterations, replaces it with a window of its
+    own runs and iterations: runs both hold move over, and a window
+    sharing none is released before the new one is allocated.
     """
-    n_rows = int(run_indices.max(initial=-1)) + 1
-    block = _stream_blocks.get(domain)
-    if block is None or block[0] != base_seed or block[3].shape[1] < n_iters:
-        block = (base_seed, np.zeros(n_rows, bool), np.empty((n_rows, m)), np.empty((n_rows, n_iters)))
-    elif len(block[1]) < n_rows:
-        _, drawn, w0, z = block
-        rows = max(n_rows, 2 * len(drawn))
-        block = (base_seed, np.zeros(rows, bool), np.empty((rows, m)), np.empty((rows, n_iters)))
-        block[1][:len(drawn)] = drawn
-        block[2][:len(drawn)] = w0
-        block[3][:len(drawn)] = z[:, :n_iters]
-    _, drawn, w0, z = block
-    missing = sorted(set(run_indices[~drawn[run_indices]].tolist()))
-    w0.flags.writeable = z.flags.writeable = True
-    for run_index in missing:
-        rng_w, rng_e = _run_rngs(base_seed, domain, run_index)
-        w0[run_index] = rng_w.standard_normal(m)
-        z[run_index] = rng_e.standard_normal(z.shape[1])
-    drawn[missing] = True
-    w0.flags.writeable = z.flags.writeable = False
-    _stream_blocks[domain] = block
-    return w0, z
+    lo, hi = (int(run_indices.min()), int(run_indices.max()) + 1) if len(run_indices) else (0, 0)
+    old = _stream_windows.pop(domain, None)
+    a = b = 0  # the runs the old window can hand over: a .. b - 1
+    if old is not None and old.base_seed == base_seed and old.z.shape[1] >= n_iters:
+        a, b = max(lo, old.start), min(hi, old.start + len(old.drawn))
+    if a < b and (a, b) == (lo, hi):
+        window = old
+    else:
+        if a >= b:
+            old = None  # nothing to hand over: freed before the next window is allocated
+        window = _Window(base_seed, lo, np.zeros(hi - lo, bool), np.empty((hi - lo, m)), np.empty((hi - lo, n_iters)))
+        if old is not None:
+            new, src = slice(a - lo, b - lo), slice(a - old.start, b - old.start)
+            window.drawn[new], window.w0[new], window.z[new] = old.drawn[src], old.w0[src], old.z[src, :n_iters]
+    del old
+    rows = run_indices - window.start
+    missing = sorted(set(rows[~window.drawn[rows]].tolist()))
+    window.w0.flags.writeable = window.z.flags.writeable = True
+    for row in missing:
+        rng_w, rng_e = _run_rngs(base_seed, domain, window.start + row)
+        window.w0[row] = rng_w.standard_normal(m)
+        window.z[row] = rng_e.standard_normal(window.z.shape[1])
+    window.drawn[missing] = True
+    window.w0.flags.writeable = window.z.flags.writeable = False
+    _stream_windows[domain] = window
+    return window.w0, window.z, rows
 
 
 def _simulate(
@@ -329,16 +351,16 @@ def _simulate(
     psi = regressor(spec.frequencies, np.arange(1, n_iters + 1))
     d_clean = (psi * truth.theta_bc).sum(axis=-1)
 
-    w0, z = _streams(scenario.base_seed, domain, m, run_indices, n_iters)
+    w0, z, rows = _streams(scenario.base_seed, domain, m, run_indices, n_iters)
     # Component-major buffers; the kernel steps their (runs, M) views.
     buffers = np.zeros((3, m, n_runs))
-    buffers[0] = buffers[1] = w0[run_indices].T
+    buffers[0] = buffers[1] = w0[rows].T
     state = FilterState(*(b.T for b in buffers))
     # The kernel's scratch, laid out like the state; kept for the batch.
     work = workspace(state.w)
-    # The active rows, their run indices and noise levels; all three
-    # change only when rows freeze.
-    active, active_runs, active_std = np.arange(n_runs), run_indices, noise_std
+    # The active rows, their rows of the streams and noise levels; all
+    # three change only when rows freeze.
+    active, active_runs, active_std = np.arange(n_runs), rows, noise_std
     frozen = np.zeros(n_runs, dtype=bool)
     # Row-major weights the metrics read: a strided view changes their bits.
     w_out = np.empty((n_runs, m))
@@ -422,37 +444,96 @@ def _batch_rule(algorithms, rows) -> Rule:
     return rules[0]._replace(**columns)
 
 
-def _simulate_blocks(blocks, reduce, domain: int = _DOMAIN_MAIN) -> list:
-    """``reduce(scenario, nwd_ck, final_bc, frozen)`` of every block, in order.
+def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
+    """One :class:`_Means` per block, in order, fed by ``add(scenario, means, nwd_ck, final_bc, frozen)``.
 
     Block ``(algorithm, scenario)`` is runs ``0 .. scenario.n_runs - 1``
     of one ``_simulate`` batch.  Blocks with one :func:`_batch_key` and
-    protocol share batches of at most ``_BATCH_ROWS`` rows (one block at
-    least), and each block is reduced from its own rows when its batch
+    protocol share batches of at most ``_BATCH_ROWS`` rows.  In the main
+    domain a group needing several batches is split by runs: batch ``b``
+    holds runs ``lo_b .. hi_b - 1`` of every block (one run of each at
+    least), and the groups advance slice by slice, so the streams hold
+    one slice of runs at a time.  Calibration probes run whole blocks a
+    batch: the paired-LMS references draw their whole window first, so
+    slicing the probes would hold more, not less.  Each batch's rows are
+    passed to ``add``, slice by slice in run order, when the batch
     returns, so one batch's rows are held at a time.
     """
     groups = {}
     for i, (algorithm, sc) in enumerate(blocks):
         protocol = (sc.n_iters, sc.checkpoint_interval, sc.base_seed, sc.metric_space)
         groups.setdefault((_batch_key(algorithm), protocol), []).append(i)
-    results = [None] * len(blocks)
+    n_runs = [sc.n_runs for _, sc in blocks]
+    batches = []  # (first run, [(block, lo, hi), ...]) each
     for group in groups.values():
-        per_batch = max(1, _BATCH_ROWS // max(blocks[i][1].n_runs for i in group))
-        size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
-        for start in range(0, len(group), size):
-            batch = group[start:start + size]
-            algorithms, scenarios = zip(*(blocks[i] for i in batch))
-            # n_iters is passed so that the call's arguments state its length:
-            # the traced benchmark reads it there, and a tuple has none.
-            rows = _simulate(
-                algorithms, scenarios, np.concatenate([np.arange(sc.n_runs) for sc in scenarios]),
-                domain=domain, n_iters=scenarios[0].n_iters,
-            )
-            bounds = np.cumsum([0, *(sc.n_runs for sc in scenarios)])
-            for i, sc, lo, hi in zip(batch, scenarios, bounds, bounds[1:]):
-                results[i] = reduce(sc, *(a[lo:hi] for a in rows))
-            del rows  # before the next batch allocates its own
-    return results
+        runs = max(n_runs[i] for i in group)
+        if domain == _DOMAIN_MAIN:
+            n = math.ceil(runs / max(1, _BATCH_ROWS // len(group)))
+            cuts = [b * runs // n for b in range(n + 1)]  # even slices
+            batches += [(lo, [(i, lo, min(hi, n_runs[i])) for i in group if lo < n_runs[i]])
+                        for lo, hi in zip(cuts, cuts[1:])]
+        else:
+            per_batch = max(1, _BATCH_ROWS // runs)
+            size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
+            batches += [(0, [(i, 0, n_runs[i]) for i in group[start:start + size]])
+                        for start in range(0, len(group), size)]
+    means = [_Means() for _ in blocks]
+    for _, batch in sorted(batches, key=lambda b: b[0]):
+        algorithms = tuple(blocks[i][0] for i, _, _ in batch)
+        scenarios = tuple(replace(blocks[i][1], n_runs=hi - lo) for i, lo, hi in batch)
+        # n_iters is passed so that the call's arguments state its length:
+        # the traced benchmark reads it there, and a tuple has none.
+        rows = _simulate(
+            algorithms, scenarios, np.concatenate([np.arange(lo, hi) for _, lo, hi in batch]),
+            domain=domain, n_iters=scenarios[0].n_iters,
+        )
+        bounds = np.cumsum([0, *(sc.n_runs for sc in scenarios)])
+        for (i, _, _), start, stop in zip(batch, bounds, bounds[1:]):
+            add(blocks[i][1], means[i], *(a[start:stop] for a in rows))
+        del rows  # before the next batch allocates its own
+    return means
+
+
+class _Means:
+    """Means over the in-bound runs of one block, fed a slice of its runs at a time, in run order.
+
+    ``add(frozen, *rows)`` takes a slice's frozen mask and, per averaged
+    quantity, the rows of its in-bound runs.  ``means()`` then has the
+    bits of ``x.mean(axis=0)`` over each quantity's rows of the whole
+    block: numpy sums axis 0 of a C-ordered ``(runs, k)`` array row by
+    row when ``k > 1``, as the running sum here does, but sums a single
+    column or a 1-D array pairwise, so those rows are kept (8 bytes a
+    run) and averaged at the end.
+    """
+
+    def __init__(self):
+        self.runs = self.diverged = 0
+        self._parts = None  # per quantity: a (1, k) running sum, or the kept rows
+
+    def add(self, frozen, *rows):
+        diverged = int(frozen.sum())
+        self.diverged += diverged
+        self.runs += len(frozen) - diverged
+        if self._parts is None:
+            self._parts = [[] for _ in rows]
+        for parts, x in zip(self._parts, rows):
+            if len(x) and _row_by_row(x):
+                parts[:] = [np.add.reduce(np.concatenate([*parts, x]), axis=0, keepdims=True)]
+            elif len(x):
+                parts.append(x)
+
+    def means(self) -> list:
+        """Each quantity's mean over the block's in-bound runs (at least one)."""
+        out = []
+        for parts in self._parts:
+            x = np.concatenate(parts)
+            out.append(x[0] / self.runs if _row_by_row(x) else x.mean(axis=0))
+        return out
+
+
+def _row_by_row(x: np.ndarray) -> bool:
+    """Whether numpy's ``x.mean(axis=0)`` sums ``x`` row by row, not pairwise."""
+    return x.ndim > 1 and x.shape[1] > 1
 
 
 def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:
@@ -473,20 +554,25 @@ def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int
     )
 
 
-def _aggregate(scenario: ScenarioConfig, nwd_ck: np.ndarray, final_bc: np.ndarray, frozen: np.ndarray) -> AggregateResult:
+def _add_finals(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
+    """Feed a slice of an ensemble's rows to ``means``: fitness curves, final estimates and their errors."""
     alive = ~frozen
-    if not alive.any():
-        raise AllRunsDivergedError("every run in the ensemble diverged")
-    _, truth = benchmark_spec(scenario.noise_std)
     final_aphi = aphi_from_bc(final_bc[alive])
-    mean_aphi = final_aphi.mean(axis=0)
-    per_run = mse(final_aphi, truth.theta_aphi)
+    means.add(frozen, nwd_ck[alive], final_aphi, mse(final_aphi, benchmark_spec(scenario.noise_std)[1].theta_aphi))
+
+
+def _aggregate(scenario: ScenarioConfig, means: _Means) -> AggregateResult:
+    """The ensemble means of a block fed by :func:`_add_finals`."""
+    if not means.runs:
+        raise AllRunsDivergedError("every run in the ensemble diverged")
+    mean_nwd, mean_aphi, mean_mse = means.means()
+    _, truth = benchmark_spec(scenario.noise_std)
     return AggregateResult(
-        mean_nwd_at_checkpoints=nwd_ck[alive].mean(axis=0),
+        mean_nwd_at_checkpoints=mean_nwd,
         mean_final_theta_aphi=mean_aphi,
         mse_of_mean=float(mse(mean_aphi, truth.theta_aphi)),
-        mean_per_run_mse=float(np.mean(per_run)),
-        divergence_count=int(frozen.sum()),
+        mean_per_run_mse=float(mean_mse),
+        divergence_count=means.diverged,
     )
 
 
@@ -495,8 +581,8 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
 
     Diverged runs are excluded from the means and counted.
     """
-    (aggregate,) = _simulate_blocks([(algorithm, scenario)], _aggregate)
-    return aggregate
+    (means,) = _simulate_blocks([(algorithm, scenario)], _add_finals)
+    return _aggregate(scenario, means)
 
 
 def _curve_key(algorithm, scenario, calibration_runs, n_iters):
@@ -505,10 +591,14 @@ def _curve_key(algorithm, scenario, calibration_runs, n_iters):
             scenario.base_seed, scenario.metric_space, calibration_runs)
 
 
-def _mean_curve(nwd_ck, frozen):
-    """Mean fitness of the runs that stayed in bounds (inf if none did)."""
-    alive = ~frozen
-    return nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
+def _add_curve(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
+    """Feed a slice of a probe's rows to ``means``: its fitness curves."""
+    means.add(frozen, nwd_ck[~frozen])
+
+
+def _mean_curve(scenario: ScenarioConfig, means: _Means) -> np.ndarray:
+    """Mean fitness of the runs that stayed in bounds (inf if none did), from :func:`_add_curve`."""
+    return means.means()[0] if means.runs else np.full(len(scenario.checkpoints), math.inf)
 
 
 def _calibration_curve(algorithm, scenario, calibration_runs, n_iters, curves):
@@ -684,12 +774,10 @@ def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
         if key not in curves and key not in missing:
             missing[key] = (algorithm, replace(scenario, n_runs=calibration_runs, n_iters=n_iters))
 
-    def read_only_curve(scenario, nwd_ck, final_bc, frozen):
-        curve = _mean_curve(nwd_ck, frozen)
-        curve.flags.writeable = False
-        return curve
-
-    curves.update(zip(missing, _simulate_blocks(list(missing.values()), read_only_curve, _DOMAIN_CALIBRATION)))
+    blocks = list(missing.values())
+    for key, (_, scenario), means in zip(missing, blocks, _simulate_blocks(blocks, _add_curve, _DOMAIN_CALIBRATION)):
+        curves[key] = _mean_curve(scenario, means)
+        curves[key].flags.writeable = False
     return [curves[key] for key in keys]
 
 
@@ -752,6 +840,14 @@ class GridConfig:
             raise ValueError("grid axes must be non-empty")
         if not all(0 <= level < math.inf for level in self.noise_levels):
             raise ValueError("noise_levels must be finite and non-negative")
+        # Output files and table rows are named by these labels: two values
+        # sharing one would write into each other's files.
+        for name, label in (("noise_levels", sigma_label), ("fractional_orders", lambda f: f"{f:.2f}")):
+            values = getattr(self, name)
+            labels = [label(x) for x in values]
+            for j, text in enumerate(labels):
+                if text in labels[:j]:
+                    raise ValueError(f"{name} {values[labels.index(text)]:g} and {values[j]:g} share the label {text}")
         if self.calibration_runs < 1:
             raise ValueError("calibration_runs must be positive")
         if not self.calibration_tolerance > 0:
@@ -838,7 +934,7 @@ def calibrate_grid(config: GridConfig) -> list[tuple[float, Calibration]]:
     )
     # Nothing after the prefetch reads the calibration streams: release
     # them before a grid's ensembles draw theirs.
-    _stream_blocks.pop(_DOMAIN_CALIBRATION, None)
+    _stream_windows.pop(_DOMAIN_CALIBRATION, None)
     return [(level, record) for (level, _), record in zip(cells, records)]
 
 
@@ -868,21 +964,14 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
             if mu1 is not None:  # a cell without one raises CalibrationError at its row
                 blocks[i] = mflms_params(mu1, scenario.alpha, f, scenario.mflms_muf), scenario
 
-    def aggregate_or_error(*block):
-        try:
-            return _aggregate(*block)
-        except AllRunsDivergedError as error:
-            return error  # raised at its row
-
-    aggregates = dict(zip(blocks, _simulate_blocks(list(blocks.values()), aggregate_or_error)))
+    means = dict(zip(blocks, _simulate_blocks(list(blocks.values()), _add_finals)))
 
     entries = []
     for i, (level, f, scenario) in enumerate(cells):
         if i in records:
             records[i].settle("closest")
-        (algorithm, _), aggregate = blocks[i], aggregates[i]
-        if isinstance(aggregate, AllRunsDivergedError):
-            raise aggregate
+        algorithm, _ = blocks[i]
+        aggregate = _aggregate(scenario, means.pop(i))  # an ensemble whose runs all diverged raises here
         log.info(
             "scenario sigma=%s alpha=%g %s step=%.5g: final mean NWD %.4f",
             sigma_label(level), scenario.alpha,

@@ -252,7 +252,9 @@ def _pairwise_tree(x: np.ndarray):
 
 def diverged_rows(w: np.ndarray) -> np.ndarray:
     """Mask of batch rows holding a NaN, an inf or a weight beyond the guard."""
-    return ~(np.abs(w) <= WEIGHT_LIMIT).all(axis=-1)
+    inside = w <= WEIGHT_LIMIT  # two boolean comparisons: no float temporary like |w|
+    inside &= w >= -WEIGHT_LIMIT
+    return ~inside.all(axis=-1)
 
 
 class Form(enum.Enum):

@@ -305,6 +305,13 @@ class TestErrors:
         assert main(["grid", "--seed", str(2**64), *SMALL_GRID]) == 1
         assert "base_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["noise_levels=0.301,0.304", "fractional_orders=0.251,0.254"])
+    def test_values_sharing_an_output_label_exit_1(self, tmp_path, capsys, setting):
+        out = tmp_path / "results"
+        assert main(["grid", "--out", str(out), *SMALL_GRID, "--set", setting]) == 1
+        assert "share the label" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["grid", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -113,6 +113,16 @@ class TestRejections:
         with pytest.raises(ConfigError, match="noise_levels: empty list item"):
             parse_config(f"noise_levels = {value}")
 
+    @pytest.mark.parametrize("line, label", [
+        ("noise_levels = 0.301, 0.304", "0.30"),
+        ("fractional_orders = 0.251, 0.254", "0.25"),
+    ])
+    def test_values_sharing_an_output_label(self, line, label):
+        # Two values that format to one label would share their output files.
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"{key} .* share the label {label}"):
+            parse_config(line)
+
     def test_seed_range(self):
         with pytest.raises(ConfigError, match="base_seed"):
             parse_config(f"base_seed = {2**64}")

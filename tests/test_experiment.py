@@ -51,7 +51,7 @@ def variant_params(variant: Variant) -> FilterParams:
 @pytest.fixture
 def cold_streams(monkeypatch):
     """An empty stream cache for one test; the process-wide one is restored after."""
-    monkeypatch.setattr(experiment, "_stream_blocks", {})
+    monkeypatch.setattr(experiment, "_stream_windows", {})
 
 
 def scenario(**kwargs):
@@ -223,7 +223,52 @@ class TestSharedStreams:
         assert len(set(draws)) == len(draws)
         # Calibrated before the ensembles, the grid holds no calibration
         # streams while they run.
-        assert list(experiment._stream_blocks) == [experiment._DOMAIN_MAIN]
+        assert list(experiment._stream_windows) == [experiment._DOMAIN_MAIN]
+
+    def test_grid_streams_hold_one_slice_at_a_time(self, draws, monkeypatch):
+        # With each kernel branch in three slices of ten runs, every main-
+        # domain batch finds a window of its own ten runs, and each run
+        # of either domain is still drawn once.
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", 10)
+        windows = []
+        real_simulate = experiment._simulate
+
+        def recording_simulate(*args, **kwargs):
+            out = real_simulate(*args, **kwargs)
+            if kwargs.get("domain") == experiment._DOMAIN_MAIN:
+                window = experiment._stream_windows[experiment._DOMAIN_MAIN]
+                windows.append((window.start, len(window.drawn), int(window.drawn.sum()), window.z.shape))
+            return out
+
+        monkeypatch.setattr(experiment, "_simulate", recording_simulate)
+        config = GridConfig(
+            noise_levels=(0.30,), alphas=(0.2,), lms_etas=(0.027,),
+            fractional_orders=(0.25,), n_runs=30, n_iters=100,
+            checkpoint_interval=100, calibration_runs=20,
+        )
+        full_grid(config)
+        assert windows == [(start, 10, 10, (10, 100)) for start in (0, 10, 20) for _ in range(2)]
+        assert len(draws) == config.n_runs + config.calibration_runs
+        assert len(set(draws)) == len(draws)
+
+    def test_next_slice_releases_the_window_first(self, cold_streams):
+        # A request sharing no run with the window frees it before
+        # allocating the next one, so memory holds one window at a time:
+        # measured 13 KB above the first window with numpy 2.4.6, against
+        # a whole window (806 KB) when both are held.
+        window_bytes = 100 * (1000 + 8) * 8
+        experiment._streams(42, 0, 8, np.arange(300, 301), 1000)  # numpy.random's lazy set-up
+        tracemalloc.start()
+        try:
+            experiment._streams(42, 0, 8, np.arange(0, 100), 1000)
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            experiment._streams(42, 0, 8, np.arange(100, 200), 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert experiment._stream_windows[0].start == 100
+        assert before > window_bytes and peak - before < window_bytes / 4
 
     def test_other_seed_redraws(self, draws):
         _simulate(lms_params(0.1), scenario(), range(10))
@@ -242,7 +287,8 @@ class TestSharedStreams:
         for run_index in range(40):
             run_single(lms_params(0.1), sc, run_index)
         assert draws == [(42, 0, r) for r in range(40)]
-        assert len(experiment._stream_blocks[0][1]) == 64  # grown by doubling
+        window = experiment._stream_windows[0]
+        assert (window.start, len(window.drawn), window.z.shape) == (39, 1, (1, 100))  # the last run only
         run_single(lms_params(0.1), sc, 999)
         assert draws[40:] == [(42, 0, 999)]
 
@@ -251,8 +297,8 @@ class TestSharedStreams:
         # request's iterations, instead of holding 100 runs x 2000 iterations.
         _simulate(lms_params(0.1), scenario(n_iters=2000), range(10))
         got = _simulate(lms_params(0.1), scenario(n_iters=100), range(100))
-        _, _, w0, z = experiment._stream_blocks[0]
-        assert w0.shape == (100, 8) and z.shape == (100, 100)
+        window = experiment._stream_windows[0]
+        assert window.start == 0 and window.w0.shape == (100, 8) and window.z.shape == (100, 100)
         assert len(draws) == 100
         expected = naive_simulate(lms_params(0.1), scenario(n_iters=100), range(100))
         for a, b in zip(got, expected):
@@ -277,11 +323,11 @@ class TestSharedStreams:
 
     def test_cached_arrays_are_read_only(self, cold_streams):
         _simulate(lms_params(0.1), scenario(), range(5))
-        for _, _, w0, z in experiment._stream_blocks.values():
+        for window in experiment._stream_windows.values():
             with pytest.raises(ValueError):
-                w0[0, 0] = 0.0
+                window.w0[0, 0] = 0.0
             with pytest.raises(ValueError):
-                z[0, 0] = 0.0
+                window.z[0, 0] = 0.0
 
     def test_warm_ensemble_holds_no_runs_by_iters_array(self, cold_streams):
         # A 1000 x 1000 ensemble's desired samples alone would take 8 MB.
@@ -524,6 +570,27 @@ class TestAggregation:
         assert at_100[0] > at_100[1] > at_100[2]
         assert at_end[0] < at_end[1] < at_end[2]
 
+    @pytest.mark.parametrize("k", [1, 2, 8, 10])
+    def test_means_over_slices_equal_whole_block_means(self, k):
+        # k = 1 and 1-D quantities are summed pairwise, wider ones row by
+        # row; either way slices of the rows give the whole block's bits.
+        # Magnitudes spread over twelve decades make any other summation
+        # order round differently.
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((500, k)) * 10.0 ** rng.integers(-6, 7, (500, k))
+        per_run = rng.standard_normal(500) * 10.0 ** rng.integers(-6, 7, 500)
+        frozen = rng.random(500) < 0.3
+        alive = ~frozen
+        whole = [x[alive].mean(axis=0), per_run[alive].mean(axis=0)]
+        for cuts in ([], [1, 2, 250], [0, 499], [100, 100, 300]):
+            means = experiment._Means()
+            for part in np.split(np.arange(500), cuts):
+                ok = alive[part]
+                means.add(frozen[part], x[part][ok], per_run[part][ok])
+            assert (means.runs, means.diverged) == (alive.sum(), frozen.sum())
+            for got, want in zip(means.means(), whole, strict=True):
+                np.testing.assert_array_equal(got, want)
+
     def test_metric_space_toggle(self):
         sc_aphi = scenario(metric_space=MetricSpace.APHI)
         sc_bc = scenario(metric_space=MetricSpace.BC)
@@ -701,7 +768,9 @@ class TestCalibration:
             nwd_ck, _, frozen = _simulate(
                 algorithm, cal, range(cal.n_runs), domain=experiment._DOMAIN_CALIBRATION, n_iters=n_iters
             )
-            np.testing.assert_array_equal(got, experiment._mean_curve(nwd_ck, frozen))
+            alive = ~frozen
+            want = nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
+            np.testing.assert_array_equal(got, want)
         references = [curve for a, _, _, curve in calls if a.variant is Variant.LMS]
         assert {bool(c[0] > experiment._CONVERGED_RATIO * c[-1]) for c in references} == {True, False}
 
@@ -755,6 +824,9 @@ class TestFullGrid:
         ("calibration_runs", 0),
         ("noise_levels", (0.30, -0.30)),
         ("noise_levels", (math.nan,)),
+        ("noise_levels", (0.301, 0.304)),  # both labelled 0.30
+        ("noise_levels", (0.30, 0.30)),
+        ("fractional_orders", (0.251, 0.254)),  # both labelled 0.25
     ])
     def test_bad_grid_value_rejected_before_simulating(self, monkeypatch, field, value):
         def no_simulation(*args, **kwargs):
@@ -771,20 +843,15 @@ class TestFullGrid:
         fractional_orders=(0.25, 0.75), mflms_mu1=0.16, n_runs=12, n_iters=200, checkpoint_interval=100,
     )
 
-    @pytest.mark.parametrize("blocks_per_batch", [1, 2, 6])
-    def test_lockstep_ensembles_equal_per_cell_ensembles(self, monkeypatch, blocks_per_batch):
-        # Each kernel branch has six cells; whether a cell's ensemble
-        # shares its batch with none, one or all of the others, its row
-        # is bit-equal to the cell's own single-block simulation.
-        config = self.FREEZING_GRID
-        monkeypatch.setattr(experiment, "_BATCH_ROWS", blocks_per_batch * config.n_runs)
-        entries = full_grid(config)
+    @staticmethod
+    def assert_whole_block_aggregates(entries, n_runs):
+        """Every field of every row equals its cell's whole-block ensemble, reduced at once, bit for bit."""
         counts = [e.aggregate.divergence_count for e in entries]
-        assert min(counts) == 0 and 0 < max(counts) < config.n_runs
+        assert min(counts) == 0 and 0 < max(counts) < n_runs
         for entry in entries:
             algorithm = (lms_params(entry.step_size) if entry.f is None
                          else mflms_params(entry.step_size, entry.alpha, entry.f))
-            nwd_ck, final_bc, frozen = _simulate(algorithm, entry.scenario, range(config.n_runs))
+            nwd_ck, final_bc, frozen = _simulate(algorithm, entry.scenario, range(n_runs))
             alive = ~frozen
             final_aphi = aphi_from_bc(final_bc[alive])
             truth = benchmark_spec(entry.scenario.noise_std)[1].theta_aphi
@@ -794,6 +861,31 @@ class TestFullGrid:
             assert got.mse_of_mean == mse(final_aphi.mean(axis=0), truth)
             assert got.mean_per_run_mse == np.mean(mse(final_aphi, truth))
             assert got.divergence_count == frozen.sum()
+
+    @pytest.mark.parametrize("blocks_per_batch", [1, 2, 6])
+    def test_lockstep_ensembles_equal_per_cell_ensembles(self, monkeypatch, blocks_per_batch):
+        # Each kernel branch has six cells, which share every batch;
+        # whether a cell's ensemble runs in six, three or one slice of
+        # runs, its row is bit-equal to the cell's own single-block
+        # simulation.
+        config = self.FREEZING_GRID
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", blocks_per_batch * config.n_runs)
+        self.assert_whole_block_aggregates(full_grid(config), config.n_runs)
+
+    @pytest.mark.parametrize("checkpoint_interval", [100, 200])  # 200: one checkpoint, averaged pairwise
+    @pytest.mark.parametrize("batch_rows, slices", [
+        (6 * 13, [13]), (6 * 7, [6, 7]), (6 * 5, [4, 4, 5]), (6 * 4, [3, 3, 3, 4]),
+    ])
+    def test_sliced_ensembles_equal_whole_blocks(self, monkeypatch, batch_rows, slices, checkpoint_interval):
+        # Each kernel branch's six 13-run ensembles run in one, two, three
+        # or four slices of runs, even or not; the branches advance slice
+        # by slice, and every row equals its cell's whole block.
+        config = replace(self.FREEZING_GRID, n_runs=13, checkpoint_interval=checkpoint_interval)
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", batch_rows)
+        calls = self.main_domain_blocks(monkeypatch)
+        entries = full_grid(config)
+        assert [[sc.n_runs for _, sc in blocks] for blocks in calls] == [[n] * 6 for n in slices for _ in range(3)]
+        self.assert_whole_block_aggregates(entries, config.n_runs)
 
     @staticmethod
     def main_domain_blocks(monkeypatch):
@@ -823,16 +915,28 @@ class TestFullGrid:
         # At mu1 0.05 every run of the alpha 0.8 cells diverges: the first
         # of them (row 3) raises after the lines of rows 0-2 and before any
         # later line, as running the cells one by one does.
-        config = GridConfig(
-            noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
-            fractional_orders=(0.25, 0.75), mflms_mu1=0.05, n_runs=12, n_iters=200, checkpoint_interval=100,
-        )
-        cells = list(config.cells())
+        cells = list(self.DIVERGING_GRID.cells())
         with pytest.raises(AllRunsDivergedError):
             run_monte_carlo(mflms_params(0.05, 0.8, 0.25), cells[3][2])
+        self.assert_row_3_raises(caplog)
+
+    def test_all_diverged_sliced_ensemble_raises_at_its_row(self, monkeypatch, caplog):
+        # The same grid with each kernel branch in three slices of four
+        # runs: the row still raises when its last slice has diverged too.
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", 8)
+        calls = self.main_domain_blocks(monkeypatch)
+        self.assert_row_3_raises(caplog)
+        assert [[sc.n_runs for _, sc in blocks] for blocks in calls] == [[4, 4]] * 9
+
+    DIVERGING_GRID = GridConfig(
+        noise_levels=(0.30,), alphas=(0.2, 0.8), lms_etas=(0.027, 0.1),
+        fractional_orders=(0.25, 0.75), mflms_mu1=0.05, n_runs=12, n_iters=200, checkpoint_interval=100,
+    )
+
+    def assert_row_3_raises(self, caplog):
         with caplog.at_level(logging.INFO, logger="lmslab.experiment"):
             with pytest.raises(AllRunsDivergedError):
-                full_grid(config)
+                full_grid(self.DIVERGING_GRID)
         lines = [r.getMessage() for r in caplog.records]
         assert [line.split(" step=")[0] for line in lines] == [
             "scenario sigma=0.30 alpha=0.2 f=0.25",

