@@ -25,15 +25,16 @@ Those streams are drawn once per process and stream domain (the main
 ensemble, the calibration probes): a read-only window of initial weights
 and unit-variance noise, which every ensemble and calibration probe at
 that seed reads and scales by its own noise level (common random
-numbers).  A run is drawn the first time a request names it.  A window
-holds one contiguous range of runs over the iterations of the request
-that built it, about ``runs x n_iters x 8`` bytes.  A request outside
-it, or with another seed or more iterations, replaces it with a window
-of its own runs; runs both hold move over, and a window sharing none is
-released before the next is allocated.  A grid's ensembles advance a
-slice of runs at a time, so the main window holds one slice (2.7 MB of
-noise at the default protocol); the calibration window holds every
-probe's runs (1.6 MB) and is released once every cell is calibrated.
+numbers).  A window holds runs ``lo .. hi - 1`` of the request that
+built it, drawn whole, over that request's iterations: about
+``runs x n_iters x 8`` bytes.  A later request with the same seed, no
+more iterations and its runs inside the window reads it; any other
+request releases it and draws a window of its own runs.  A grid's
+ensembles advance a slice of runs at a time, so the main window holds
+one slice (2.7 MB of noise at the default protocol).  The calibration
+window holds every probe's runs (1.6 MB); the paired-LMS references draw
+it first, at full length, and :func:`prefetch_calibration` releases it
+when its searches end.
 
 The engine (:func:`_simulate`) holds a batch component-major: ``w``,
 ``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
@@ -149,11 +150,10 @@ _CHUNK_ELEMENTS = 2**13
 
 
 class _Window(NamedTuple):
-    """A domain's cached streams: runs ``start .. start + len(drawn) - 1`` (see :func:`_streams`)."""
+    """A domain's cached streams: runs ``start .. start + len(w0) - 1`` (see :func:`_streams`)."""
 
     base_seed: int
     start: int
-    drawn: np.ndarray  # (R,) bool: which rows are drawn
     w0: np.ndarray  # (R, M)
     z: np.ndarray  # (R, N)
 
@@ -275,38 +275,25 @@ def _streams(base_seed: int, domain: int, m: int, run_indices: np.ndarray, n_ite
 
     That row of ``w0`` holds the run's initial weights and that row of
     ``z`` its unit-variance noise over at least ``n_iters`` iterations.
-    A domain keeps one window of runs and draws each run once, when a
-    request first names it.  A request outside the window, or for
-    another seed or more iterations, replaces it with a window of its
-    own runs and iterations: runs both hold move over, and a window
-    sharing none is released before the new one is allocated.
+    A domain keeps one window: the runs ``min .. max`` of the request
+    that built it, drawn whole, over its iterations.  A request with the
+    same seed, no more iterations and its runs inside the window reads
+    it.  Any other releases it before a window of its own runs is drawn.
     """
     lo, hi = (int(run_indices.min()), int(run_indices.max()) + 1) if len(run_indices) else (0, 0)
-    old = _stream_windows.pop(domain, None)
-    a = b = 0  # the runs the old window can hand over: a .. b - 1
-    if old is not None and old.base_seed == base_seed and old.z.shape[1] >= n_iters:
-        a, b = max(lo, old.start), min(hi, old.start + len(old.drawn))
-    if a < b and (a, b) == (lo, hi):
-        window = old
-    else:
-        if a >= b:
-            old = None  # nothing to hand over: freed before the next window is allocated
-        window = _Window(base_seed, lo, np.zeros(hi - lo, bool), np.empty((hi - lo, m)), np.empty((hi - lo, n_iters)))
-        if old is not None:
-            new, src = slice(a - lo, b - lo), slice(a - old.start, b - old.start)
-            window.drawn[new], window.w0[new], window.z[new] = old.drawn[src], old.w0[src], old.z[src, :n_iters]
-    del old
-    rows = run_indices - window.start
-    missing = sorted(set(rows[~window.drawn[rows]].tolist()))
-    window.w0.flags.writeable = window.z.flags.writeable = True
-    for row in missing:
-        rng_w, rng_e = _run_rngs(base_seed, domain, window.start + row)
-        window.w0[row] = rng_w.standard_normal(m)
-        window.z[row] = rng_e.standard_normal(window.z.shape[1])
-    window.drawn[missing] = True
-    window.w0.flags.writeable = window.z.flags.writeable = False
+    window = _stream_windows.pop(domain, None)
+    if (window is None or window.base_seed != base_seed or window.z.shape[1] < n_iters
+            or not window.start <= lo <= hi <= window.start + len(window.w0)):
+        window = None  # freed before the next window is allocated
+        w0, z = np.empty((hi - lo, m)), np.empty((hi - lo, n_iters))
+        for row in range(hi - lo):
+            rng_w, rng_e = _run_rngs(base_seed, domain, lo + row)
+            w0[row] = rng_w.standard_normal(m)
+            z[row] = rng_e.standard_normal(n_iters)
+        w0.flags.writeable = z.flags.writeable = False
+        window = _Window(base_seed, lo, w0, z)
     _stream_windows[domain] = window
-    return window.w0, window.z, rows
+    return window.w0, window.z, run_indices - window.start
 
 
 def _simulate(
@@ -790,7 +777,8 @@ def prefetch_calibration(
     references first (so the calibration streams are drawn once, at full
     length), then every cell's doubling scan, then one bisection
     midpoint per unfinished cell per round.  Each round's probes run in
-    a few wide batches (:func:`_simulate_curves`).  Nothing is logged or
+    a few wide batches (:func:`_simulate_curves`).  The calibration
+    streams are released when the searches end.  Nothing is logged or
     raised here; each record's :meth:`~Calibration.settle` does that.
     """
     curves: dict = {}
@@ -810,6 +798,7 @@ def prefetch_calibration(
             except StopIteration as done:
                 records[i] = Calibration(scenarios[i], calibration_runs, curves, reads, *done.value)
         pending = advanced
+    _stream_windows.pop(_DOMAIN_CALIBRATION, None)  # every curve is read: release the probes' streams
     return records
 
 
@@ -842,12 +831,13 @@ class GridConfig:
             raise ValueError("noise_levels must be finite and non-negative")
         # Output files and table rows are named by these labels: two values
         # sharing one would write into each other's files.
-        for name, label in (("noise_levels", sigma_label), ("fractional_orders", lambda f: f"{f:.2f}")):
+        for name, label in (("noise_levels", sigma_label), ("fractional_orders", lambda f: f"{f:.2f}"),
+                            ("alphas", lambda a: f"{a:g}"), ("lms_etas", lambda eta: f"{eta:g}")):
             values = getattr(self, name)
             labels = [label(x) for x in values]
             for j, text in enumerate(labels):
                 if text in labels[:j]:
-                    raise ValueError(f"{name} {values[labels.index(text)]:g} and {values[j]:g} share the label {text}")
+                    raise ValueError(f"{name} {values[labels.index(text)]!r} and {values[j]!r} share the label {text}")
         if self.calibration_runs < 1:
             raise ValueError("calibration_runs must be positive")
         if not self.calibration_tolerance > 0:
@@ -932,9 +922,6 @@ def calibrate_grid(config: GridConfig) -> list[tuple[float, Calibration]]:
     records = prefetch_calibration(
         [scenario for _, scenario in cells], config.calibration_tolerance, config.calibration_runs
     )
-    # Nothing after the prefetch reads the calibration streams: release
-    # them before a grid's ensembles draw theirs.
-    _stream_windows.pop(_DOMAIN_CALIBRATION, None)
     return [(level, record) for (level, _), record in zip(cells, records)]
 
 

@@ -70,7 +70,7 @@ def gamma(x: float) -> float:
     return _lanczos(x)
 
 
-def abs_pow(w, p: float, out=None) -> np.ndarray:
+def abs_pow(w, p: float) -> np.ndarray:
     """Element-wise ``|w_i|**p`` for an exponent ``p`` in [0, 1].
 
     The convention ``0**0 == 1`` applies (numpy's native behaviour),
@@ -83,8 +83,6 @@ def abs_pow(w, p: float, out=None) -> np.ndarray:
         Input values, any shape.
     p: float
         Exponent in ``[0, 1]``.
-    out: numpy.ndarray, optional
-        Array shaped like ``w`` that receives the result.
 
     Returns
     -------
@@ -95,4 +93,4 @@ def abs_pow(w, p: float, out=None) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"exponent must lie in [0, 1], got {p!r}")
     w = np.asarray(w, dtype=np.float64)
-    return np.power(np.abs(w, out=out), p, out=out)
+    return np.power(np.abs(w), p)

@@ -305,10 +305,16 @@ class TestErrors:
         assert main(["grid", "--seed", str(2**64), *SMALL_GRID]) == 1
         assert "base_seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["noise_levels=0.301,0.304", "fractional_orders=0.251,0.254"])
+    @pytest.mark.parametrize("setting", [
+        "noise_levels=0.301,0.304",
+        "fractional_orders=0.251,0.254",
+        "alphas=0.2,0.2000001 lms_etas=0.027,0.042",
+        "alphas=0.2,0.5 lms_etas=0.027,0.02700001",
+    ])
     def test_values_sharing_an_output_label_exit_1(self, tmp_path, capsys, setting):
         out = tmp_path / "results"
-        assert main(["grid", "--out", str(out), *SMALL_GRID, "--set", setting]) == 1
+        overrides = [arg for item in setting.split() for arg in ("--set", item)]
+        assert main(["grid", "--out", str(out), *SMALL_GRID, *overrides]) == 1
         assert "share the label" in capsys.readouterr().err
         assert not out.exists()
 

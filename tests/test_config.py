@@ -116,6 +116,8 @@ class TestRejections:
     @pytest.mark.parametrize("line, label", [
         ("noise_levels = 0.301, 0.304", "0.30"),
         ("fractional_orders = 0.251, 0.254", "0.25"),
+        ("alphas = 0.2, 0.2000001\nlms_etas = 0.027, 0.042", "0.2"),
+        ("lms_etas = 0.027, 0.02700001\nalphas = 0.2, 0.5", "0.027"),
     ])
     def test_values_sharing_an_output_label(self, line, label):
         # Two values that format to one label would share their output files.

@@ -237,7 +237,7 @@ class TestSharedStreams:
             out = real_simulate(*args, **kwargs)
             if kwargs.get("domain") == experiment._DOMAIN_MAIN:
                 window = experiment._stream_windows[experiment._DOMAIN_MAIN]
-                windows.append((window.start, len(window.drawn), int(window.drawn.sum()), window.z.shape))
+                windows.append((window.start, len(window.w0), window.z.shape))
             return out
 
         monkeypatch.setattr(experiment, "_simulate", recording_simulate)
@@ -247,7 +247,7 @@ class TestSharedStreams:
             checkpoint_interval=100, calibration_runs=20,
         )
         full_grid(config)
-        assert windows == [(start, 10, 10, (10, 100)) for start in (0, 10, 20) for _ in range(2)]
+        assert windows == [(start, 10, (10, 100)) for start in (0, 10, 20) for _ in range(2)]
         assert len(draws) == config.n_runs + config.calibration_runs
         assert len(set(draws)) == len(draws)
 
@@ -288,21 +288,36 @@ class TestSharedStreams:
             run_single(lms_params(0.1), sc, run_index)
         assert draws == [(42, 0, r) for r in range(40)]
         window = experiment._stream_windows[0]
-        assert (window.start, len(window.drawn), window.z.shape) == (39, 1, (1, 100))  # the last run only
+        assert (window.start, len(window.w0), window.z.shape) == (39, 1, (1, 100))  # the last run only
         run_single(lms_params(0.1), sc, 999)
         assert draws[40:] == [(42, 0, 999)]
 
     def test_block_grows_to_the_request_not_the_cross_product(self, draws):
-        # Growing past a long narrow block keeps its runs, cut to the
-        # request's iterations, instead of holding 100 runs x 2000 iterations.
+        # A wide, short request after a long, narrow one draws a window of
+        # its own runs and iterations, not 100 runs x 2000 iterations.
         _simulate(lms_params(0.1), scenario(n_iters=2000), range(10))
         got = _simulate(lms_params(0.1), scenario(n_iters=100), range(100))
         window = experiment._stream_windows[0]
         assert window.start == 0 and window.w0.shape == (100, 8) and window.z.shape == (100, 100)
-        assert len(draws) == 100
+        assert len(draws) == 110
         expected = naive_simulate(lms_params(0.1), scenario(n_iters=100), range(100))
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
+
+    def test_sparse_request_draws_the_runs_between_its_ends(self, draws):
+        # Runs 3 .. 11 are drawn once, whole, in order; the rows are those
+        # of per-run seeding, read in the request's order.
+        sc = scenario(n_iters=200)
+        got = _simulate(lms_params(0.1), sc, [7, 3, 11])
+        window = experiment._stream_windows[0]
+        assert (window.start, len(window.w0), window.z.shape) == (3, 9, (9, 200))
+        assert draws == [(42, 0, r) for r in range(3, 12)]
+        for a, b in zip(got, naive_simulate(lms_params(0.1), sc, [7, 3, 11])):
+            np.testing.assert_array_equal(a, b)
+
+    def test_calibration_releases_its_streams(self, cold_streams):
+        calibrate_mu1(scenario(n_iters=100), calibration_runs=10, on_no_match="closest")
+        assert experiment._DOMAIN_CALIBRATION not in experiment._stream_windows
 
     def test_ensemble_independent_of_cache_state(self, cold_streams):
         sc = scenario(n_runs=20)
@@ -827,6 +842,8 @@ class TestFullGrid:
         ("noise_levels", (0.301, 0.304)),  # both labelled 0.30
         ("noise_levels", (0.30, 0.30)),
         ("fractional_orders", (0.251, 0.254)),  # both labelled 0.25
+        ("alphas", (0.2, 0.2000001, 0.8)),  # two labelled a=0.2
+        ("lms_etas", (0.027, 0.02700001, 0.1)),  # two labelled eta=0.027
     ])
     def test_bad_grid_value_rejected_before_simulating(self, monkeypatch, field, value):
         def no_simulation(*args, **kwargs):
