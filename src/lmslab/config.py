@@ -106,8 +106,14 @@ def _check_positive(key, value):
     return value
 
 
+def _check_non_negative(key, value):
+    if not value >= 0:
+        raise ConfigError(f"{key}: must be non-negative, got {value!r}")
+    return value
+
+
 _KEY_PARSERS = {
-    "noise_levels": lambda v: tuple(_check_positive("noise_levels", x)
+    "noise_levels": lambda v: tuple(_check_non_negative("noise_levels", x)
                                     for x in _parse_float_list("noise_levels", v)),
     "noise_scale": lambda v: _parse_enum("noise_scale", v, {"variance", "std"}),
     "alphas": lambda v: tuple(_check_probability_open("alphas", x)
@@ -129,7 +135,7 @@ _KEY_PARSERS = {
     "calibration_tolerance": lambda v: _check_positive("calibration_tolerance",
                                                        _parse_float("calibration_tolerance", v)),
     "algorithm": lambda v: Variant(_parse_enum("algorithm", v, {m.value for m in Variant})),
-    "noise_level": lambda v: _check_positive("noise_level", _parse_float("noise_level", v)),
+    "noise_level": lambda v: _check_non_negative("noise_level", _parse_float("noise_level", v)),
     "alpha": lambda v: _check_probability_open("alpha", _parse_float("alpha", v)),
     "f": lambda v: _check_probability_open("f", _parse_float("f", v), lo_open=True),
     "lms_eta": lambda v: _check_positive("lms_eta", _parse_float("lms_eta", v)),

@@ -221,7 +221,7 @@ class ScenarioConfig:
         if self.checkpoint_interval < 1 or self.n_iters % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide n_iters")
         if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must fit in 64 bits")
+            raise ValueError("base_seed must fit in an unsigned 64-bit integer")
 
     @property
     def checkpoints(self) -> np.ndarray:
@@ -441,8 +441,9 @@ def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
     holds runs ``lo_b .. hi_b - 1`` of every block (one run of each at
     least), and the groups advance slice by slice, so the streams hold
     one slice of runs at a time.  Calibration probes run whole blocks a
-    batch: the paired-LMS references draw their whole window first, so
-    slicing the probes would hold more, not less.  Each batch's rows are
+    batch, even a block above ``_BATCH_ROWS``, for speed: sliced by runs
+    as above, the default grid's probes made the same calls, steps and
+    draws, yet the grid ran slower.  Each batch's rows are
     passed to ``add``, slice by slice in run order, when the batch
     returns, so one batch's rows are held at a time.
     """
@@ -572,12 +573,6 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
     return _aggregate(scenario, means)
 
 
-def _curve_key(algorithm, scenario, calibration_runs, n_iters):
-    """What a calibration curve's simulation reads."""
-    return (algorithm, scenario.noise_std, n_iters, scenario.checkpoint_interval,
-            scenario.base_seed, scenario.metric_space, calibration_runs)
-
-
 def _add_curve(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
     """Feed a slice of a probe's rows to ``means``: its fitness curves."""
     means.add(frozen, nwd_ck[~frozen])
@@ -588,9 +583,9 @@ def _mean_curve(scenario: ScenarioConfig, means: _Means) -> np.ndarray:
     return means.means()[0] if means.runs else np.full(len(scenario.checkpoints), math.inf)
 
 
-def _calibration_curve(algorithm, scenario, calibration_runs, n_iters, curves):
-    """The curve of this probe in ``curves`` (see :func:`prefetch_calibration`)."""
-    return curves[_curve_key(algorithm, scenario, calibration_runs, n_iters)]
+def _calibration_curve(algorithm, curve):
+    """``curve``, ``algorithm``'s calibration curve: :meth:`Calibration.settle` passes each one read here, in order."""
+    return curve
 
 
 def _mu1_search(scenario: ScenarioConfig, tolerance: float, target_checkpoint: int):
@@ -675,25 +670,22 @@ def _mu1_search(scenario: ScenarioConfig, tolerance: float, target_checkpoint: i
 class Calibration:
     """One cell's calibration search, as :func:`prefetch_calibration` ran it.
 
-    ``reads`` lists the ``(algorithm, n_iters)`` of every curve in
-    ``curves`` that the search read, in order, the paired-LMS reference
-    first; ``(mu1, fitness, miss)`` is where it ended (see
-    :func:`_mu1_search`).  A reference that diverged is a miss with no
-    ``mu1``.
+    ``reads`` lists the ``(algorithm, curve)`` pairs the search was
+    sent, in read order, the paired-LMS reference first; ``(mu1,
+    fitness, miss)`` is where it ended (see :func:`_mu1_search`).  A
+    reference that diverged is a miss with no ``mu1``.
     """
 
     scenario: ScenarioConfig
-    calibration_runs: int
-    curves: dict
     reads: list
     mu1: float | None
     fitness: float
     miss: str | None
 
     def settle(self, on_no_match: str = "raise") -> float:
-        """Read the search's curves again, in order, then return, warn or raise as :func:`calibrate_mu1` does."""
-        for algorithm, n_iters in self.reads:
-            _calibration_curve(algorithm, self.scenario, self.calibration_runs, n_iters, self.curves)
+        """Pass each curve the search read to :func:`_calibration_curve`, in order, then return, warn or raise as :func:`calibrate_mu1` does."""
+        for algorithm, curve in self.reads:
+            _calibration_curve(algorithm, curve)
         if self.miss is None:
             return self.mu1
         if on_no_match == "closest" and self.mu1 is not None:
@@ -751,15 +743,15 @@ def calibrate_mu1(
 def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
     """Calibration curves of ``probes``, ``(algorithm, scenario, n_iters)`` each, in order.
 
-    Probes not yet in ``curves`` are simulated, ``calibration_runs`` runs
-    over ``n_iters`` iterations each, in a few wide batches
-    (:func:`_simulate_blocks`), and added to it.
+    Probes not yet in ``curves``, keyed by what their simulation reads,
+    are simulated, ``calibration_runs`` runs over ``n_iters`` iterations
+    each, in a few wide batches (:func:`_simulate_blocks`), and added.
     """
-    keys = [_curve_key(algorithm, scenario, calibration_runs, n_iters) for algorithm, scenario, n_iters in probes]
-    missing = {}
-    for key, (algorithm, scenario, n_iters) in zip(keys, probes):
-        if key not in curves and key not in missing:
-            missing[key] = (algorithm, replace(scenario, n_runs=calibration_runs, n_iters=n_iters))
+    keys, missing = [], {}
+    for algorithm, sc, n_iters in probes:
+        keys.append((algorithm, sc.noise_std, n_iters, sc.checkpoint_interval, sc.base_seed, sc.metric_space))
+        if keys[-1] not in curves:
+            missing.setdefault(keys[-1], (algorithm, replace(sc, n_runs=calibration_runs, n_iters=n_iters)))
 
     blocks = list(missing.values())
     for key, (_, scenario), means in zip(missing, blocks, _simulate_blocks(blocks, _add_curve, _DOMAIN_CALIBRATION)):
@@ -777,9 +769,10 @@ def prefetch_calibration(
     references first (so the calibration streams are drawn once, at full
     length), then every cell's doubling scan, then one bisection
     midpoint per unfinished cell per round.  Each round's probes run in
-    a few wide batches (:func:`_simulate_curves`).  The calibration
-    streams are released when the searches end.  Nothing is logged or
-    raised here; each record's :meth:`~Calibration.settle` does that.
+    a few wide batches (:func:`_simulate_curves`); a record's ``reads``
+    are the curves its search was sent.  The calibration streams are
+    released when the searches end.  Nothing is logged or raised here;
+    each record's :meth:`~Calibration.settle` does that.
     """
     curves: dict = {}
     records = [None] * len(scenarios)
@@ -792,11 +785,12 @@ def prefetch_calibration(
         found = iter(_simulate_curves(probes, calibration_runs, curves))
         advanced = []
         for i, search, reads, request in pending:
-            reads += request
+            sent = [next(found) for _ in request]
+            reads += [(algorithm, curve) for (algorithm, _), curve in zip(request, sent)]
             try:
-                advanced.append((i, search, reads, search.send([next(found) for _ in request])))
+                advanced.append((i, search, reads, search.send(sent)))
             except StopIteration as done:
-                records[i] = Calibration(scenarios[i], calibration_runs, curves, reads, *done.value)
+                records[i] = Calibration(scenarios[i], reads, *done.value)
         pending = advanced
     _stream_windows.pop(_DOMAIN_CALIBRATION, None)  # every curve is read: release the probes' streams
     return records
@@ -842,10 +836,7 @@ class GridConfig:
             raise ValueError("calibration_runs must be positive")
         if not self.calibration_tolerance > 0:
             raise ValueError("calibration_tolerance must be positive (a zero-width match is unreachable)")
-        if self.checkpoint_interval < 1 or self.n_iters % self.checkpoint_interval:
-            raise ValueError("checkpoint_interval must divide n_iters")
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must fit in an unsigned 64-bit integer")
+        list(self.cells())  # each cell's ScenarioConfig checks its own values
 
     def noise_std(self, level: float) -> float:
         """Disturbance standard deviation for a grid noise level."""

@@ -45,7 +45,6 @@ instead of ``.sum(axis=-1)``, whose order depends on the layout.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -275,13 +274,8 @@ class Rule(NamedTuple):
     alpha: float
 
 
-@functools.lru_cache(maxsize=64)
 def update_rule(params: FilterParams) -> Rule:
-    """The coefficient-table row :func:`advance` applies for ``params``.
-
-    Cached, so a simulation stepping with one parameter set computes its
-    coefficients once rather than once per step.
-    """
+    """The coefficient-table row :func:`advance` applies for ``params``."""
     mu1 = params.mu1
     b = params.muf / gamma(2.0 - params.f) if params.muf != 0.0 else 0.0
     form, a, b = {

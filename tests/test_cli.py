@@ -49,6 +49,11 @@ class TestGrid:
             "fitness_sigma0.30.txt",
         ]
 
+    def test_noise_free_grid(self, tmp_path):
+        out = tmp_path / "results"
+        assert main(["grid", "--out", str(out), "--seed", "42", *SMALL_GRID, "--set", "noise_levels=0"]) == 0
+        assert (out / "fitness_sigma0.00.csv").is_file()
+
     def test_grid_deterministic_across_invocations(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["grid", "--out", str(out1), "--seed", "42", *SMALL_GRID]) == 0

@@ -125,6 +125,19 @@ class TestRejections:
         with pytest.raises(ConfigError, match=f"{key} .* share the label {label}"):
             parse_config(line)
 
+    def test_zero_noise_level_parses(self):
+        # A noise-free cell is valid for the library, so the parser takes it too.
+        assert parse_config("noise_levels = 0, 0.3").grid_config().noise_levels == (0.0, 0.3)
+        assert parse_config("noise_level = 0\nalpha = 0.2\nf = 0.25").single_scenario().noise_std == 0.0
+
+    @pytest.mark.parametrize("line, key", [
+        ("noise_levels = 0.3, -0.3", "noise_levels"),
+        ("noise_level = -0.1", "noise_level"),
+    ])
+    def test_negative_noise_level_rejected(self, line, key):
+        with pytest.raises(ConfigError, match=f"line 2: {key}: must be non-negative"):
+            parse_config(f"n_runs = 5\n{line}")
+
     def test_seed_range(self):
         with pytest.raises(ConfigError, match="base_seed"):
             parse_config(f"base_seed = {2**64}")

@@ -21,6 +21,7 @@ from lmslab.experiment import (
     ScenarioConfig,
     _run_rngs,
     _simulate,
+    calibrate_grid,
     calibrate_mu1,
     full_grid,
     lms_params,
@@ -750,18 +751,19 @@ class TestCalibration:
     @pytest.mark.parametrize("blocks_per_batch", [None, 3])
     def test_lockstep_grid_equals_sequential_calibration(self, monkeypatch, caplog, blocks_per_batch):
         # The grid simulates every cell's probes in shared batches, then
-        # replays each cell: the calibrated mu1, every probed mu1 in order
-        # and every curve equal per-cell calibrations without a shared
-        # prefetch, and every curve equals its probe's own simulation.
+        # settles each cell's record: the calibrated mu1, every probed mu1
+        # in order and every curve equal per-cell calibrations without a
+        # shared prefetch, and every curve equals its probe's own
+        # simulation, at the cell and protocol its record names.
         config = self.LOCKSTEP_GRID
         if blocks_per_batch is not None:
             monkeypatch.setattr(experiment, "_BATCH_ROWS", blocks_per_batch * config.calibration_runs)
         calls = []
         real_curve = experiment._calibration_curve
 
-        def recording_curve(algorithm, scenario, calibration_runs, n_iters, curves):
-            curve = real_curve(algorithm, scenario, calibration_runs, n_iters, curves)
-            calls.append((algorithm, replace(scenario, n_runs=calibration_runs), n_iters, curve))
+        def recording_curve(algorithm, curve):
+            curve = real_curve(algorithm, curve)
+            calls.append((algorithm, curve))
             return curve
 
         monkeypatch.setattr(experiment, "_calibration_curve", recording_curve)
@@ -776,17 +778,26 @@ class TestCalibration:
             for sc in cells
         ]
         assert [e.step_size for e in entries if e.f is not None] == expected
-        assert [a.mu1 for a, *_ in grid_calls] == [a.mu1 for a, *_ in calls]
-        for (*_, got), (*_, want) in zip(grid_calls, calls):
+        assert [a.mu1 for a, _ in grid_calls] == [a.mu1 for a, _ in calls]
+        for (_, got), (_, want) in zip(grid_calls, calls, strict=True):
             np.testing.assert_array_equal(got, want)
-        for algorithm, cal, n_iters, got in grid_calls:
-            nwd_ck, _, frozen = _simulate(
-                algorithm, cal, range(cal.n_runs), domain=experiment._DOMAIN_CALIBRATION, n_iters=n_iters
-            )
-            alive = ~frozen
-            want = nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
-            np.testing.assert_array_equal(got, want)
-        references = [curve for a, _, _, curve in calls if a.variant is Variant.LMS]
+        # The reference runs the cell's n_iters, a probe up to its first
+        # checkpoint, both calibration_runs runs at the cell's protocol.
+        grid_reads = iter(grid_calls)
+        for _, record in calibrate_grid(config):
+            cal = replace(record.scenario, n_runs=config.calibration_runs)
+            for j, (algorithm, _) in enumerate(record.reads):
+                read, got = next(grid_reads)
+                assert read == algorithm and (algorithm.variant is Variant.LMS) == (j == 0)
+                n_iters = cal.n_iters if j == 0 else int(cal.checkpoints[0])
+                nwd_ck, _, frozen = _simulate(
+                    algorithm, cal, range(cal.n_runs), domain=experiment._DOMAIN_CALIBRATION, n_iters=n_iters
+                )
+                alive = ~frozen
+                want = nwd_ck[alive].mean(axis=0) if alive.any() else np.full(nwd_ck.shape[1], math.inf)
+                np.testing.assert_array_equal(got, want)
+        assert next(grid_reads, None) is None
+        references = [curve for a, curve in calls if a.variant is Variant.LMS]
         assert {bool(c[0] > experiment._CONVERGED_RATIO * c[-1]) for c in references} == {True, False}
 
 
@@ -852,6 +863,21 @@ class TestFullGrid:
         monkeypatch.setattr(experiment, "_simulate", no_simulation)
         with pytest.raises(ValueError, match=field):
             full_grid(GridConfig(n_runs=2, n_iters=100, checkpoint_interval=100, **{field: value}))
+
+    @pytest.mark.parametrize("values, message", [
+        ({"alphas": (1.5,), "lms_etas": (0.1,)}, "alpha must lie in"),
+        ({"n_runs": 0}, "n_runs and n_iters must be positive"),
+        ({"n_iters": 0}, "n_runs and n_iters must be positive"),
+        ({"fractional_orders": (1.0,)}, "f must lie strictly in"),
+        ({"lms_etas": (0.027, 0.0, 0.1)}, "lms_eta must be positive"),
+        ({"mflms_mu1": -0.01}, "mflms_mu1 must be positive"),
+        ({"base_seed": 2**64}, "base_seed must fit in an unsigned 64-bit integer"),
+    ])
+    def test_grid_checks_its_cells_when_built(self, values, message):
+        # Each cell's ScenarioConfig checks its own values as the grid is
+        # constructed, not when its cells are first listed.
+        with pytest.raises(ValueError, match=message):
+            GridConfig(**values)
 
     # At mu1 0.16 some runs of the alpha 0.2, f 0.25 cells freeze (5, 6
     # and 9 of 12 at the three noise levels) and no other run does.

@@ -8,7 +8,8 @@ lists (without importing or changing the harness) and checks that each
 name still resolves to a callable.  The harness's correctness checks
 also parse the order of calibration curves and log lines; a small grid
 must pass them.  Every module's ``__all__`` and the package's re-exports
-must resolve too.
+must resolve too, and README's configuration block must state the
+defaults that ``GridConfig`` declares.
 """
 
 import ast
@@ -18,8 +19,10 @@ import logging
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,8 @@ import lmslab.experiment
 from lmslab.config import parse_config
 from lmslab.reporting import write_aggregates_csv
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SRC = Path(lmslab.__file__).resolve().parents[1]
 
 
@@ -86,6 +90,16 @@ def test_package_reexports_public_names():
         for alias in node.names:
             assert getattr(lmslab, alias.asname or alias.name) is getattr(module, alias.name)
             assert alias.name in module.__all__, f"{alias.name} is not in lmslab.{node.module}.__all__"
+
+
+def test_readme_config_block_is_the_default_grid():
+    # README shows the default protocol as a config file; it parses to
+    # GridConfig's own defaults and names every one of its fields.
+    (block,) = re.findall(r"^```ini\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert parse_config(block).grid_config() == lmslab.experiment.GridConfig()
+    missing = [f.name for f in fields(lmslab.experiment.GridConfig)
+               if not re.search(rf"^(# )?{f.name} = ", block, re.M)]
+    assert not missing, f"README's config block lacks {missing}"
 
 
 def test_worker_names_are_callable():
