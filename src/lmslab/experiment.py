@@ -486,12 +486,14 @@ class _Means:
     """Means over the in-bound runs of one block, fed a slice of its runs at a time, in run order.
 
     ``add(frozen, *rows)`` takes a slice's frozen mask and, per averaged
-    quantity, the rows of its in-bound runs.  ``means()`` then has the
-    bits of ``x.mean(axis=0)`` over each quantity's rows of the whole
-    block: numpy sums axis 0 of a C-ordered ``(runs, k)`` array row by
-    row when ``k > 1``, as the running sum here does, but sums a single
-    column or a 1-D array pairwise, so those rows are kept (8 bytes a
-    run) and averaged at the end.
+    quantity, the C-ordered rows of its in-bound runs.  ``means()`` then
+    has the bits of ``x.mean(axis=0)`` over each quantity's rows of the
+    whole block: numpy sums axis 0 of a C-ordered ``(runs, k)`` array row
+    by row when ``k > 1``, as the running sum here does, but sums a
+    single column or a 1-D array pairwise, so those rows are kept (8
+    bytes a run) and averaged at the end.  ``add`` folds the running sum
+    into the first row of each ``(runs, k > 1)`` quantity, so it may
+    overwrite the rows it is given.
     """
 
     def __init__(self):
@@ -506,7 +508,9 @@ class _Means:
             self._parts = [[] for _ in rows]
         for parts, x in zip(self._parts, rows):
             if len(x) and _row_by_row(x):
-                parts[:] = [np.add.reduce(np.concatenate([*parts, x]), axis=0, keepdims=True)]
+                if parts:  # ((r + x0) + x1) + ...: the bits of reducing [r, x0, x1, ...], without a copy
+                    x[0] += parts[0][0]
+                parts[:] = [np.add.reduce(x, axis=0, keepdims=True)]
             elif len(x):
                 parts.append(x)
 
@@ -544,9 +548,14 @@ def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int
 
 def _add_finals(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
     """Feed a slice of an ensemble's rows to ``means``: fitness curves, final estimates and their errors."""
-    alive = ~frozen
-    final_aphi = aphi_from_bc(final_bc[alive])
-    means.add(frozen, nwd_ck[alive], final_aphi, mse(final_aphi, benchmark_spec(scenario.noise_std)[1].theta_aphi))
+    final_aphi = aphi_from_bc(final_bc[~frozen])
+    means.add(frozen, _in_bound(nwd_ck, frozen), final_aphi,
+              mse(final_aphi, benchmark_spec(scenario.noise_std)[1].theta_aphi))
+
+
+def _in_bound(rows: np.ndarray, frozen: np.ndarray) -> np.ndarray:
+    """The rows of the runs that stayed in bounds: ``rows`` itself, not a copy, when every run did."""
+    return rows[~frozen] if frozen.any() else rows
 
 
 def _aggregate(scenario: ScenarioConfig, means: _Means) -> AggregateResult:
@@ -575,7 +584,7 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
 
 def _add_curve(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
     """Feed a slice of a probe's rows to ``means``: its fitness curves."""
-    means.add(frozen, nwd_ck[~frozen])
+    means.add(frozen, _in_bound(nwd_ck, frozen))
 
 
 def _mean_curve(scenario: ScenarioConfig, means: _Means) -> np.ndarray:

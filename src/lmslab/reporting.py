@@ -18,7 +18,7 @@ given identical aggregates.
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,6 +72,13 @@ def _block_order(entries: list[GridEntry]) -> list[GridEntry]:
 
 def fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
     """Mean NWD per checkpoint for one noise level (12 rows x checkpoints)."""
+    table = _fitness_table(sigma_label, entries)
+    table.rows = [(label, _floats(values)) for label, values in table.rows]
+    return table
+
+
+def _fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
+    """:func:`fitness_table` with each row's values the entry's own array."""
     entries = _block_order(entries)
     checkpoints = entries[0].scenario.checkpoints
     rows = []
@@ -82,7 +89,7 @@ def fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
             raise ValueError("checkpoint grids differ between scenarios")
         if entry.variant is Variant.LMS:
             highlight.append(i)
-        rows.append((entry.label, _floats(mean_nwd)))
+        rows.append((entry.label, mean_nwd))
     return ReportTable(
         title=f"Mean NWD at checkpoints, noise level {sigma_label}",
         column_headers=[str(int(c)) for c in checkpoints],
@@ -116,7 +123,7 @@ def estimation_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
 
 def learning_curves(entries: list[GridEntry]) -> str:
     """Columnar checkpoint curves: one iteration column, one column per series."""
-    return _curves_text(entries, [_reprs(e.aggregate.mean_nwd_at_checkpoints) for e in entries])
+    return "".join(_curves(entries, [_reprs(e.aggregate.mean_nwd_at_checkpoints) for e in entries]))
 
 
 def _floats(values) -> list[float]:
@@ -128,28 +135,42 @@ def _reprs(values) -> list[str]:
     return list(map(repr, _floats(values)))
 
 
-def _curves_text(entries: list[GridEntry], columns: list[list[str]]) -> str:
-    """Curves file of ``entries``, whose checkpoint values ``columns`` holds as text."""
+def _curves(entries: list[GridEntry], columns: list[list[str]]):
+    """Lines of the curves file of ``entries``, whose checkpoint values ``columns`` holds as text.
+
+    The grids are checked here, before the first line is made.
+    """
     if not entries:
         raise ValueError("no series supplied")
     checkpoints = entries[0].scenario.checkpoints.tolist()
     if any(len(c) != len(checkpoints) for c in columns):
         raise ValueError("checkpoint grids differ between series")
-    lines = ["iteration," + ",".join(e.label for e in entries)]
-    lines += [f"{it}," + ",".join(row) for it, row in zip(checkpoints, zip(*columns))]
-    return "\n".join(lines) + "\n"
+    return _curves_lines([e.label for e in entries], checkpoints, columns)
 
 
-def _csv_text(headers: list[str], rows) -> str:
-    """Table CSV of ``(label, values as comma-joined text)`` rows."""
-    lines = ["label," + ",".join(headers)]
-    lines += [label + "," + cells for label, cells in rows]
-    return "\n".join(lines) + "\n"
+def _curves_lines(labels: list[str], checkpoints: list[int], columns: list[list[str]]):
+    """Lines of a curves file; see :func:`_curves`."""
+    yield "iteration," + ",".join(labels) + "\n"
+    rows = zip(checkpoints, zip(*columns))
+    # A block of lines a piece: a write per line would cost more than its line.
+    while block := list(itertools.islice(rows, 128)):
+        yield "".join([f"{it}," + ",".join(row) + "\n" for it, row in block])
+
+
+def _csv_lines(headers: list[str], rows):
+    """Lines of a table CSV of ``(label, values as comma-joined text)`` rows."""
+    yield "label," + ",".join(headers) + "\n"
+    for label, cells in rows:
+        yield label + "," + cells + "\n"
+
+
+def _table_csv(table: ReportTable):
+    return _csv_lines(table.column_headers, ((label, ",".join(_reprs(values))) for label, values in table.rows))
 
 
 def render_table_csv(table: ReportTable) -> str:
     """Machine-readable table: full-precision values, one header line."""
-    return _csv_text(table.column_headers, [(label, ",".join(_reprs(values))) for label, values in table.rows])
+    return "".join(_table_csv(table))
 
 
 def parse_table_csv(text: str) -> ReportTable:
@@ -171,22 +192,24 @@ def render_table_text(table: ReportTable) -> str:
     Rounding is decimal half-even via :func:`format` and never feeds
     back into any computation.
     """
+    return "".join(_table_text(table))
+
+
+def _table_text(table: ReportTable):
+    """Lines of :func:`render_table_text`; a row's values may be an array."""
     formats = table.column_formats or [".4f"] * len(table.column_headers)
     header_cells = ["method"] + list(table.column_headers)
-    body = []
-    for i, (label, values) in enumerate(table.rows):
-        mark = "* " if i in table.highlight_rows else "  "
-        cells = [mark + label] + [format(v, fmt) for v, fmt in zip(values, formats)]
-        body.append(cells)
+    body = [
+        [("* " if i in table.highlight_rows else "  ") + label, *map(format, _floats(values), formats)]
+        for i, (label, values) in enumerate(table.rows)
+    ]
     widths = [max(map(len, column)) for column in zip(header_cells, *body)]
-    out = io.StringIO()
-    out.write(table.title + "\n")
-    out.write("  ".join(h.ljust(w) for h, w in zip(header_cells, widths)).rstrip() + "\n")
+    yield table.title + "\n"
+    yield "  ".join(h.ljust(w) for h, w in zip(header_cells, widths)).rstrip() + "\n"
     for cells in body:
-        out.write("  ".join([cells[0].ljust(widths[0]), *map(str.rjust, cells[1:], widths[1:])]).rstrip() + "\n")
+        yield "  ".join([cells[0].ljust(widths[0]), *map(str.rjust, cells[1:], widths[1:])]).rstrip() + "\n"
     if table.highlight_rows:
-        out.write("(* reference LMS rows)\n")
-    return out.getvalue()
+        yield "(* reference LMS rows)\n"
 
 
 # --- grid output files -------------------------------------------------
@@ -200,9 +223,12 @@ _AGG_FIXED_COLUMNS = [
 
 def write_aggregates_csv(entries: list[GridEntry]) -> str:
     """Serialize grid entries to the machine-readable aggregates dump."""
-    return _aggregates_header(entries) + "".join(
-        _aggregates_row(e, ",".join(_reprs(e.aggregate.mean_nwd_at_checkpoints))) for e in entries
-    )
+    return "".join(_aggregates(entries, (",".join(_reprs(e.aggregate.mean_nwd_at_checkpoints)) for e in entries)))
+
+
+def _aggregates(entries: list[GridEntry], nwd):
+    """Lines of the aggregates dump of ``entries``, whose checkpoint values ``nwd`` holds as comma-joined text."""
+    return itertools.chain([_aggregates_header(entries)], map(_aggregates_row, entries, nwd))
 
 
 def _aggregates_header(entries: list[GridEntry]) -> str:
@@ -290,49 +316,40 @@ def read_aggregates_csv(text: str) -> list[GridEntry]:
 
 
 def _grid_files(entries: list[GridEntry], include_aggregates: bool = False):
-    """Yield ``(name, text)`` of every grid output file, in write order.
+    """Yield ``(name, pieces)`` of every grid output file, in write order.
 
     Per noise level: ``fitness_sigma<s>.csv``/``.txt`` and
     ``estimation_sigma<s>.csv``/``.txt``; per (noise level, fractional
     order): ``curves_sigma<s>_f<f>.csv`` with the three momentum series
     of that order plus every paired LMS series.  Last, with
-    ``include_aggregates``, ``aggregates.csv``.  Each checkpoint value is
-    formatted once, when its noise level is rendered, into one
-    comma-joined string per series, which the fitness CSV, the curves
-    files and the aggregates line reuse; only the aggregates lines
-    outlive their noise level.
+    ``include_aggregates``, ``aggregates.csv``.  ``pieces`` is an
+    iterable of the file's text, made as it is read; everything a file
+    needs is checked before it is yielded, so reading its pieces cannot
+    fail.  Each checkpoint value is formatted once, when its noise level
+    is rendered, into one comma-joined string per series, which the
+    fitness CSV, the curves files and the aggregates line reuse; only
+    these strings outlive their noise level.
     """
-    if include_aggregates:
-        header = _aggregates_header(entries)
-        agg_rows = [""] * len(entries)
-    sigma_labels = []
-    for e in entries:
-        if e.sigma_label not in sigma_labels:
-            sigma_labels.append(e.sigma_label)
-    for sig in sigma_labels:
+    nwd = [""] * len(entries)
+    for sig in dict.fromkeys(e.sigma_label for e in entries):
         indices = [i for i, e in enumerate(entries) if e.sigma_label == sig]
         block = [entries[i] for i in indices]
-        ftab = fitness_table(sig, block)
+        ftab = _fitness_table(sig, block)
         etab = estimation_table(sig, block)
-        nwd = [",".join(_reprs(values)) for _, values in ftab.rows]
-        yield f"fitness_sigma{sig}.csv", _csv_text(ftab.column_headers, zip((e.label for e in block), nwd))
-        yield f"fitness_sigma{sig}.txt", render_table_text(ftab)
-        yield f"estimation_sigma{sig}.csv", render_table_csv(etab)
-        yield f"estimation_sigma{sig}.txt", render_table_text(etab)
-        orders = []
-        for e in block:
-            if e.f is not None and e.f not in orders:
-                orders.append(e.f)
+        texts = [",".join(_reprs(values)) for _, values in ftab.rows]
+        for i, text in zip(indices, texts):
+            nwd[i] = text
+        yield f"fitness_sigma{sig}.csv", _csv_lines(ftab.column_headers, zip((e.label for e in block), texts))
+        yield f"fitness_sigma{sig}.txt", _table_text(ftab)
+        yield f"estimation_sigma{sig}.csv", _table_csv(etab)
+        yield f"estimation_sigma{sig}.txt", _table_text(etab)
         lms_rows = [j for j, e in enumerate(block) if e.variant is Variant.LMS]
-        for f in orders:
+        for f in dict.fromkeys(e.f for e in block if e.f is not None):
             series = [j for j, e in enumerate(block) if e.f == f and e.variant is not Variant.LMS] + lms_rows
-            columns = [nwd[j].split(",") for j in series]
-            yield f"curves_sigma{sig}_f{f:.2f}.csv", _curves_text([block[j] for j in series], columns)
-        if include_aggregates:
-            for i, text in zip(indices, nwd):
-                agg_rows[i] = _aggregates_row(entries[i], text)
+            yield (f"curves_sigma{sig}_f{f:.2f}.csv",
+                   _curves([block[j] for j in series], [texts[j].split(",") for j in series]))
     if include_aggregates:
-        yield "aggregates.csv", header + "".join(agg_rows)
+        yield "aggregates.csv", _aggregates(entries, nwd)
 
 
 def grid_file_names(entries: list[GridEntry]) -> dict[str, str]:
@@ -342,20 +359,22 @@ def grid_file_names(entries: list[GridEntry]) -> dict[str, str]:
     ``.txt``) and one curves file per fractional order; see
     :func:`_grid_files`.
     """
-    return dict(_grid_files(entries))
+    return {name: "".join(pieces) for name, pieces in _grid_files(entries)}
 
 
 def write_grid_outputs(entries: list[GridEntry], out_dir, include_aggregates: bool = True) -> list[Path]:
     """Write tables and curves (plus the aggregates dump); returns written paths.
 
-    Each file is written as soon as it is rendered, so an entry that
-    fails to render leaves the files before it written.
+    Each file is streamed to disk as it is rendered, and opened only
+    once everything it needs is checked, so an entry that fails to
+    render leaves the files before it written and no partial file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, text in _grid_files(entries, include_aggregates):
+    for name, pieces in _grid_files(entries, include_aggregates):
         path = out / name
-        path.write_text(text)
+        with path.open("w") as fh:
+            fh.writelines(pieces)
         written.append(path)
     return written

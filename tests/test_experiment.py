@@ -607,6 +607,43 @@ class TestAggregation:
             for got, want in zip(means.means(), whole, strict=True):
                 np.testing.assert_array_equal(got, want)
 
+    def test_means_fold_each_slice_in_place(self):
+        # Adding a 1000 x 1000 slice allocates no copy of it: the running
+        # sum goes into the slice's first row, with the whole block's bits.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2000, 1000))
+        x *= 10.0 ** rng.integers(-6, 7, (2000, 1))
+        x *= 10.0 ** rng.integers(-6, 7, 1000)
+        whole = x.mean(axis=0)
+        none_frozen = np.zeros(1000, dtype=bool)
+        means = experiment._Means()
+        means.add(none_frozen, x[:1000])
+        tracemalloc.start()
+        try:
+            means.add(none_frozen, x[1000:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        np.testing.assert_array_equal(means.means()[0], whole)
+
+    def test_slice_without_frozen_runs_is_not_copied(self):
+        # An ensemble slice in which no run froze hands its fitness rows
+        # to the means as they are.
+        sc = scenario(n_runs=1000, n_iters=1000, checkpoint_interval=1)
+        nwd_ck = np.random.default_rng(6).uniform(0.01, 0.4, (1000, 1000))
+        final_bc = np.ones((1000, 8))
+        whole = nwd_ck.mean(axis=0)
+        means = experiment._Means()
+        tracemalloc.start()
+        try:
+            experiment._add_finals(sc, means, nwd_ck, final_bc, np.zeros(1000, dtype=bool))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        np.testing.assert_array_equal(means.means()[0], whole)
+
     def test_metric_space_toggle(self):
         sc_aphi = scenario(metric_space=MetricSpace.APHI)
         sc_bc = scenario(metric_space=MetricSpace.BC)
