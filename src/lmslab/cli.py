@@ -134,15 +134,8 @@ def _cmd_run(settings: Settings, out_dir: Path) -> int:
     scenario = settings.single_scenario()
     algorithm = _single_algorithm(settings, scenario)
     aggregate = run_monte_carlo(algorithm, scenario)
-    entry = GridEntry(
-        sigma_label=sigma_label(settings.noise_level),
-        variant=algorithm.variant,
-        alpha=scenario.alpha,
-        f=None if algorithm.variant is Variant.LMS else scenario.f,
-        step_size=algorithm.mu1,
-        scenario=scenario,
-        aggregate=aggregate,
-    )
+    f = None if algorithm.variant is Variant.LMS else scenario.f
+    entry = GridEntry.of(settings.noise_level, f, algorithm, scenario, aggregate)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "aggregates.csv").write_text(write_aggregates_csv([entry]))
     print(f"{entry.label} @ sigma={entry.sigma_label}: "

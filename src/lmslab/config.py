@@ -128,8 +128,7 @@ _KEY_PARSERS = {
     "checkpoint_interval": lambda v: _check_positive("checkpoint_interval",
                                                      _parse_int("checkpoint_interval", v)),
     "base_seed": lambda v: _parse_int("base_seed", v),
-    "metric_space": lambda v: MetricSpace(_parse_enum("metric_space", v,
-                                                      {m.value for m in MetricSpace})),
+    "metric_space": lambda v: _parse_enum("metric_space", v, {m.value for m in MetricSpace}),
     "calibration_runs": lambda v: _check_positive("calibration_runs",
                                                   _parse_int("calibration_runs", v)),
     "calibration_tolerance": lambda v: _check_positive("calibration_tolerance",

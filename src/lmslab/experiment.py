@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -168,6 +169,13 @@ _stream_windows: dict[int, _Window] = {}
 _BATCH_ROWS = 4000
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an ``int`` (:func:`operator.index`); a bool or a non-integer is a ``TypeError`` naming ``name``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 class CalibrationError(RuntimeError):
     """No step size in the search bracket achieves the requested match."""
 
@@ -200,6 +208,9 @@ class ScenarioConfig:
     metric_space: MetricSpace = MetricSpace.APHI
 
     def __post_init__(self):
+        for name in ("n_runs", "n_iters", "checkpoint_interval", "base_seed"):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
+        object.__setattr__(self, "metric_space", MetricSpace(self.metric_space))
         for name in ("noise_std", "lms_eta", "mflms_mu1", "mflms_muf"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -739,6 +750,7 @@ def calibrate_mu1(
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive (a zero-width match is unreachable)")
+    calibration_runs = _index("calibration_runs", calibration_runs)
     if calibration_runs < 1:
         raise ValueError("calibration_runs must be positive")
     if on_no_match not in ("raise", "closest"):
@@ -824,6 +836,10 @@ class GridConfig:
     calibration_tolerance: float = 0.05
 
     def __post_init__(self):
+        for name in ("noise_levels", "alphas", "fractional_orders", "lms_etas"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "metric_space", MetricSpace(self.metric_space))
+        object.__setattr__(self, "calibration_runs", _index("calibration_runs", self.calibration_runs))
         if self.noise_scale not in ("variance", "std"):
             raise ValueError("noise_scale must be 'variance' or 'std'")
         if len(self.alphas) != len(self.lms_etas):
@@ -852,18 +868,9 @@ class GridConfig:
         return math.sqrt(level) if self.noise_scale == "variance" else float(level)
 
     def scenario(self, level: float, alpha: float, f: float, eta: float) -> ScenarioConfig:
-        return ScenarioConfig(
-            noise_std=self.noise_std(level),
-            alpha=alpha,
-            f=f,
-            lms_eta=eta,
-            mflms_mu1=self.mflms_mu1,
-            n_runs=self.n_runs,
-            n_iters=self.n_iters,
-            checkpoint_interval=self.checkpoint_interval,
-            base_seed=self.base_seed,
-            metric_space=self.metric_space,
-        )
+        protocol = ("mflms_mu1", "n_runs", "n_iters", "checkpoint_interval", "base_seed", "metric_space")
+        return ScenarioConfig(noise_std=self.noise_std(level), alpha=alpha, f=f, lms_eta=eta,
+                              **{name: getattr(self, name) for name in protocol})
 
     def cells(self):
         """Yield ``(level, f, scenario)`` for every table row, in row order.
@@ -890,6 +897,12 @@ class GridEntry:
     step_size: float
     scenario: ScenarioConfig
     aggregate: AggregateResult
+
+    @classmethod
+    def of(cls, level: float, f: float | None, algorithm: FilterParams, scenario: ScenarioConfig,
+           aggregate: AggregateResult) -> GridEntry:
+        """The row of ``algorithm`` run at ``scenario`` on noise level ``level``; ``f`` is None on an LMS row."""
+        return cls(sigma_label(level), algorithm.variant, scenario.alpha, f, algorithm.mu1, scenario, aggregate)
 
     @property
     def label(self) -> str:
@@ -965,13 +978,5 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
             "lms" if f is None else f"f={f:g}", algorithm.mu1,
             aggregate.mean_nwd_at_checkpoints[-1],
         )
-        entries.append(GridEntry(
-            sigma_label=sigma_label(level),
-            variant=algorithm.variant,
-            alpha=scenario.alpha,
-            f=f,
-            step_size=algorithm.mu1,
-            scenario=scenario,
-            aggregate=aggregate,
-        ))
+        entries.append(GridEntry.of(level, f, algorithm, scenario, aggregate))
     return entries

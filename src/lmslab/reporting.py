@@ -14,11 +14,17 @@ with display rounding (half-even, four decimals; MSE in scientific
 notation).  Learning-curve files are plain CSV columns suitable for any
 external plotting tool.  All writers are deterministic byte for byte
 given identical aggregates.
+
+One column table declares ``aggregates.csv`` for its header, writer and
+reader.  The reader rejects a non-finite or malformed number and a row
+whose cell count, header or ``f`` (empty on LMS rows only) does not fit
+it, naming the line (blank lines counted) and the column.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,13 +67,14 @@ class ReportTable:
                                  f"expected {len(self.column_headers)}")
 
 
-def _block_order(entries: list[GridEntry]) -> list[GridEntry]:
+def _block_order(entries: list[GridEntry]) -> tuple[list[GridEntry], list[int]]:
+    """One noise level's entries, in order, and the indices of their LMS rows, which the tables highlight."""
     if not entries:
         raise ValueError("no scenarios supplied")
     sigmas = {e.sigma_label for e in entries}
     if len(sigmas) != 1:
         raise ValueError(f"entries span several noise levels: {sorted(sigmas)}")
-    return list(entries)
+    return list(entries), [i for i, e in enumerate(entries) if e.variant is Variant.LMS]
 
 
 def fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
@@ -79,16 +86,13 @@ def fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
 
 def _fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
     """:func:`fitness_table` with each row's values the entry's own array."""
-    entries = _block_order(entries)
+    entries, highlight = _block_order(entries)
     checkpoints = entries[0].scenario.checkpoints
     rows = []
-    highlight = []
-    for i, entry in enumerate(entries):
+    for entry in entries:
         mean_nwd = entry.aggregate.mean_nwd_at_checkpoints
         if len(mean_nwd) != len(checkpoints):
             raise ValueError("checkpoint grids differ between scenarios")
-        if entry.variant is Variant.LMS:
-            highlight.append(i)
         rows.append((entry.label, mean_nwd))
     return ReportTable(
         title=f"Mean NWD at checkpoints, noise level {sigma_label}",
@@ -100,17 +104,13 @@ def _fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
 
 def estimation_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
     """Run-averaged final parameters plus MSE for one noise level."""
-    entries = _block_order(entries)
+    entries, highlight = _block_order(entries)
     _, truth = benchmark_spec()
     n_params = len(truth.theta_aphi)
     rows = []
-    highlight = []
-    for i, entry in enumerate(entries):
+    for entry in entries:
         agg = entry.aggregate
-        values = _floats(agg.mean_final_theta_aphi) + [agg.mse_of_mean]
-        if entry.variant is Variant.LMS:
-            highlight.append(i)
-        rows.append((entry.label, values))
+        rows.append((entry.label, _floats(agg.mean_final_theta_aphi) + [agg.mse_of_mean]))
     rows.append(("True values", [float(v) for v in truth.theta_aphi] + [0.0]))
     return ReportTable(
         title=f"Final parameter means and MSE, noise level {sigma_label}",
@@ -214,10 +214,35 @@ def _table_text(table: ReportTable):
 
 # --- grid output files -------------------------------------------------
 
-_AGG_FIXED_COLUMNS = [
-    "sigma_label", "variant", "alpha", "f", "step_size", "lms_eta",
-    "noise_std", "n_runs", "n_iters", "checkpoint_interval", "base_seed",
-    "metric_space", "divergence_count", "mse_of_mean", "mean_per_run_mse",
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+# Text form and parser of a real aggregates cell.
+_REAL = (lambda x: repr(float(x)), _real)
+
+# The fixed columns of aggregates.csv, in order: name, the part of the entry it is
+# read from, text form and parser.  The final parameter means (theta_1, ...) and
+# the checkpoint means (nwd_<iteration>, ...) follow them.
+_AGG_COLUMNS = [
+    ("sigma_label", "entry", str, str),
+    ("variant", "entry", lambda v: v.value, Variant),
+    ("alpha", "entry", *_REAL),
+    ("f", "entry", lambda f: "" if f is None else repr(float(f)), lambda text: _real(text) if text else None),
+    ("step_size", "entry", *_REAL),
+    ("lms_eta", "scenario", *_REAL),
+    ("noise_std", "scenario", *_REAL),
+    ("n_runs", "scenario", str, int),
+    ("n_iters", "scenario", str, int),
+    ("checkpoint_interval", "scenario", str, int),
+    ("base_seed", "scenario", str, int),
+    ("metric_space", "scenario", lambda m: m.value, MetricSpace),
+    ("divergence_count", "aggregate", str, int),
+    ("mse_of_mean", "aggregate", *_REAL),
+    ("mean_per_run_mse", "aggregate", *_REAL),
 ]
 
 
@@ -228,90 +253,66 @@ def write_aggregates_csv(entries: list[GridEntry]) -> str:
 
 def _aggregates(entries: list[GridEntry], nwd):
     """Lines of the aggregates dump of ``entries``, whose checkpoint values ``nwd`` holds as comma-joined text."""
-    return itertools.chain([_aggregates_header(entries)], map(_aggregates_row, entries, nwd))
-
-
-def _aggregates_header(entries: list[GridEntry]) -> str:
     if not entries:
         raise ValueError("no entries to serialize")
-    checkpoints = entries[0].scenario.checkpoints
-    n_params = len(entries[0].aggregate.mean_final_theta_aphi)
-    header = (
-        _AGG_FIXED_COLUMNS
-        + [f"theta_{i + 1}" for i in range(n_params)]
-        + [f"nwd_{int(c)}" for c in checkpoints]
-    )
-    return ",".join(header) + "\n"
+    return itertools.chain([",".join(_aggregates_header(entries[0])) + "\n"], map(_aggregates_row, entries, nwd))
+
+
+def _aggregates_header(e: GridEntry) -> list[str]:
+    """The column names of an aggregates dump whose first row is ``e``'s."""
+    n_params = len(e.aggregate.mean_final_theta_aphi)
+    return ([name for name, *_ in _AGG_COLUMNS] + [f"theta_{i + 1}" for i in range(n_params)]
+            + [f"nwd_{c}" for c in e.scenario.checkpoints.tolist()])
 
 
 def _aggregates_row(e: GridEntry, nwd: str) -> str:
     """One entry's aggregates line; ``nwd`` is its checkpoint values as comma-joined text."""
-    s = e.scenario
-    cells = [
-        e.sigma_label,
-        e.variant.value,
-        repr(float(e.alpha)),
-        "" if e.f is None else repr(float(e.f)),
-        repr(float(e.step_size)),
-        repr(float(s.lms_eta)),
-        repr(float(s.noise_std)),
-        str(s.n_runs),
-        str(s.n_iters),
-        str(s.checkpoint_interval),
-        str(s.base_seed),
-        s.metric_space.value,
-        str(e.aggregate.divergence_count),
-        repr(float(e.aggregate.mse_of_mean)),
-        repr(float(e.aggregate.mean_per_run_mse)),
-    ]
+    parts = {"entry": e, "scenario": e.scenario, "aggregate": e.aggregate}
+    cells = [text(getattr(parts[part], name)) for name, part, text, _ in _AGG_COLUMNS]
     return ",".join(cells + _reprs(e.aggregate.mean_final_theta_aphi) + [nwd]) + "\n"
 
 
 def read_aggregates_csv(text: str) -> list[GridEntry]:
-    """Parse an aggregates dump back into grid entries (exact values)."""
-    lines = [ln for ln in text.splitlines() if ln]
+    """Parse an aggregates dump back into grid entries (exact values).
+
+    A ``ValueError`` names the line and column of what it rejects (see the module docstring).
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line]
     if len(lines) < 2:
         raise ValueError("aggregates file has no data rows")
-    header = lines[0].split(",")
-    n_fixed = len(_AGG_FIXED_COLUMNS)
-    if header[:n_fixed] != _AGG_FIXED_COLUMNS:
-        raise ValueError("unrecognized aggregates header")
-    theta_cols = [h for h in header[n_fixed:] if h.startswith("theta_")]
-    nwd_cols = [h for h in header[n_fixed:] if h.startswith("nwd_")]
+    header = lines[0][1].split(",")
+    if header[:len(_AGG_COLUMNS)] != [name for name, *_ in _AGG_COLUMNS]:
+        raise ValueError(f"line {lines[0][0]}: unrecognized aggregates header")
+    parsers = [parse for *_, parse in _AGG_COLUMNS] + [_real] * (len(header) - len(_AGG_COLUMNS))
+    n_theta = sum(h.startswith("theta_") for h in header)
     entries = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split(",")
-        fixed = dict(zip(_AGG_FIXED_COLUMNS, cells[:n_fixed]))
-        blob = cells[n_fixed:]
-        theta = np.array([float(v) for v in blob[: len(theta_cols)]])
-        nwd_vals = np.array([float(v) for v in blob[len(theta_cols):]])
-        scenario = ScenarioConfig(
-            noise_std=float(fixed["noise_std"]),
-            alpha=float(fixed["alpha"]),
-            f=float(fixed["f"]) if fixed["f"] else 0.5,
-            lms_eta=float(fixed["lms_eta"]),
-            n_runs=int(fixed["n_runs"]),
-            n_iters=int(fixed["n_iters"]),
-            checkpoint_interval=int(fixed["checkpoint_interval"]),
-            base_seed=int(fixed["base_seed"]),
-            metric_space=MetricSpace(fixed["metric_space"]),
-        )
-        aggregate = AggregateResult(
-            mean_nwd_at_checkpoints=nwd_vals,
-            mean_final_theta_aphi=theta,
-            mse_of_mean=float(fixed["mse_of_mean"]),
-            mean_per_run_mse=float(fixed["mean_per_run_mse"]),
-            divergence_count=int(fixed["divergence_count"]),
-        )
-        entries.append(GridEntry(
-            sigma_label=fixed["sigma_label"],
-            variant=Variant(fixed["variant"]),
-            alpha=float(fixed["alpha"]),
-            f=float(fixed["f"]) if fixed["f"] else None,
-            step_size=float(fixed["step_size"]),
-            scenario=scenario,
-            aggregate=aggregate,
-        ))
+        if len(cells) != len(header):
+            raise ValueError(f"line {lineno}: {len(cells)} cells, but the header has {len(header)}")
+        values = []
+        for name, parse, cell in zip(header, parsers, cells):
+            try:
+                values.append(parse(cell))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}, column {name}: {exc}") from None
+        parts = {part: {name: v for (name, p, *_), v in zip(_AGG_COLUMNS, values) if p == part}
+                 for part in ("entry", "scenario", "aggregate")}
+        row, (theta, nwd) = parts["entry"], np.split(np.array(values[len(_AGG_COLUMNS):]), [n_theta])
+        if (row["f"] is None) != (row["variant"] is Variant.LMS):
+            raise ValueError(f"line {lineno}, column f: only an LMS row leaves it empty")
+        f = 0.5 if row["f"] is None else row["f"]  # an LMS row's scenario takes a placeholder order
+        try:
+            scenario = ScenarioConfig(alpha=row["alpha"], f=f, **parts["scenario"])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        aggregate = AggregateResult(mean_nwd_at_checkpoints=nwd, mean_final_theta_aphi=theta, **parts["aggregate"])
+        entry = GridEntry(**row, scenario=scenario, aggregate=aggregate)
+        want = _aggregates_header(entry)
+        if header != want:
+            got, need = next(pair for pair in itertools.zip_longest(header, want) if pair[0] != pair[1])
+            raise ValueError(f"line {lineno}, column {got or need}: the header does not match this row")
+        entries.append(entry)
     return entries
 
 
@@ -343,7 +344,7 @@ def _grid_files(entries: list[GridEntry], include_aggregates: bool = False):
         yield f"fitness_sigma{sig}.txt", _table_text(ftab)
         yield f"estimation_sigma{sig}.csv", _table_csv(etab)
         yield f"estimation_sigma{sig}.txt", _table_text(etab)
-        lms_rows = [j for j, e in enumerate(block) if e.variant is Variant.LMS]
+        lms_rows = ftab.highlight_rows
         for f in dict.fromkeys(e.f for e in block if e.f is not None):
             series = [j for j, e in enumerate(block) if e.f == f and e.variant is not Variant.LMS] + lms_rows
             yield (f"curves_sigma{sig}_f{f:.2f}.csv",

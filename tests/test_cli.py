@@ -188,6 +188,34 @@ class TestReport:
     def test_report_without_aggregates_fails(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 2
 
+    @pytest.mark.parametrize("edit, error", [
+        # A NaN fitness on line 3 and an infinite MSE on line 4: the first is named.
+        ({3: ("nwd_200", "nan"), 4: ("mse_of_mean", "inf")}, "line 3, column nwd_200: not a finite number: 'nan'"),
+        ({4: ("mse_of_mean", "inf")}, "line 4, column mse_of_mean: not a finite number: 'inf'"),
+        ({2: 10}, "line 2: 10 cells, but the header has 25"),
+        ({3: ("n_iters", "100")}, "line 3, column nwd_200: the header does not match this row"),
+    ], ids=["nan-and-inf", "inf", "short-row", "header"])
+    def test_report_rejects_a_bad_row_and_writes_nothing(self, tmp_path, capsys, edit, error):
+        out = tmp_path / "results"
+        assert main(["grid", "--out", str(out), "--seed", "42", *SMALL_GRID]) == 0
+        for path in out.iterdir():
+            if path.name != "aggregates.csv":
+                path.unlink()
+        lines = (out / "aggregates.csv").read_text().split("\n")
+        header = lines[0].split(",")
+        for line, change in edit.items():
+            cells = lines[line - 1].split(",")
+            if isinstance(change, int):
+                cells = cells[:change]
+            else:
+                cells[header.index(change[0])] = change[1]
+            lines[line - 1] = ",".join(cells)
+        (out / "aggregates.csv").write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert [p.name for p in out.iterdir()] == ["aggregates.csv"]
+
 
 class TestRun:
     def test_missing_scenario_keys_exit_1(self, tmp_path, capsys):

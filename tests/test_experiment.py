@@ -87,6 +87,32 @@ class TestScenarioValidation:
         sc = scenario(n_iters=400, checkpoint_interval=100)
         np.testing.assert_array_equal(sc.checkpoints, [100, 200, 300, 400])
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_runs", 2.5),
+        ("n_iters", 300.0),
+        ("checkpoint_interval", 100.0),
+        ("base_seed", True),
+        ("base_seed", 4.5),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            scenario(**{field: value})
+
+    def test_integer_counts_are_held_as_int(self):
+        sc = scenario(n_runs=np.int64(5), base_seed=np.uint64(7))
+        assert type(sc.n_runs) is int and type(sc.base_seed) is int
+        assert (sc.n_runs, sc.base_seed) == (5, 7)
+
+    def test_metric_space_given_as_text(self):
+        # The text is the enum's value; it measures in that space, as the enum does.
+        assert scenario(metric_space="aphi").metric_space is MetricSpace.APHI
+        assert scenario(metric_space="bc").metric_space is MetricSpace.BC
+        as_text = run_monte_carlo(lms_params(0.027), scenario(n_runs=3, metric_space="aphi"))
+        as_enum = run_monte_carlo(lms_params(0.027), scenario(n_runs=3, metric_space=MetricSpace.APHI))
+        np.testing.assert_array_equal(as_text.mean_nwd_at_checkpoints, as_enum.mean_nwd_at_checkpoints)
+        with pytest.raises(ValueError, match="not a valid MetricSpace"):
+            scenario(metric_space="nonsense")
+
 
 class TestDeterminism:
     def test_run_single_repeatable(self):
@@ -706,6 +732,15 @@ class TestCalibration:
         full_grid(config)
         assert len(started) == 4
 
+    def test_calibration_runs_must_be_an_integer(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the run count")
+
+        monkeypatch.setattr(experiment, "_simulate", no_simulation)
+        for runs in (2.5, True):
+            with pytest.raises(TypeError, match="calibration_runs must be an integer"):
+                calibrate_mu1(scenario(n_runs=10), calibration_runs=runs)
+
     def test_grid_block_simulates_its_reference_once(self, monkeypatch):
         # The three cells of a momentum block share one LMS reference:
         # it is simulated once (one block of a batch), yet every
@@ -909,12 +944,32 @@ class TestFullGrid:
         ({"lms_etas": (0.027, 0.0, 0.1)}, "lms_eta must be positive"),
         ({"mflms_mu1": -0.01}, "mflms_mu1 must be positive"),
         ({"base_seed": 2**64}, "base_seed must fit in an unsigned 64-bit integer"),
+        ({"metric_space": "nonsense"}, "not a valid MetricSpace"),
     ])
     def test_grid_checks_its_cells_when_built(self, values, message):
         # Each cell's ScenarioConfig checks its own values as the grid is
         # constructed, not when its cells are first listed.
         with pytest.raises(ValueError, match=message):
             GridConfig(**values)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_runs", 2.5),
+        ("n_iters", 1000.0),
+        ("base_seed", True),
+        ("calibration_runs", 2.5),
+        ("calibration_runs", False),
+    ])
+    def test_grid_counts_and_seeds_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            GridConfig(**{field: value})
+
+    def test_grid_holds_axes_as_tuples_and_metric_space_as_enum(self):
+        config = GridConfig(noise_levels=[0.3], alphas=[0.2], lms_etas=[0.027], fractional_orders=[0.25],
+                            metric_space="bc")
+        assert (config.noise_levels, config.alphas, config.lms_etas, config.fractional_orders) == (
+            (0.3,), (0.2,), (0.027,), (0.25,))
+        assert config.metric_space is MetricSpace.BC
+        hash(config)
 
     # At mu1 0.16 some runs of the alpha 0.2, f 0.25 cells freeze (5, 6
     # and 9 of 12 at the three noise levels) and no other run does.

@@ -138,10 +138,82 @@ class TestRoundTrip:
         # and re-serialisation is byte-identical
         assert write_aggregates_csv(parsed) == text
 
+    def test_blank_lines_are_skipped(self, block):
+        text = write_aggregates_csv(block)
+        spaced = "\n" + text.replace("\n", "\n\n")
+        assert write_aggregates_csv(read_aggregates_csv(spaced)) == text
+
     def test_rendering_deterministic(self, block):
         t1 = render_table_text(fitness_table("0.30", block))
         t2 = render_table_text(fitness_table("0.30", block))
         assert t1 == t2
+
+
+def with_cell(text, line, column, value):
+    """``text`` with the ``column`` cell of (1-based) ``line`` set to ``value``."""
+    lines = text.split("\n")
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestAggregatesRejected:
+    """Each row ``read_aggregates_csv`` rejects is named by its line and column."""
+
+    @pytest.mark.parametrize("line, column, value, message", [
+        (3, "nwd_300", "nan", "not a finite number: 'nan'"),
+        (13, "mse_of_mean", "inf", "not a finite number: 'inf'"),
+        (2, "theta_2", "-inf", "not a finite number"),
+        (4, "alpha", "nan", "not a finite number"),
+        (5, "n_runs", "2.5", "invalid literal for int"),
+        (6, "step_size", "0.01x", "could not convert"),
+        (7, "metric_space", "nonsense", "'nonsense' is not a valid MetricSpace"),
+        (10, "f", "", "only an LMS row leaves it empty"),  # an mFLMS row
+        (13, "f", "0.25", "only an LMS row leaves it empty"),  # an LMS row
+    ])
+    def test_bad_cell(self, block, line, column, value, message):
+        text = with_cell(write_aggregates_csv(block), line, column, value)
+        with pytest.raises(ValueError, match=f"^line {line}, column {column}: {message}"):
+            read_aggregates_csv(text)
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("alpha", "1.5", "alpha must lie in"),
+        ("n_runs", "0", "n_runs and n_iters must be positive"),
+        ("base_seed", "-1", "base_seed must fit"),
+    ])
+    def test_row_out_of_range(self, block, column, value, message):
+        text = with_cell(write_aggregates_csv(block), 9, column, value)
+        with pytest.raises(ValueError, match=f"^line 9: {message}"):
+            read_aggregates_csv(text)
+
+    @pytest.mark.parametrize("keep", [10, 32, 34])
+    def test_row_with_another_cell_count(self, block, keep):
+        lines = write_aggregates_csv(block).split("\n")
+        lines[4] = ",".join((lines[4].split(",") * 2)[:keep])
+        with pytest.raises(ValueError, match=f"^line 5: {keep} cells, but the header has 33$"):
+            read_aggregates_csv("\n".join(lines))
+
+    @pytest.mark.parametrize("column, value, named", [
+        ("n_iters", "500", "nwd_600"),  # five checkpoints under a header of ten
+        ("n_iters", "2000", "nwd_1100"),  # twenty
+        ("checkpoint_interval", "200", "nwd_100"),
+    ])
+    def test_row_the_header_does_not_fit(self, block, column, value, named):
+        text = with_cell(write_aggregates_csv(block), 8, column, value)
+        with pytest.raises(ValueError, match=f"^line 8, column {named}: the header does not match this row$"):
+            read_aggregates_csv(text)
+
+    def test_misnamed_header_column(self, block):
+        text = write_aggregates_csv(block).replace(",nwd_300,", ",nwd_250,", 1)
+        with pytest.raises(ValueError, match="^line 2, column nwd_250: the header does not match this row$"):
+            read_aggregates_csv(text)
+
+    def test_line_numbers_count_blank_lines(self, block):
+        text = with_cell(write_aggregates_csv(block), 3, "nwd_300", "nan")
+        spaced = "\n" + text.replace("\n", "\n\n")  # line n moves to line 2n
+        with pytest.raises(ValueError, match="^line 6, column nwd_300: not a finite number"):
+            read_aggregates_csv(spaced)
 
 
 class TestLearningCurves:
