@@ -2,8 +2,10 @@
 
 The format is line-based: one ``key = value`` assignment per line,
 ``#`` starts a comment, blank lines are ignored, list values are
-comma-separated numbers.  Unknown keys are rejected (not ignored), and
-range violations name the offending key.
+comma-separated numbers.  Unknown keys are rejected (not ignored).  A
+value's range is the one the library gives it
+(:data:`~lmslab.experiment.RANGES`), checked on the line that sets it,
+so an error names the line and the key.
 
 Grid keys are the fields of :class:`~lmslab.experiment.GridConfig`,
 which declares their defaults and cross-field rules; the
@@ -15,10 +17,9 @@ defaults: ``run`` refuses to guess a scenario.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
-from .experiment import GridConfig, ScenarioConfig
+from .experiment import NOISE_SCALES, RANGES, GridConfig, ScenarioConfig
 from .filters import Variant
 from .metrics import MetricSpace
 
@@ -61,84 +62,40 @@ class Settings:
         return grid.scenario(self.noise_level, self.alpha, self.f, eta)
 
 
-def _parse_float(key, text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite")
-    return value
+# The configuration keys: GridConfig's fields and the single-scenario keys.
+_KEYS = _GRID_KEYS | (frozenset(f.name for f in fields(Settings)) - {"grid"})
 
 
-def _parse_int(key, text):
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {text!r}") from None
+# The values of each text key, by name.  Every other key is a number, or for
+# a grid axis a comma-separated list of numbers, of the type and in the range
+# that the library gives the field it sets (experiment.RANGES; noise_level
+# takes that of noise_levels), checked on the line that sets it.
+_CHOICES = {key: {getattr(c, "value", c): c for c in choices}
+            for key, choices in (("noise_scale", NOISE_SCALES), ("metric_space", MetricSpace), ("algorithm", Variant))}
+_AXES = frozenset(f.name for f in fields(GridConfig) if isinstance(f.default, tuple))
 
 
-def _parse_float_list(key, text):
-    items = [t.strip() for t in text.split(",")]
-    if not all(items):
+def _parse(key: str, text: str):
+    """``key``'s value written as ``text``: one of its choices, or its number(s) in their range."""
+    if key in _CHOICES:
+        if text.lower() not in _CHOICES[key]:
+            raise ConfigError(f"{key}: expected one of {sorted(_CHOICES[key])}, got {text.lower()!r}")
+        return _CHOICES[key][text.lower()]
+    rule, axis = RANGES["noise_levels" if key == "noise_level" else key], key in _AXES
+    items = [t.strip() for t in text.split(",")] if axis else [text]
+    if axis and not all(items):
         raise ConfigError(f"{key}: empty list item in {text!r}")
-    return tuple(_parse_float(key, t) for t in items)
-
-
-def _parse_enum(key, text, allowed):
-    value = text.strip().lower()
-    if value not in allowed:
-        raise ConfigError(f"{key}: expected one of {sorted(allowed)}, got {value!r}")
-    return value
-
-
-def _check_probability_open(key, value, lo_open=False):
-    if lo_open and not 0.0 < value < 1.0:
-        raise ConfigError(f"{key}: must lie strictly in (0, 1), got {value:g}")
-    if not lo_open and not 0.0 <= value < 1.0:
-        raise ConfigError(f"{key}: must lie in [0, 1), got {value:g}")
-    return value
-
-
-def _check_positive(key, value):
-    if not value > 0:
-        raise ConfigError(f"{key}: must be positive, got {value!r}")
-    return value
-
-
-def _check_non_negative(key, value):
-    if not value >= 0:
-        raise ConfigError(f"{key}: must be non-negative, got {value!r}")
-    return value
-
-
-_KEY_PARSERS = {
-    "noise_levels": lambda v: tuple(_check_non_negative("noise_levels", x)
-                                    for x in _parse_float_list("noise_levels", v)),
-    "noise_scale": lambda v: _parse_enum("noise_scale", v, {"variance", "std"}),
-    "alphas": lambda v: tuple(_check_probability_open("alphas", x)
-                              for x in _parse_float_list("alphas", v)),
-    "fractional_orders": lambda v: tuple(_check_probability_open("fractional_orders", x, lo_open=True)
-                                         for x in _parse_float_list("fractional_orders", v)),
-    "lms_etas": lambda v: tuple(_check_positive("lms_etas", x)
-                                for x in _parse_float_list("lms_etas", v)),
-    "mflms_mu1": lambda v: _check_positive("mflms_mu1", _parse_float("mflms_mu1", v)),
-    "n_runs": lambda v: _check_positive("n_runs", _parse_int("n_runs", v)),
-    "n_iters": lambda v: _check_positive("n_iters", _parse_int("n_iters", v)),
-    "checkpoint_interval": lambda v: _check_positive("checkpoint_interval",
-                                                     _parse_int("checkpoint_interval", v)),
-    "base_seed": lambda v: _parse_int("base_seed", v),
-    "metric_space": lambda v: _parse_enum("metric_space", v, {m.value for m in MetricSpace}),
-    "calibration_runs": lambda v: _check_positive("calibration_runs",
-                                                  _parse_int("calibration_runs", v)),
-    "calibration_tolerance": lambda v: _check_positive("calibration_tolerance",
-                                                       _parse_float("calibration_tolerance", v)),
-    "algorithm": lambda v: Variant(_parse_enum("algorithm", v, {m.value for m in Variant})),
-    "noise_level": lambda v: _check_non_negative("noise_level", _parse_float("noise_level", v)),
-    "alpha": lambda v: _check_probability_open("alpha", _parse_float("alpha", v)),
-    "f": lambda v: _check_probability_open("f", _parse_float("f", v), lo_open=True),
-    "lms_eta": lambda v: _check_positive("lms_eta", _parse_float("lms_eta", v)),
-}
+    values = []
+    for item in items:
+        try:
+            number = int(item, 0) if rule.kind is int else float(item)
+        except ValueError:
+            raise ConfigError(f"{key}: not {'an integer' if rule.kind is int else 'a number'}: {item!r}") from None
+        try:
+            values.append(rule.check(key, number))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return tuple(values) if axis else values[0]
 
 
 def apply_override(settings: Settings, key: str, value: str) -> Settings:
@@ -148,9 +105,9 @@ def apply_override(settings: Settings, key: str, value: str) -> Settings:
     so that related keys may be assigned in any order.
     """
     key = key.strip()
-    if key not in _KEY_PARSERS:
+    if key not in _KEYS:
         raise ConfigError(f"unknown configuration key: {key!r}")
-    parsed = _KEY_PARSERS[key](value.strip())
+    parsed = _parse(key, value.strip())
     if key in _GRID_KEYS:
         return replace(settings, grid={**settings.grid, key: parsed})
     return replace(settings, **{key: parsed})

@@ -79,8 +79,8 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,7 +117,14 @@ __all__ = [
     "full_grid",
     "lms_params",
     "mflms_params",
+    "RANGES",
     "DEFAULT_BASE_SEED",
+    "N_RUNS",
+    "N_ITERS",
+    "CHECKPOINT_INTERVAL",
+    "CALIBRATION_RUNS",
+    "CALIBRATION_TOLERANCE",
+    "NOISE_SCALES",
     "NOISE_LEVELS",
     "ALPHAS",
     "FRACTIONAL_ORDERS",
@@ -127,6 +134,19 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DEFAULT_BASE_SEED = 42
+
+# Default protocol: runs per ensemble, iterations per run, the iterations
+# between checkpoints, and the calibration's runs per probe and relative
+# tolerance.
+N_RUNS = 1000
+N_ITERS = 1000
+CHECKPOINT_INTERVAL = 100
+CALIBRATION_RUNS = 200
+CALIBRATION_TOLERANCE = 0.05
+
+# How a grid noise level reads: the disturbance's variance (the default) or
+# its standard deviation.
+NOISE_SCALES = ("variance", "std")
 
 # Default benchmark grid: noise levels x momentum values x fractional
 # orders, with the conventional LMS learning-rate pairing per momentum.
@@ -169,11 +189,58 @@ _stream_windows: dict[int, _Window] = {}
 _BATCH_ROWS = 4000
 
 
-def _index(name: str, value) -> int:
-    """``value`` as an ``int`` (:func:`operator.index`); a bool or a non-integer is a ``TypeError`` naming ``name``."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+class Range(NamedTuple):
+    """A scenario or grid field's values: ``kind`` numbers from ``lo`` (excluded after ``"("``) up to ``hi``, excluded."""
+
+    kind: type
+    bracket: str
+    lo: float
+    hi: float
+
+    def check(self, name: str, value):
+        """``value`` as a ``kind``; a ``TypeError`` or ``ValueError`` names ``name`` unless it is one in the range."""
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if self.kind is int else numbers.Real):
+            raise TypeError(f"{name}: must be {'an integer' if self.kind is int else 'a real number'}, got {value!r}")
+        try:
+            x = self.kind(value)
+        except OverflowError:  # an int beyond every float
+            x = math.inf
+        # NaN fails every comparison, and hi is excluded, so a float in range is finite.
+        if not ((self.lo < x) if self.bracket == "(" else (self.lo <= x)) or not x < self.hi:
+            raise ValueError(f"{name}: must lie in {self.bracket}{self.lo}, {self.hi}), got {value!r}")
+        return x
+
+
+# The range of every scenario and grid value, stated once: ScenarioConfig,
+# GridConfig, calibrate_mu1 and the configuration parser check through it.
+# A grid axis takes its scenario field's range; a noise level's is that of
+# the standard deviation under either scale.
+RANGES = {name: rule for names, rule in [
+    (("noise_std", "noise_levels"), Range(float, "[", 0, math.inf)),
+    (("alpha", "alphas"), Range(float, "[", 0, 1)),
+    (("f", "fractional_orders"), Range(float, "(", 0, 1)),
+    (("lms_eta", "lms_etas"), Range(float, "(", 0, math.inf)),
+    (("mflms_mu1",), Range(float, "(", 0, math.inf)),
+    (("mflms_muf",), Range(float, "[", 0, math.inf)),
+    (("n_runs", "n_iters", "checkpoint_interval", "calibration_runs"), Range(int, "[", 1, math.inf)),
+    (("base_seed",), Range(int, "[", 0, 2**64)),
+    (("calibration_tolerance",), Range(float, "(", 0, math.inf)),  # a zero-width match is unreachable
+] for name in names}
+
+
+def _check_fields(config) -> None:
+    """Hold each field of the frozen ``config`` that :data:`RANGES` names as :meth:`Range.check` returns it.
+
+    A grid axis (a tuple field) is checked value by value; a field whose
+    default is None may be None.  ``metric_space`` is held as the enum.
+    """
+    for f in fields(config):
+        rule, value = RANGES.get(f.name), getattr(config, f.name)
+        if rule is not None and not (value is None and f.default is None):
+            value = (tuple(rule.check(f.name, x) for x in value) if isinstance(f.default, tuple)
+                     else rule.check(f.name, value))
+            object.__setattr__(config, f.name, value)
+    object.__setattr__(config, "metric_space", MetricSpace(config.metric_space))
 
 
 class CalibrationError(RuntimeError):
@@ -201,38 +268,16 @@ class ScenarioConfig:
     lms_eta: float
     mflms_mu1: float | None = None
     mflms_muf: float | None = None
-    n_runs: int = 1000
-    n_iters: int = 1000
-    checkpoint_interval: int = 100
+    n_runs: int = N_RUNS
+    n_iters: int = N_ITERS
+    checkpoint_interval: int = CHECKPOINT_INTERVAL
     base_seed: int = DEFAULT_BASE_SEED
     metric_space: MetricSpace = MetricSpace.APHI
 
     def __post_init__(self):
-        for name in ("n_runs", "n_iters", "checkpoint_interval", "base_seed"):
-            object.__setattr__(self, name, _index(name, getattr(self, name)))
-        object.__setattr__(self, "metric_space", MetricSpace(self.metric_space))
-        for name in ("noise_std", "lms_eta", "mflms_mu1", "mflms_muf"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if not 0.0 < self.f < 1.0:
-            raise ValueError("f must lie strictly in (0, 1)")
-        if not self.lms_eta > 0:
-            raise ValueError("lms_eta must be positive")
-        if self.mflms_mu1 is not None and not self.mflms_mu1 > 0:
-            raise ValueError("mflms_mu1 must be positive")
-        if self.mflms_muf is not None and self.mflms_muf < 0:
-            raise ValueError("mflms_muf must be non-negative")
-        if self.n_runs < 1 or self.n_iters < 1:
-            raise ValueError("n_runs and n_iters must be positive")
-        if self.checkpoint_interval < 1 or self.n_iters % self.checkpoint_interval:
+        _check_fields(self)
+        if self.n_iters % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide n_iters")
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must fit in an unsigned 64-bit integer")
 
     @property
     def checkpoints(self) -> np.ndarray:
@@ -717,8 +762,8 @@ class Calibration:
 def calibrate_mu1(
     scenario: ScenarioConfig,
     target_checkpoint: int = 0,
-    tolerance: float = 0.05,
-    calibration_runs: int = 200,
+    tolerance: float = CALIBRATION_TOLERANCE,
+    calibration_runs: int = CALIBRATION_RUNS,
     on_no_match: str = "raise",
 ) -> float:
     """Step size at which the momentum-fractional filter matches the paired LMS.
@@ -748,11 +793,8 @@ def calibrate_mu1(
     The search runs as a one-cell :func:`prefetch_calibration`, whose
     record is then settled (:meth:`Calibration.settle`).
     """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive (a zero-width match is unreachable)")
-    calibration_runs = _index("calibration_runs", calibration_runs)
-    if calibration_runs < 1:
-        raise ValueError("calibration_runs must be positive")
+    tolerance = RANGES["calibration_tolerance"].check("tolerance", tolerance)
+    calibration_runs = RANGES["calibration_runs"].check("calibration_runs", calibration_runs)
     if on_no_match not in ("raise", "closest"):
         raise ValueError("on_no_match must be 'raise' or 'closest'")
     if not 0 <= target_checkpoint < len(scenario.checkpoints):
@@ -782,7 +824,7 @@ def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
 
 
 def prefetch_calibration(
-    scenarios, tolerance: float = 0.05, calibration_runs: int = 200, target_checkpoint: int = 0
+    scenarios, tolerance: float, calibration_runs: int, target_checkpoint: int = 0
 ) -> list[Calibration]:
     """The calibration search of every cell in ``scenarios``, run in lockstep: one :class:`Calibration` each.
 
@@ -822,32 +864,27 @@ class GridConfig:
     """Full benchmark grid: the scenario axes plus the run protocol."""
 
     noise_levels: tuple = NOISE_LEVELS
-    noise_scale: str = "variance"
+    noise_scale: str = NOISE_SCALES[0]
     alphas: tuple = ALPHAS
     fractional_orders: tuple = FRACTIONAL_ORDERS
     lms_etas: tuple = PAIRED_LMS_ETAS
     mflms_mu1: float | None = None
-    n_runs: int = 1000
-    n_iters: int = 1000
-    checkpoint_interval: int = 100
+    n_runs: int = N_RUNS
+    n_iters: int = N_ITERS
+    checkpoint_interval: int = CHECKPOINT_INTERVAL
     base_seed: int = DEFAULT_BASE_SEED
     metric_space: MetricSpace = MetricSpace.APHI
-    calibration_runs: int = 200
-    calibration_tolerance: float = 0.05
+    calibration_runs: int = CALIBRATION_RUNS
+    calibration_tolerance: float = CALIBRATION_TOLERANCE
 
     def __post_init__(self):
-        for name in ("noise_levels", "alphas", "fractional_orders", "lms_etas"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "metric_space", MetricSpace(self.metric_space))
-        object.__setattr__(self, "calibration_runs", _index("calibration_runs", self.calibration_runs))
-        if self.noise_scale not in ("variance", "std"):
-            raise ValueError("noise_scale must be 'variance' or 'std'")
+        _check_fields(self)
+        if self.noise_scale not in NOISE_SCALES:
+            raise ValueError(f"noise_scale must be one of {NOISE_SCALES}")
         if len(self.alphas) != len(self.lms_etas):
             raise ValueError("alphas and lms_etas must pair up one-to-one")
         if not self.noise_levels or not self.alphas or not self.fractional_orders:
             raise ValueError("grid axes must be non-empty")
-        if not all(0 <= level < math.inf for level in self.noise_levels):
-            raise ValueError("noise_levels must be finite and non-negative")
         # Output files and table rows are named by these labels: two values
         # sharing one would write into each other's files.
         for name, label in (("noise_levels", sigma_label), ("fractional_orders", lambda f: f"{f:.2f}"),
@@ -857,11 +894,7 @@ class GridConfig:
             for j, text in enumerate(labels):
                 if text in labels[:j]:
                     raise ValueError(f"{name} {values[labels.index(text)]!r} and {values[j]!r} share the label {text}")
-        if self.calibration_runs < 1:
-            raise ValueError("calibration_runs must be positive")
-        if not self.calibration_tolerance > 0:
-            raise ValueError("calibration_tolerance must be positive (a zero-width match is unreachable)")
-        list(self.cells())  # each cell's ScenarioConfig checks its own values
+        list(self.cells())  # each cell's ScenarioConfig checks the rule that couples its values
 
     def noise_std(self, level: float) -> float:
         """Disturbance standard deviation for a grid noise level."""

@@ -121,7 +121,8 @@ class FilterParams:
         Momentum coefficient in ``[0, 1)``; ``0`` expresses the
         momentum-free degenerate case.
     variant: Variant
-        Which update rule :func:`step` dispatches to.
+        Which update rule :func:`step` dispatches to; its text value
+        (``"lms"``) is held as the enum.
     """
 
     mu1: float
@@ -131,6 +132,7 @@ class FilterParams:
     variant: Variant
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))
         if not (self.mu1 > 0 and math.isfinite(self.mu1)):
             raise ValueError("mu1 must be positive and finite")
         if not (self.muf >= 0 and math.isfinite(self.muf)):
@@ -174,10 +176,9 @@ class FilterState:
 
 @dataclass
 class StepRecord:
-    """Instantaneous error and the norm of the applied weight update."""
+    """The instantaneous (pre-update) error of a step."""
 
     error: float | np.ndarray
-    gradient_norm: float | np.ndarray
 
 
 def make_filter(
@@ -384,10 +385,7 @@ def step(
             f"weights left the guard (NaN or magnitude above {WEIGHT_LIMIT:g}) "
             f"at iteration {new.n}"
         )
-    norm = np.sqrt(((new.w - state.w) ** 2).sum(axis=-1))
-    if e.ndim == 0:
-        return new, StepRecord(error=float(e), gradient_norm=float(norm))
-    return new, StepRecord(error=e, gradient_norm=norm)
+    return new, StepRecord(error=float(e) if e.ndim == 0 else e)
 
 
 def _variant_step(variant: Variant, doc: str):

@@ -255,7 +255,17 @@ def _aggregates(entries: list[GridEntry], nwd):
     """Lines of the aggregates dump of ``entries``, whose checkpoint values ``nwd`` holds as comma-joined text."""
     if not entries:
         raise ValueError("no entries to serialize")
-    return itertools.chain([",".join(_aggregates_header(entries[0])) + "\n"], map(_aggregates_row, entries, nwd))
+    # Every row is written under the first entry's header.  A checkpoint grid
+    # is fixed by n_iters and checkpoint_interval, so those are compared: an
+    # entry's checkpoints array, built for the comparison, raised the peak RSS.
+    first = entries[0]
+    for e in entries[1:]:
+        if (len(e.aggregate.mean_final_theta_aphi) != len(first.aggregate.mean_final_theta_aphi)
+                or (e.scenario.n_iters, e.scenario.checkpoint_interval)
+                != (first.scenario.n_iters, first.scenario.checkpoint_interval)):
+            raise ValueError(f"{e.label} at noise level {e.sigma_label}: checkpoint grid or parameter count "
+                             "differs from the first entry's")
+    return itertools.chain([",".join(_aggregates_header(first)) + "\n"], map(_aggregates_row, entries, nwd))
 
 
 def _aggregates_header(e: GridEntry) -> list[str]:

@@ -3,11 +3,14 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmslab import config
 from lmslab.config import ConfigError, Settings, apply_override, parse_config
-from lmslab.experiment import GridConfig
+from lmslab.experiment import RANGES, GridConfig, ScenarioConfig
+from lmslab.filters import Variant
 from lmslab.metrics import MetricSpace
 
 
@@ -29,8 +32,20 @@ class TestDefaults:
         assert parse_config("").grid_config() == GridConfig()
 
     def test_keys_are_grid_fields_plus_scenario_keys(self):
+        # The parser takes exactly these keys, and reads each one: a value
+        # it cannot take is an error naming the key, not an unknown key.
         scenario_keys = {"algorithm", "noise_level", "alpha", "f", "lms_eta"}
-        assert set(config._KEY_PARSERS) == {f.name for f in fields(GridConfig)} | scenario_keys
+        assert config._KEYS == {f.name for f in fields(GridConfig)} | scenario_keys
+        for key in config._KEYS:
+            with pytest.raises(ConfigError, match=f"^{key}: "):
+                apply_override(Settings(), key, "?")
+
+    def test_every_range_is_a_field_of_the_library(self):
+        # A rule left behind by a renamed or removed field would check nothing.
+        names = {f.name for cls in (ScenarioConfig, GridConfig) for f in fields(cls)}
+        assert set(RANGES) <= names
+        # And every field but the two text ones has a rule.
+        assert names - set(RANGES) == {"noise_scale", "metric_space"}
 
     def test_variance_scale_default(self):
         grid = parse_config("").grid_config()
@@ -135,7 +150,7 @@ class TestRejections:
         ("noise_level = -0.1", "noise_level"),
     ])
     def test_negative_noise_level_rejected(self, line, key):
-        with pytest.raises(ConfigError, match=f"line 2: {key}: must be non-negative"):
+        with pytest.raises(ConfigError, match=rf"^line 2: {key}: must lie in \[0, inf\), got -0\.[13]$"):
             parse_config(f"n_runs = 5\n{line}")
 
     def test_seed_range(self):
@@ -161,3 +176,92 @@ class TestSingleScenario:
             settings.single_scenario()
         settings = parse_config("noise_level = 0.30\nalpha = 0.3\nf = 0.25\nlms_eta = 0.05")
         assert settings.single_scenario().lms_eta == 0.05
+
+
+# Values at and beyond every edge of the ranges: NaN, both infinities, zero,
+# negatives, huge and 64-bit values, non-integral floats and bools.
+EDGES = [0, 0.0, -0.0, 1, -1, 1.0, 0.5, 2.5, 1e-300, 1e300, 1e308, 2**63, 2**64 - 1, 2**64, -(2**64),
+         10**400, -(10**400), math.nan, math.inf, -math.inf, True, False]
+NUMBERS = st.one_of(st.sampled_from(EDGES), st.integers(), st.floats())
+SCENARIO = {"noise_std": 0.5, "alpha": 0.2, "f": 0.25, "lms_eta": 0.027, "n_runs": 10, "n_iters": 200}
+DEFAULT_GRID = GridConfig()
+
+
+def _text(value) -> str:
+    """A drawn value as a configuration file writes it."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _library_takes(key: str, value) -> bool:
+    """Whether the library builds the config that ``key = value`` describes, the axes' other values kept."""
+    if key in config._AXES or key == "noise_level":
+        axis = "noise_levels" if key == "noise_level" else key
+        key, value = axis, (value, *getattr(DEFAULT_GRID, axis)[1:])
+    try:
+        if key in ("alpha", "f", "lms_eta"):
+            ScenarioConfig(**{**SCENARIO, key: value})
+        elif key == "algorithm":
+            Variant(value)
+        else:
+            GridConfig(**{key: value})
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def _parser_takes(key: str, text: str) -> bool:
+    if key in config._AXES:
+        text = ", ".join([text, *map(_text, getattr(DEFAULT_GRID, key)[1:])])
+    try:
+        parse_config(f"{key} = {text}")
+    except ConfigError:
+        return False
+    return True
+
+
+NUMBER_KEYS = sorted(config._KEYS - set(config._CHOICES))
+
+
+class TestParserIsTheLibrary:
+    """``parse_config`` rejects a value exactly when the library does."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.sampled_from(NUMBER_KEYS), NUMBERS)
+    def test_numbers(self, key, value):
+        assert _parser_takes(key, _text(value)) == _library_takes(key, value)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.sampled_from(sorted(config._CHOICES)),
+           st.sampled_from(["variance", "std", "aphi", "bc", *(v.value for v in Variant)])
+           | st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8))
+    def test_choices(self, key, value):
+        assert _parser_takes(key, value) == _library_takes(key, value)
+
+    @pytest.mark.parametrize("key", ["calibration_tolerance", "lms_etas", "noise_level", "mflms_mu1"])
+    def test_non_finite_rejected_on_its_line(self, key):
+        with pytest.raises(ConfigError, match=rf"^line 2: {key}: must lie in .*, got inf$"):
+            parse_config(f"n_runs = 5\n{key} = inf")
+
+
+WIDE = st.one_of(
+    NUMBERS, st.none(), st.text(max_size=4), st.complex_numbers(), st.fractions(),
+    st.decimals(), st.lists(NUMBERS, max_size=3), st.tuples(NUMBERS),
+    st.sampled_from([np.float64(0.3), np.int64(7), np.uint64(2**64 - 1), "aphi", "bc", "std", MetricSpace.BC]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([ScenarioConfig, GridConfig]), st.data())
+def test_configs_raise_only_value_and_type_errors(cls, data):
+    names = sorted(f.name for f in fields(cls))
+    drawn = data.draw(st.dictionaries(st.sampled_from(names), WIDE, min_size=1, max_size=3))
+    base = SCENARIO if cls is ScenarioConfig else {}
+    try:
+        built = cls(**{**base, **drawn})
+    except (ValueError, TypeError):
+        return
+    # What is built holds each ranged field as its range's type.
+    for name in {f.name for f in fields(cls)} & set(RANGES):
+        value = getattr(built, name)
+        for x in value if isinstance(value, tuple) else [value]:
+            assert x is None or type(x) is RANGES[name].kind

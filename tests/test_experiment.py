@@ -7,6 +7,7 @@ at full scale live in the acceptance suite.
 
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -95,7 +96,7 @@ class TestScenarioValidation:
         ("base_seed", 4.5),
     ])
     def test_counts_and_seeds_must_be_integers(self, field, value):
-        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        with pytest.raises(TypeError, match=f"^{field}: must be an integer, got "):
             scenario(**{field: value})
 
     def test_integer_counts_are_held_as_int(self):
@@ -112,6 +113,19 @@ class TestScenarioValidation:
         np.testing.assert_array_equal(as_text.mean_nwd_at_checkpoints, as_enum.mean_nwd_at_checkpoints)
         with pytest.raises(ValueError, match="not a valid MetricSpace"):
             scenario(metric_space="nonsense")
+
+    def test_filter_variant_given_as_text(self):
+        # The text is the enum's value: the LMS rules apply to it, and it
+        # runs as the enum does.
+        with pytest.raises(ValueError, match="LMS requires muf = 0 and alpha = 0"):
+            FilterParams(mu1=0.027, muf=0.0, f=0.5, alpha=0.3, variant="lms")
+        as_text = FilterParams(mu1=0.027, muf=0.0, f=0.5, alpha=0.0, variant="lms")
+        assert as_text.variant is Variant.LMS
+        got = run_monte_carlo(as_text, scenario(n_runs=3))
+        want = run_monte_carlo(lms_params(0.027), scenario(n_runs=3))
+        np.testing.assert_array_equal(got.mean_nwd_at_checkpoints, want.mean_nwd_at_checkpoints)
+        np.testing.assert_array_equal(got.mean_final_theta_aphi, want.mean_final_theta_aphi)
+        assert (got.mse_of_mean, got.mean_per_run_mse) == (want.mse_of_mean, want.mean_per_run_mse)
 
 
 class TestDeterminism:
@@ -732,13 +746,25 @@ class TestCalibration:
         full_grid(config)
         assert len(started) == 4
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -0.05])
+    def test_tolerance_out_of_range_rejected_before_simulating(self, monkeypatch, tolerance):
+        # An infinite band would match any fitness at all.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the tolerance")
+
+        monkeypatch.setattr(experiment, "_simulate", no_simulation)
+        with pytest.raises(ValueError, match=r"^tolerance: must lie in \(0, inf\), got "):
+            calibrate_mu1(scenario(n_runs=10), tolerance=tolerance)
+        with pytest.raises(ValueError, match=r"^calibration_tolerance: must lie in \(0, inf\), got "):
+            GridConfig(calibration_tolerance=tolerance)
+
     def test_calibration_runs_must_be_an_integer(self, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before rejecting the run count")
 
         monkeypatch.setattr(experiment, "_simulate", no_simulation)
         for runs in (2.5, True):
-            with pytest.raises(TypeError, match="calibration_runs must be an integer"):
+            with pytest.raises(TypeError, match="^calibration_runs: must be an integer, got "):
                 calibrate_mu1(scenario(n_runs=10), calibration_runs=runs)
 
     def test_grid_block_simulates_its_reference_once(self, monkeypatch):
@@ -937,19 +963,20 @@ class TestFullGrid:
             full_grid(GridConfig(n_runs=2, n_iters=100, checkpoint_interval=100, **{field: value}))
 
     @pytest.mark.parametrize("values, message", [
-        ({"alphas": (1.5,), "lms_etas": (0.1,)}, "alpha must lie in"),
-        ({"n_runs": 0}, "n_runs and n_iters must be positive"),
-        ({"n_iters": 0}, "n_runs and n_iters must be positive"),
-        ({"fractional_orders": (1.0,)}, "f must lie strictly in"),
-        ({"lms_etas": (0.027, 0.0, 0.1)}, "lms_eta must be positive"),
-        ({"mflms_mu1": -0.01}, "mflms_mu1 must be positive"),
-        ({"base_seed": 2**64}, "base_seed must fit in an unsigned 64-bit integer"),
+        ({"alphas": (1.5,), "lms_etas": (0.1,)}, "alphas: must lie in [0, 1), got 1.5"),
+        ({"n_runs": 0}, "n_runs: must lie in [1, inf), got 0"),
+        ({"n_iters": 0}, "n_iters: must lie in [1, inf), got 0"),
+        ({"fractional_orders": (1.0,)}, "fractional_orders: must lie in (0, 1), got 1.0"),
+        ({"lms_etas": (0.027, 0.0, 0.1)}, "lms_etas: must lie in (0, inf), got 0.0"),
+        ({"mflms_mu1": -0.01}, "mflms_mu1: must lie in (0, inf), got -0.01"),
+        ({"base_seed": 2**64}, f"base_seed: must lie in [0, {2**64}), got {2**64}"),
         ({"metric_space": "nonsense"}, "not a valid MetricSpace"),
     ])
     def test_grid_checks_its_cells_when_built(self, values, message):
-        # Each cell's ScenarioConfig checks its own values as the grid is
-        # constructed, not when its cells are first listed.
-        with pytest.raises(ValueError, match=message):
+        # The grid checks its fields against the ranges its cells' fields
+        # have (a grid axis value by value), naming the grid's field, as it
+        # is constructed, not when its cells are first listed.
+        with pytest.raises(ValueError, match=re.escape(message)):
             GridConfig(**values)
 
     @pytest.mark.parametrize("field, value", [
@@ -960,7 +987,7 @@ class TestFullGrid:
         ("calibration_runs", False),
     ])
     def test_grid_counts_and_seeds_must_be_integers(self, field, value):
-        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        with pytest.raises(TypeError, match=f"^{field}: must be an integer, got "):
             GridConfig(**{field: value})
 
     def test_grid_holds_axes_as_tuples_and_metric_space_as_enum(self):

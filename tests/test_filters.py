@@ -487,18 +487,6 @@ class TestLayout:
                 np.testing.assert_array_equal(a, b)
 
 
-class TestStepRecord:
-    def test_gradient_norm_is_applied_update_norm(self):
-        rng = np.random.default_rng(13)
-        for variant in Variant:
-            state, u, d, params = random_case(rng, variant)
-            w_before = state.w.copy()
-            new, rec = step(state, u, d, params)
-            assert rec.gradient_norm == pytest.approx(
-                np.sqrt(((new.w - w_before) ** 2).sum()), rel=1e-15
-            )
-
-
 class TestGuardsAndErrors:
     def test_divergence_guard_raises_unbatched(self):
         params = params_of(Variant.LMS, mu1=1.0)

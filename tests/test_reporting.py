@@ -4,6 +4,7 @@ deterministic rendering."""
 import builtins
 import collections
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -178,13 +179,13 @@ class TestAggregatesRejected:
             read_aggregates_csv(text)
 
     @pytest.mark.parametrize("column, value, message", [
-        ("alpha", "1.5", "alpha must lie in"),
-        ("n_runs", "0", "n_runs and n_iters must be positive"),
-        ("base_seed", "-1", "base_seed must fit"),
+        ("alpha", "1.5", "alpha: must lie in [0, 1), got 1.5"),
+        ("n_runs", "0", "n_runs: must lie in [1, inf), got 0"),
+        ("base_seed", "-1", f"base_seed: must lie in [0, {2**64}), got -1"),
     ])
     def test_row_out_of_range(self, block, column, value, message):
         text = with_cell(write_aggregates_csv(block), 9, column, value)
-        with pytest.raises(ValueError, match=f"^line 9: {message}"):
+        with pytest.raises(ValueError, match=f"^line 9: {re.escape(message)}$"):
             read_aggregates_csv(text)
 
     @pytest.mark.parametrize("keep", [10, 32, 34])
@@ -272,6 +273,23 @@ class TestGridFiles:
         assert len(set(values)) == len(values) == 240
         assert [calls[v] for v in values] == [1] * len(values)
         assert [p.name for p in paths] == [*grid_file_names(entries), "aggregates.csv"]
+
+    @pytest.mark.parametrize("n_ck, n_params", [(5, 8), (10, 7)])
+    def test_dump_rows_share_the_first_entrys_columns(self, tmp_path, n_ck, n_params):
+        # Every row of aggregates.csv is written under the first entry's
+        # header; a row with another checkpoint grid or parameter count is
+        # rejected before the dump's first line, not written unreadable.
+        rng = np.random.default_rng(14)
+        other = fake_entry(0.60, Variant.LMS, 0.2, None, 0.027, rng, n_ck=n_ck)
+        other = replace(other, aggregate=replace(
+            other.aggregate, mean_final_theta_aphi=other.aggregate.mean_final_theta_aphi[:n_params]))
+        entries = [fake_entry(0.30, Variant.LMS, 0.2, None, 0.027, rng), other]
+        match = r"^LMS\(eta=0\.027\) at noise level 0\.60: checkpoint grid or parameter count differs"
+        with pytest.raises(ValueError, match=match):
+            write_aggregates_csv(entries)
+        with pytest.raises(ValueError):  # the estimation table rejects a parameter count first
+            write_grid_outputs(entries, tmp_path)
+        assert not (tmp_path / "aggregates.csv").exists()
 
     def test_files_are_written_as_they_are_rendered(self, tmp_path):
         # A noise level that fails to render leaves the levels before it
