@@ -13,17 +13,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  All
 randomness funnels through one seed (``--seed`` overrides the config).
-Every command runs in one thread.  ``--workers`` and the
-``LMSLAB_MAX_WORKERS`` environment variable are still accepted and
+Every command runs in one thread.  ``--workers`` is still accepted and
 validated (a positive integer, else exit code 1) for existing command
-lines, but have no effect.
+lines, but has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -34,18 +32,15 @@ from .experiment import (
     calibrate_mu1,
     full_grid,
     lms_params,
-    mflms_params,
     run_monte_carlo,
     sigma_label,
 )
-from .filters import FilterParams, Variant, default_muf
+from .filters import KINDS, FilterParams, Variant
 from .reporting import read_aggregates_csv, write_aggregates_csv, write_grid_outputs
 
 __all__ = ["main"]
 
 log = logging.getLogger("lmslab")
-
-ENV_MAX_WORKERS = "LMSLAB_MAX_WORKERS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,43 +79,24 @@ def _load_settings(args) -> Settings:
     return validate_settings(settings)
 
 
-def _check_workers(args) -> None:
-    """Validate ``--workers`` / ``LMSLAB_MAX_WORKERS``; neither changes what runs."""
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be a positive integer")
-        return
-    env = os.environ.get(ENV_MAX_WORKERS)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_MAX_WORKERS} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ConfigError(f"{ENV_MAX_WORKERS} must be positive")
-
-
 def _single_algorithm(settings: Settings, scenario) -> FilterParams:
-    """Build the FilterParams for the run/calibrate subcommands."""
-    variant = settings.algorithm
+    """The FilterParams that ``run`` runs: LMS at ``lms_eta``, the others at ``mflms_mu1``.
+
+    Unset, mFLMS calibrates it and the others take ``lms_eta``.  A rule
+    takes ``mflms_muf`` and ``alpha`` where its ``KINDS`` row reads them.
+    """
+    variant, mu1 = settings.algorithm, scenario.mflms_mu1
     if variant is Variant.LMS:
         return lms_params(scenario.lms_eta)
-    if variant is Variant.MFLMS_ASSEMBLED:
-        mu1 = scenario.mflms_mu1
-        if mu1 is None:
-            log.info("no mflms_mu1 configured; calibrating against LMS(eta=%g)", scenario.lms_eta)
-            grid = settings.grid_config()
-            mu1 = calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
-                                calibration_runs=grid.calibration_runs)
-        return mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf)
-    # remaining variants share the scenario's step sizes directly
-    mu1 = scenario.mflms_mu1 if scenario.mflms_mu1 is not None else scenario.lms_eta
-    if variant is Variant.MOMENTUM_LMS:
-        return FilterParams(mu1=mu1, muf=0.0, f=scenario.f, alpha=scenario.alpha, variant=variant)
-    if variant is Variant.FLMS:
-        muf = scenario.mflms_muf if scenario.mflms_muf is not None else default_muf(mu1, scenario.f)
-        return FilterParams(mu1=mu1, muf=muf, f=scenario.f, alpha=0.0, variant=variant)
-    return FilterParams(mu1=mu1, muf=0.0, f=scenario.f, alpha=scenario.alpha, variant=variant)
+    if variant is Variant.MFLMS_ASSEMBLED and mu1 is None:
+        log.info("no mflms_mu1 configured; calibrating against LMS(eta=%g)", scenario.lms_eta)
+        grid = settings.grid_config()
+        mu1 = calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
+                            calibration_runs=grid.calibration_runs)
+    kind = KINDS[variant]
+    return FilterParams(mu1=scenario.lms_eta if mu1 is None else mu1,
+                        muf=scenario.mflms_muf if kind.b == "muf" else 0.0, f=scenario.f,
+                        alpha=scenario.alpha if kind.takes_alpha else 0.0, variant=variant)
 
 
 def _cmd_grid(settings: Settings, out_dir: Path) -> int:
@@ -184,7 +160,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _load_settings(args)
-        _check_workers(args)
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("--workers must be a positive integer")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

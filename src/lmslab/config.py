@@ -78,9 +78,9 @@ _AXES = frozenset(f.name for f in fields(GridConfig) if isinstance(f.default, tu
 def _parse(key: str, text: str):
     """``key``'s value written as ``text``: one of its choices, or its number(s) in their range."""
     if key in _CHOICES:
-        if text.lower() not in _CHOICES[key]:
-            raise ConfigError(f"{key}: expected one of {sorted(_CHOICES[key])}, got {text.lower()!r}")
-        return _CHOICES[key][text.lower()]
+        if text not in _CHOICES[key]:
+            raise ConfigError(f"{key}: expected one of {sorted(_CHOICES[key])}, got {text!r}")
+        return _CHOICES[key][text]
     rule, axis = RANGES["noise_levels" if key == "noise_level" else key], key in _AXES
     items = [t.strip() for t in text.split(",")] if axis else [text]
     if axis and not all(items):

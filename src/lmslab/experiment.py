@@ -86,12 +86,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import (
+    KINDS,
     WEIGHT_LIMIT,
     FilterParams,
     FilterState,
     Rule,
     Variant,
-    default_muf,
     diverged_rows,
     step,
     update_rule,
@@ -314,8 +314,6 @@ def lms_params(eta: float) -> FilterParams:
 
 def mflms_params(mu1: float, alpha: float, f: float, muf: float | None = None) -> FilterParams:
     """Momentum-fractional parameter set; ``muf=None`` selects the default."""
-    if muf is None:
-        muf = default_muf(mu1, f)
     return FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=Variant.MFLMS_ASSEMBLED)
 
 
@@ -939,18 +937,10 @@ class GridEntry:
 
     @property
     def label(self) -> str:
-        if self.variant is Variant.LMS:
-            return f"LMS(eta={self.step_size:g})"
-        if self.variant is Variant.MOMENTUM_LMS:
-            return f"mLMS(eta={self.step_size:g}) a={self.alpha:g}"
-        if self.variant is Variant.FLMS:
-            return f"FLMS(f={self.f:.2f})"
-        name = {
-            Variant.MFLMS_ASSEMBLED: "mFLMS",
-            Variant.MFLMS_PUBLISHED16: "mFLMS-published",
-            Variant.MFLMS_CORRECTED: "mFLMS-corrected",
-        }[self.variant]
-        return f"{name}(f={self.f:.2f}) a={self.alpha:g}"
+        """The rule's name with its step size if it has no fractional term, else its order, then its alpha."""
+        kind = KINDS[self.variant]
+        order = f"eta={self.step_size:g}" if kind.b is None else f"f={self.f:.2f}"
+        return f"{kind.name}({order})" + (f" a={self.alpha:g}" if kind.takes_alpha else "")
 
 
 def sigma_label(level: float) -> str:

@@ -6,13 +6,20 @@ The six variants are one recursion.  From the pre-update error
 forms: plain ``w' = w + g``; velocity ``v' = alpha*v + g``,
 ``w' = w + v'``; collapsed ``w' = w + (alpha*(w - w_prev) + g)``.
 
-    variant             form       a     b
-    LMS                 plain      mu1   0
-    FLMS                plain      mu1   muf/Gamma(2-f)
-    MOMENTUM_LMS        velocity   mu1   0
-    MFLMS_ASSEMBLED     velocity   mu1   muf/Gamma(2-f)
-    MFLMS_PUBLISHED16   collapsed  0     mu1
-    MFLMS_CORRECTED     collapsed  mu1   mu1
+    variant             form       a     b               name
+    LMS                 plain      mu1   0               LMS
+    FLMS                plain      mu1   muf/Gamma(2-f)  FLMS
+    MOMENTUM_LMS        velocity   mu1   0               mLMS
+    MFLMS_ASSEMBLED     velocity   mu1   muf/Gamma(2-f)  mFLMS
+    MFLMS_PUBLISHED16   collapsed  0     mu1             mFLMS-published
+    MFLMS_CORRECTED     collapsed  mu1   mu1             mFLMS-corrected
+
+This table is :data:`KINDS`; every per-rule decision reads it.  A rule
+whose ``b`` is 0 takes no ``muf`` and one of plain form no ``alpha``
+(:class:`FilterParams` requires them 0); ``muf`` defaults to
+:func:`default_muf` where ``b`` reads it, else to 0.  Table rows read
+``name(eta=...)`` where ``b`` is 0, else ``name(f=...)``, then
+`` a=...`` where the rule takes ``alpha``.
 
 ``b = 0`` whenever ``muf = 0``, so the reduction identities between
 variants hold to the bit.  ``MFLMS_ASSEMBLED`` is the canonical
@@ -55,6 +62,7 @@ from .kernels import gamma
 
 __all__ = [
     "Variant",
+    "KINDS",
     "FilterParams",
     "FilterState",
     "StepRecord",
@@ -94,6 +102,37 @@ class Variant(enum.Enum):
     MFLMS_CORRECTED = "mflms_corrected"
 
 
+class Form(enum.Enum):
+    """How a rule turns the gradient ``g`` into new weights."""
+
+    PLAIN = "plain"
+    VELOCITY = "velocity"
+    COLLAPSED = "collapsed"
+
+
+class Kind(NamedTuple):
+    """A row of :data:`KINDS`: the form, the parameter ``a`` and ``b`` read (None for 0), the name."""
+
+    form: Form
+    a: str | None
+    b: str | None  # "muf" reads muf/Gamma(2-f)
+    name: str
+
+    @property
+    def takes_alpha(self) -> bool:
+        return self.form is not Form.PLAIN
+
+
+KINDS = {
+    Variant.LMS: Kind(Form.PLAIN, "mu1", None, "LMS"),
+    Variant.FLMS: Kind(Form.PLAIN, "mu1", "muf", "FLMS"),
+    Variant.MOMENTUM_LMS: Kind(Form.VELOCITY, "mu1", None, "mLMS"),
+    Variant.MFLMS_ASSEMBLED: Kind(Form.VELOCITY, "mu1", "muf", "mFLMS"),
+    Variant.MFLMS_PUBLISHED16: Kind(Form.COLLAPSED, None, "mu1", "mFLMS-published"),
+    Variant.MFLMS_CORRECTED: Kind(Form.COLLAPSED, "mu1", "mu1", "mFLMS-corrected"),
+}
+
+
 def default_muf(mu1: float, f: float) -> float:
     """Conventional fractional step size ``muf = mu1 * Gamma(2 - f)``.
 
@@ -113,8 +152,9 @@ class FilterParams:
     mu1: float
         Base step size, ``> 0``.  For plain LMS this is the learning
         rate usually written ``eta``.
-    muf: float
-        Fractional-term step size, ``>= 0``.
+    muf: float or None
+        Fractional-term step size, ``>= 0``; None selects the rule's
+        default (see :data:`KINDS`).
     f: float
         Fractional order, strictly inside ``(0, 1)``.
     alpha: float
@@ -126,27 +166,27 @@ class FilterParams:
     """
 
     mu1: float
-    muf: float
+    muf: float | None
     f: float
     alpha: float
     variant: Variant
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
+        kind = KINDS[self.variant]
         if not (self.mu1 > 0 and math.isfinite(self.mu1)):
             raise ValueError("mu1 must be positive and finite")
-        if not (self.muf >= 0 and math.isfinite(self.muf)):
-            raise ValueError("muf must be non-negative and finite")
         if not 0.0 < self.f < 1.0:
             raise ValueError("fractional order f must lie strictly in (0, 1)")
+        if self.muf is None:
+            object.__setattr__(self, "muf", default_muf(self.mu1, self.f) if kind.b == "muf" else 0.0)
+        if not (self.muf >= 0 and math.isfinite(self.muf)):
+            raise ValueError("muf must be non-negative and finite")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if self.variant is Variant.LMS and (self.muf != 0 or self.alpha != 0):
-            raise ValueError("LMS requires muf = 0 and alpha = 0")
-        if self.variant is Variant.MOMENTUM_LMS and self.muf != 0:
-            raise ValueError("momentum LMS requires muf = 0")
-        if self.variant is Variant.FLMS and self.alpha != 0:
-            raise ValueError("FLMS requires alpha = 0")
+        unused = [name for name, used in (("muf", kind.b is not None), ("alpha", kind.takes_alpha)) if not used]
+        if any(getattr(self, name) != 0 for name in unused):
+            raise ValueError(f"{kind.name} requires {' and '.join(f'{name} = 0' for name in unused)}")
 
 
 @dataclass
@@ -194,17 +234,11 @@ def make_filter(
 
     ``initial_w`` is injected by the caller (the benchmark initialises
     weights from standard Gaussian draws); ``muf=None`` selects the
-    conventional default :func:`default_muf` for the fractional
-    variants and ``0`` otherwise.
+    rule's default (see :class:`FilterParams`).
 
     Returns the state (``w = w_prev = initial_w``, zero velocity,
     ``n = 0``) together with the parameters.
     """
-    if muf is None:
-        if variant in (Variant.FLMS, Variant.MFLMS_ASSEMBLED):
-            muf = default_muf(mu1, f)
-        else:
-            muf = 0.0
     params = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=variant)
     w0 = np.asarray(initial_w, dtype=np.float64)
     if w0.ndim != 1 or len(w0) != m:
@@ -257,16 +291,8 @@ def diverged_rows(w: np.ndarray) -> np.ndarray:
     return ~inside.all(axis=-1)
 
 
-class Form(enum.Enum):
-    """How a rule turns the gradient ``g`` into new weights."""
-
-    PLAIN = "plain"
-    VELOCITY = "velocity"
-    COLLAPSED = "collapsed"
-
-
 class Rule(NamedTuple):
-    """One row of the coefficient table, plus ``p = 1 - f`` and ``alpha``."""
+    """A rule's form and coefficients for one parameter set, plus ``p = 1 - f`` and ``alpha``."""
 
     form: Form
     a: float
@@ -276,18 +302,14 @@ class Rule(NamedTuple):
 
 
 def update_rule(params: FilterParams) -> Rule:
-    """The coefficient-table row :func:`advance` applies for ``params``."""
-    mu1 = params.mu1
-    b = params.muf / gamma(2.0 - params.f) if params.muf != 0.0 else 0.0
-    form, a, b = {
-        Variant.LMS: (Form.PLAIN, mu1, b),
-        Variant.FLMS: (Form.PLAIN, mu1, b),
-        Variant.MOMENTUM_LMS: (Form.VELOCITY, mu1, b),
-        Variant.MFLMS_ASSEMBLED: (Form.VELOCITY, mu1, b),
-        Variant.MFLMS_PUBLISHED16: (Form.COLLAPSED, 0.0, mu1),
-        Variant.MFLMS_CORRECTED: (Form.COLLAPSED, mu1, mu1),
-    }[params.variant]
-    return Rule(form, a, b, 1.0 - params.f, params.alpha)
+    """The :data:`KINDS` row of ``params.variant`` as :func:`advance` applies it to ``params``."""
+    kind = KINDS[params.variant]
+    coefficient = {
+        None: 0.0,
+        "mu1": params.mu1,
+        "muf": params.muf / gamma(2.0 - params.f) if params.muf != 0.0 else 0.0,
+    }
+    return Rule(kind.form, coefficient[kind.a], coefficient[kind.b], 1.0 - params.f, params.alpha)
 
 
 def _nonzero(coefficient) -> bool:

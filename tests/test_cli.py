@@ -7,12 +7,15 @@ is skipped where speed matters).
 
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lmslab.cli import main
+from lmslab.cli import _single_algorithm, main
+from lmslab.config import parse_config
 from lmslab.experiment import GridConfig, calibrate_mu1
+from lmslab.filters import FilterParams, Variant, default_muf
 
 SMALL_GRID = [
     "--set", "noise_levels=0.30",
@@ -217,6 +220,19 @@ class TestReport:
         assert [p.name for p in out.iterdir()] == ["aggregates.csv"]
 
 
+# The scenario every algorithm runs at in TestRun, and the label each prints.
+RUN_SCENARIO = ["--set", "noise_level = 0.30", "--set", "alpha = 0.5",
+                "--set", "f = 0.25", "--set", "mflms_mu1 = 0.01"]
+RUN_LABELS = {
+    "lms": "LMS(eta=0.042)",
+    "momentum_lms": "mLMS(eta=0.01) a=0.5",
+    "flms": "FLMS(f=0.25)",
+    "mflms": "mFLMS(f=0.25) a=0.5",
+    "mflms_published16": "mFLMS-published(f=0.25) a=0.5",
+    "mflms_corrected": "mFLMS-corrected(f=0.25) a=0.5",
+}
+
+
 class TestRun:
     def test_missing_scenario_keys_exit_1(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path)]) == 1
@@ -253,22 +269,43 @@ class TestRun:
         assert code == 0
         assert (out / "aggregates.csv").read_text().strip().split("\n")[1].startswith("0.30,mflms,")
 
-    @pytest.mark.parametrize("algorithm", ["momentum_lms", "flms", "mflms_corrected"])
-    def test_run_other_variants(self, tmp_path, algorithm):
+    @pytest.mark.parametrize("algorithm", list(RUN_LABELS))
+    def test_run_other_variants(self, tmp_path, capsys, algorithm):
         out = tmp_path / algorithm
         code = main([
-            "run", "--out", str(out), "--seed", "42",
-            "--set", "noise_level=0.30",
-            "--set", "alpha=0.2",
-            "--set", "f=0.25",
+            "run", "--out", str(out), "--seed", "42", *RUN_SCENARIO,
             "--set", f"algorithm={algorithm}",
-            "--set", "mflms_mu1=0.01",
             "--set", "n_runs=5",
             "--set", "n_iters=200",
         ])
         assert code == 0
+        assert capsys.readouterr().out.startswith(f"{RUN_LABELS[algorithm]} @ sigma=0.30: ")
         row = (out / "aggregates.csv").read_text().strip().split("\n")[1]
         assert row.startswith(f"0.30,{algorithm},")
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_each_algorithm_takes_only_its_keys(self, variant):
+        # LMS runs at the lms_eta paired with alpha 0.5, the others at
+        # mflms_mu1; FLMS takes no alpha, and only FLMS and mFLMS take a
+        # fractional step size, by default mu1*Gamma(2-f).
+        keys = [item for item in RUN_SCENARIO if item != "--set"]
+        settings = parse_config("\n".join([*keys, f"algorithm = {variant.value}"]))
+        scenario = settings.single_scenario()
+        default = default_muf(0.01, 0.25)
+        mu1, muf, f, alpha = {
+            Variant.LMS: (0.042, 0.0, 0.5, 0.0),
+            Variant.MOMENTUM_LMS: (0.01, 0.0, 0.25, 0.5),
+            Variant.FLMS: (0.01, default, 0.25, 0.0),
+            Variant.MFLMS_ASSEMBLED: (0.01, default, 0.25, 0.5),
+            Variant.MFLMS_PUBLISHED16: (0.01, 0.0, 0.25, 0.5),
+            Variant.MFLMS_CORRECTED: (0.01, 0.0, 0.25, 0.5),
+        }[variant]
+        expected = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=variant)
+        assert _single_algorithm(settings, scenario) == expected
+        # mflms_muf is no configuration key, but a library scenario may set it.
+        fractional = variant in (Variant.FLMS, Variant.MFLMS_ASSEMBLED)
+        got = _single_algorithm(settings, replace(scenario, mflms_muf=0.003))
+        assert got == (replace(expected, muf=0.003) if fractional else expected)
 
 
 class TestCalibrate:
@@ -355,8 +392,10 @@ class TestErrors:
         assert main(["grid", "--config", str(tmp_path / "nope.cfg")]) == 1
 
     def test_env_worker_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LMSLAB_MAX_WORKERS", "2")
-        out = tmp_path / "a"
-        assert main(["grid", "--out", str(out), "--seed", "42", *SMALL_GRID]) == 0
+        # LMSLAB_MAX_WORKERS is no longer read: a malformed value changes nothing.
         monkeypatch.setenv("LMSLAB_MAX_WORKERS", "not-a-number")
-        assert main(["grid", "--out", str(tmp_path / "b"), *SMALL_GRID]) == 1
+        assert main(["grid", "--out", str(tmp_path / "a"), "--seed", "42", *SMALL_GRID]) == 0
+
+    def test_workers_must_be_positive(self, capsys):
+        assert main(["grid", "--workers", "0", *SMALL_GRID]) == 1
+        assert "--workers must be a positive integer" in capsys.readouterr().err

@@ -232,7 +232,8 @@ class TestParserIsTheLibrary:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(st.sampled_from(sorted(config._CHOICES)),
-           st.sampled_from(["variance", "std", "aphi", "bc", *(v.value for v in Variant)])
+           st.sampled_from(["variance", "std", "aphi", "bc", *(v.value for v in Variant),
+                            "STD", "Variance", "BC", "Aphi", "LMS", "mFLMS"])
            | st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8))
     def test_choices(self, key, value):
         assert _parser_takes(key, value) == _library_takes(key, value)

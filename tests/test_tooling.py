@@ -5,7 +5,8 @@ The harness wraps module-level functions of ``lmslab.experiment`` and
 more.  A refactor that renames or removes one of them leaves that layer
 unmeasured instead of failing, so this test reads the harness's name
 lists (without importing or changing the harness) and checks that each
-name still resolves to a callable.  The harness's correctness checks
+name still resolves to a callable, and that its list of variants names
+every update rule in order.  The harness's correctness checks
 also parse the order of calibration curves and log lines; a small grid
 must pass them.  Every module's ``__all__`` and the package's re-exports
 must resolve too, and README's configuration block must state the
@@ -31,6 +32,7 @@ import lmslab
 import lmslab.cli
 import lmslab.experiment
 from lmslab.config import parse_config
+from lmslab.filters import KINDS, Variant
 from lmslab.reporting import write_aggregates_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,15 +40,20 @@ PERFBENCH = ROOT / "perfbench"
 SRC = Path(lmslab.__file__).resolve().parents[1]
 
 
-def _targets(name):
-    """Attribute names listed in the ``spans.py`` tuple ``name``."""
-    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+def _literal(module, name):
+    """The literal that the harness module ``module`` assigns to ``name``, read without importing it."""
+    tree = ast.parse((PERFBENCH / module).read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return [attr for attr, _layer in ast.literal_eval(node.value)]
-    raise AssertionError(f"perfbench/spans.py no longer defines {name}")
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{module} no longer defines {name}")
+
+
+def _targets(name):
+    """Attribute names listed in the ``spans.py`` tuple ``name``."""
+    return [attr for attr, _layer in _literal("spans.py", name)]
 
 
 @pytest.mark.parametrize("module, name", [
@@ -58,6 +65,14 @@ def test_span_targets_are_callable(module, name):
     assert attrs
     missing = [a for a in attrs if not callable(getattr(module, a, None))]
     assert not missing, f"{module.__name__} lacks {missing}"
+
+
+def test_harness_times_every_update_rule():
+    # The harness files a step's time under its variant's place in
+    # VARIANTS and an unknown variant under -1, so a rule missing there
+    # would run with its step cost unrecorded.
+    assert list(_literal("workloads.py", "VARIANTS")) == [v.value for v in Variant]
+    assert KINDS.keys() == set(Variant)
 
 
 MODULES = [m.name for m in pkgutil.iter_modules(lmslab.__path__)]
