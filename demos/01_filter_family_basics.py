@@ -61,9 +61,10 @@ print()
 print("The collapsed published recursion drops the plain gradient term, so")
 print("from w = 0 the update is proportional to |w|**(1-f) = 0 and nothing")
 print("ever moves; the corrected recursion keeps the term and escapes.")
-published = FilterParams(mu1=0.05, muf=default_muf(0.05, 0.5), f=0.5, alpha=0.4,
+# Both read mu1 where mFLMS reads muf/Gamma(2-f), so they take muf = 0.
+published = FilterParams(mu1=0.05, muf=0.0, f=0.5, alpha=0.4,
                          variant=Variant.MFLMS_PUBLISHED16)
-corrected = FilterParams(mu1=0.05, muf=default_muf(0.05, 0.5), f=0.5, alpha=0.4,
+corrected = FilterParams(mu1=0.05, muf=0.0, f=0.5, alpha=0.4,
                          variant=Variant.MFLMS_CORRECTED)
 print("published form after 400 steps:", run(published))
 print("corrected form after 400 steps:", np.round(run(corrected), 3))

@@ -3,15 +3,19 @@
 The package provides:
 
 * :mod:`lmslab.kernels` -- Gamma function and fractional magnitude kernels;
-* :mod:`lmslab.filters` -- one-step update rules for LMS, momentum LMS,
-  fractional LMS and three momentum-fractional variants;
+* :mod:`lmslab.filters` -- the update rules of LMS, momentum LMS,
+  fractional LMS and three momentum-fractional variants, applied by one
+  step function;
 * :mod:`lmslab.signal_model` -- the multi-harmonic benchmark signal and
   its parameter transforms;
 * :mod:`lmslab.metrics` -- normalized weight difference and MSE;
 * :mod:`lmslab.experiment` -- the deterministic Monte-Carlo engine,
   step-size calibration and the full scenario grid;
-* :mod:`lmslab.reporting` -- table and learning-curve rendering;
+* :mod:`lmslab.reporting` -- the grid's tables, learning-curve files and
+  aggregates dump;
 * :mod:`lmslab.cli` -- the ``lmslab`` command.
+
+The names imported below are the package's public surface.
 """
 
 from .filters import (
@@ -22,13 +26,6 @@ from .filters import (
     Variant,
     WEIGHT_LIMIT,
     default_muf,
-    flms_step,
-    lms_step,
-    make_filter,
-    mflms_assembled_step,
-    mflms_corrected_step,
-    mflms_published16_step,
-    momentum_lms_step,
     step,
 )
 from .kernels import abs_pow, gamma
@@ -39,14 +36,12 @@ from .experiment import (
     CalibrationError,
     GridConfig,
     GridEntry,
-    RunTrajectory,
     ScenarioConfig,
     calibrate_mu1,
     full_grid,
     lms_params,
     mflms_params,
     run_monte_carlo,
-    run_single,
 )
 from .signal_model import (
     HarmonicSpec,

@@ -77,6 +77,7 @@ running the cells one by one.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -104,11 +105,9 @@ __all__ = [
     "ScenarioConfig",
     "GridConfig",
     "GridEntry",
-    "RunTrajectory",
     "AggregateResult",
     "CalibrationError",
     "AllRunsDivergedError",
-    "run_single",
     "run_monte_carlo",
     "Calibration",
     "calibrate_mu1",
@@ -234,13 +233,19 @@ def _check_fields(config) -> None:
     A grid axis (a tuple field) is checked value by value; a field whose
     default is None may be None.  ``metric_space`` is held as the enum.
     """
-    for f in fields(config):
-        rule, value = RANGES.get(f.name), getattr(config, f.name)
-        if rule is not None and not (value is None and f.default is None):
-            value = (tuple(rule.check(f.name, x) for x in value) if isinstance(f.default, tuple)
-                     else rule.check(f.name, value))
-            object.__setattr__(config, f.name, value)
+    for name, rule, axis, optional in _field_checks(type(config)):
+        value = getattr(config, name)
+        if not (value is None and optional):
+            value = tuple(rule.check(name, x) for x in value) if axis else rule.check(name, value)
+            object.__setattr__(config, name, value)
     object.__setattr__(config, "metric_space", MetricSpace(config.metric_space))
+
+
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """``(name, rule, is_axis, may_be_none)`` of each field of ``cls`` that :data:`RANGES` names; built once a class."""
+    return tuple((f.name, RANGES[f.name], isinstance(f.default, tuple), f.default is None)
+                 for f in fields(cls) if f.name in RANGES)
 
 
 class CalibrationError(RuntimeError):
@@ -284,16 +289,6 @@ class ScenarioConfig:
         """Iteration indices at which ensemble fitness is recorded."""
         k = self.checkpoint_interval
         return np.arange(k, self.n_iters + 1, k)
-
-
-@dataclass
-class RunTrajectory:
-    """Checkpointed fitness and final parameters of one run."""
-
-    nwd_at_checkpoints: np.ndarray
-    final_theta_aphi: np.ndarray
-    final_theta_bc: np.ndarray
-    diverged: bool
 
 
 @dataclass
@@ -580,24 +575,6 @@ class _Means:
 def _row_by_row(x: np.ndarray) -> bool:
     """Whether numpy's ``x.mean(axis=0)`` sums ``x`` row by row, not pairwise."""
     return x.ndim > 1 and x.shape[1] > 1
-
-
-def run_single(algorithm: FilterParams, scenario: ScenarioConfig, run_index: int) -> RunTrajectory:
-    """One seeded run: Gaussian weight init, noisy samples, checkpointed fitness.
-
-    Identical ``(algorithm, scenario, run_index)`` always reproduce the
-    same trajectory bit for bit.  Divergence is recorded, not raised.
-    """
-    if not 0 <= run_index < scenario.n_runs:
-        raise ValueError("run_index out of range")
-    nwd_ck, final_bc, frozen = _simulate(algorithm, scenario, [run_index])
-    final_bc = final_bc[0]
-    return RunTrajectory(
-        nwd_at_checkpoints=nwd_ck[0],
-        final_theta_aphi=aphi_from_bc(final_bc),
-        final_theta_bc=final_bc,
-        diverged=bool(frozen[0]),
-    )
 
 
 def _add_finals(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:

@@ -15,16 +15,18 @@ forms: plain ``w' = w + g``; velocity ``v' = alpha*v + g``,
     MFLMS_CORRECTED     collapsed  mu1   mu1             mFLMS-corrected
 
 This table is :data:`KINDS`; every per-rule decision reads it.  A rule
-whose ``b`` is 0 takes no ``muf`` and one of plain form no ``alpha``
+whose ``b`` does not read ``muf`` takes none (the collapsed forms read
+``mu1`` in its place) and one of plain form no ``alpha``
 (:class:`FilterParams` requires them 0); ``muf`` defaults to
 :func:`default_muf` where ``b`` reads it, else to 0.  Table rows read
 ``name(eta=...)`` where ``b`` is 0, else ``name(f=...)``, then
 `` a=...`` where the rule takes ``alpha``.
 
-``b = 0`` whenever ``muf = 0``, so the reduction identities between
-variants hold to the bit.  ``MFLMS_ASSEMBLED`` is the canonical
-momentum-fractional variant of the benchmark.  ``MFLMS_PUBLISHED16``
-presumes ``muf = mu1*Gamma(2-f)`` and drops the plain gradient term:
+Where ``b`` reads ``muf``, ``b = 0`` whenever ``muf = 0``, so the
+reduction identities between variants hold to the bit.
+``MFLMS_ASSEMBLED`` is the canonical momentum-fractional variant of the
+benchmark.  ``MFLMS_PUBLISHED16`` presumes ``muf = mu1*Gamma(2-f)``
+(its ``b`` is ``mu1``) and drops the plain gradient term:
 from a zero start it never leaves the origin, and it exists so that
 defect is testable.  ``MFLMS_CORRECTED`` restores the term.  As
 ``v = w - w_prev`` in exact arithmetic, the collapsed form evaluates
@@ -35,8 +37,8 @@ where ``(w + alpha*m) + g`` drifts to about 1e-13.
 
 Filters know nothing about the signal model: the caller supplies the
 regressor/desired pair for each step.  :func:`advance` is the one
-batched in-place kernel.  :func:`step` and the ``*_step`` names wrap it
-as pure state transitions; the experiment engine calls
+batched in-place kernel.  :func:`step` wraps it as a pure state
+transition; the experiment engine calls
 ``step(..., in_place=True, work=...)``, which reuses the state's buffers
 and a batch's :func:`workspace`, and leaves the divergence guard to the
 caller (:func:`diverged_rows`).
@@ -69,17 +71,10 @@ __all__ = [
     "DivergenceError",
     "WEIGHT_LIMIT",
     "default_muf",
-    "make_filter",
     "update_rule",
     "workspace",
     "advance",
     "step",
-    "lms_step",
-    "momentum_lms_step",
-    "flms_step",
-    "mflms_assembled_step",
-    "mflms_published16_step",
-    "mflms_corrected_step",
     "diverged_rows",
 ]
 
@@ -184,7 +179,7 @@ class FilterParams:
             raise ValueError("muf must be non-negative and finite")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        unused = [name for name, used in (("muf", kind.b is not None), ("alpha", kind.takes_alpha)) if not used]
+        unused = [name for name, used in (("muf", kind.b == "muf"), ("alpha", kind.takes_alpha)) if not used]
         if any(getattr(self, name) != 0 for name in unused):
             raise ValueError(f"{kind.name} requires {' and '.join(f'{name} = 0' for name in unused)}")
 
@@ -219,34 +214,6 @@ class StepRecord:
     """The instantaneous (pre-update) error of a step."""
 
     error: float | np.ndarray
-
-
-def make_filter(
-    variant: Variant,
-    mu1: float,
-    muf: float | None,
-    f: float,
-    alpha: float,
-    m: int,
-    initial_w,
-) -> tuple[FilterState, FilterParams]:
-    """Build a validated parameter set and a cold-start state.
-
-    ``initial_w`` is injected by the caller (the benchmark initialises
-    weights from standard Gaussian draws); ``muf=None`` selects the
-    rule's default (see :class:`FilterParams`).
-
-    Returns the state (``w = w_prev = initial_w``, zero velocity,
-    ``n = 0``) together with the parameters.
-    """
-    params = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=variant)
-    w0 = np.asarray(initial_w, dtype=np.float64)
-    if w0.ndim != 1 or len(w0) != m:
-        raise ValueError(f"initial_w must be a vector of length {m}")
-    if not np.all(np.isfinite(w0)):
-        raise ValueError("initial_w must be finite")
-    state = FilterState(w=w0.copy(), w_prev=w0.copy(), v=np.zeros(m), n=0)
-    return state, params
 
 
 def _pairwise_sum(x: np.ndarray):
@@ -408,22 +375,3 @@ def step(
             f"at iteration {new.n}"
         )
     return new, StepRecord(error=float(e) if e.ndim == 0 else e)
-
-
-def _variant_step(variant: Variant, doc: str):
-    def variant_step(state: FilterState, u, d, params: FilterParams):
-        if params.variant is not variant:
-            raise ValueError(f"params.variant is {params.variant}, expected {variant}")
-        return step(state, u, d, params)
-
-    variant_step.__name__ = variant_step.__qualname__ = f"{variant.name.lower()}_step"
-    variant_step.__doc__ = doc
-    return variant_step
-
-
-lms_step = _variant_step(Variant.LMS, "Plain LMS update.")
-momentum_lms_step = _variant_step(Variant.MOMENTUM_LMS, "LMS through the velocity accumulator.")
-flms_step = _variant_step(Variant.FLMS, "Fractional LMS update.")
-mflms_assembled_step = _variant_step(Variant.MFLMS_ASSEMBLED, "FLMS through the velocity accumulator.")
-mflms_published16_step = _variant_step(Variant.MFLMS_PUBLISHED16, "Collapsed form without the plain term.")
-mflms_corrected_step = _variant_step(Variant.MFLMS_CORRECTED, "Collapsed form with the plain term restored.")

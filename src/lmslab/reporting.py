@@ -39,14 +39,10 @@ __all__ = [
     "ReportTable",
     "fitness_table",
     "estimation_table",
-    "learning_curves",
-    "render_table_csv",
     "render_table_text",
-    "parse_table_csv",
     "write_grid_outputs",
     "write_aggregates_csv",
     "read_aggregates_csv",
-    "grid_file_names",
 ]
 
 
@@ -121,11 +117,6 @@ def estimation_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
     )
 
 
-def learning_curves(entries: list[GridEntry]) -> str:
-    """Columnar checkpoint curves: one iteration column, one column per series."""
-    return "".join(_curves(entries, [_reprs(e.aggregate.mean_nwd_at_checkpoints) for e in entries]))
-
-
 def _floats(values) -> list[float]:
     return np.asarray(values, dtype=np.float64).tolist()
 
@@ -162,28 +153,6 @@ def _csv_lines(headers: list[str], rows):
     yield "label," + ",".join(headers) + "\n"
     for label, cells in rows:
         yield label + "," + cells + "\n"
-
-
-def _table_csv(table: ReportTable):
-    return _csv_lines(table.column_headers, ((label, ",".join(_reprs(values))) for label, values in table.rows))
-
-
-def render_table_csv(table: ReportTable) -> str:
-    """Machine-readable table: full-precision values, one header line."""
-    return "".join(_table_csv(table))
-
-
-def parse_table_csv(text: str) -> ReportTable:
-    """Inverse of :func:`render_table_csv` (labels must be comma-free)."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty table")
-    headers = lines[0].split(",")[1:]
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append((cells[0], [float(c) for c in cells[1:]]))
-    return ReportTable(title="", column_headers=headers, rows=rows)
 
 
 def render_table_text(table: ReportTable) -> str:
@@ -352,7 +321,8 @@ def _grid_files(entries: list[GridEntry], include_aggregates: bool = False):
             nwd[i] = text
         yield f"fitness_sigma{sig}.csv", _csv_lines(ftab.column_headers, zip((e.label for e in block), texts))
         yield f"fitness_sigma{sig}.txt", _table_text(ftab)
-        yield f"estimation_sigma{sig}.csv", _table_csv(etab)
+        yield f"estimation_sigma{sig}.csv", _csv_lines(etab.column_headers,
+                                                      ((label, ",".join(_reprs(v))) for label, v in etab.rows))
         yield f"estimation_sigma{sig}.txt", _table_text(etab)
         lms_rows = ftab.highlight_rows
         for f in dict.fromkeys(e.f for e in block if e.f is not None):
@@ -361,16 +331,6 @@ def _grid_files(entries: list[GridEntry], include_aggregates: bool = False):
                    _curves([block[j] for j in series], [texts[j].split(",") for j in series]))
     if include_aggregates:
         yield "aggregates.csv", _aggregates(entries, nwd)
-
-
-def grid_file_names(entries: list[GridEntry]) -> dict[str, str]:
-    """Map of output file name to content for a set of grid entries, ``aggregates.csv`` aside.
-
-    Per noise level the fitness and estimation tables (``.csv`` and
-    ``.txt``) and one curves file per fractional order; see
-    :func:`_grid_files`.
-    """
-    return {name: "".join(pieces) for name, pieces in _grid_files(entries)}
 
 
 def write_grid_outputs(entries: list[GridEntry], out_dir, include_aggregates: bool = True) -> list[Path]:

@@ -28,9 +28,6 @@ from lmslab.filters import (
     FilterParams,
     FilterState,
     Variant,
-    default_muf,
-    mflms_corrected_step,
-    mflms_published16_step,
     step,
 )
 from lmslab.kernels import gamma
@@ -106,13 +103,12 @@ def test_criterion_2_discrepancy_identity():
         m, w, v, u, d, mu1, _, f = random_step_inputs(rng)
         w_prev = rng.normal(0, 2, m)
         alpha = float(rng.uniform(0, 0.95))
-        muf = default_muf(mu1, f)
-        pc = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=Variant.MFLMS_CORRECTED)
-        pp = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=Variant.MFLMS_PUBLISHED16)
+        pc = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha, variant=Variant.MFLMS_CORRECTED)
+        pp = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha, variant=Variant.MFLMS_PUBLISHED16)
         sc = FilterState(w=w.copy(), w_prev=w_prev.copy(), v=v.copy())
         sp = FilterState(w=w.copy(), w_prev=w_prev.copy(), v=v.copy())
-        nc, rc = mflms_corrected_step(sc, u, d, pc)
-        np16, _ = mflms_published16_step(sp, u, d, pp)
+        nc, rc = step(sc, u, d, pc)
+        np16, _ = step(sp, u, d, pp)
         expected = mu1 * rc.error * u
         scale = max(np.linalg.norm(expected), np.linalg.norm(w))
         err = np.linalg.norm((nc.w - np16.w) - expected) / scale
@@ -127,14 +123,13 @@ def test_criterion_3_published_form_origin_stall():
     rng = np.random.default_rng(SEED)
     mu1, alpha, f = 0.01, 0.2, 0.5
 
-    pp = FilterParams(mu1=mu1, muf=default_muf(mu1, f), f=f, alpha=alpha,
-                      variant=Variant.MFLMS_PUBLISHED16)
+    pp = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha, variant=Variant.MFLMS_PUBLISHED16)
     state = FilterState(w=np.zeros(8), w_prev=np.zeros(8), v=np.zeros(8))
     psi = regressor(spec.frequencies, np.arange(1, 10_001))
     noise = rng.normal(0.0, SIGMA_030, 10_000)
     for k in range(10_000):
         d = float((psi[k] * truth.theta_bc).sum() + noise[k])
-        state, _ = mflms_published16_step(state, psi[k], d, pp)
+        state, _ = step(state, psi[k], d, pp)
     stalled = np.all(state.w == 0.0) and np.all(state.w_prev == 0.0)
 
     pc = replace(pp, variant=Variant.MFLMS_CORRECTED)
@@ -142,7 +137,7 @@ def test_criterion_3_published_form_origin_stall():
     noise = rng.normal(0.0, SIGMA_030, 1000)
     for k in range(1000):
         d = float((psi[k] * truth.theta_bc).sum() + noise[k])
-        state, _ = mflms_corrected_step(state, psi[k], d, pc)
+        state, _ = step(state, psi[k], d, pc)
     final_nwd = nwd(aphi_from_bc(state.w), truth.theta_aphi)
     announce(3, "published form stalls at origin, corrected form converges",
              stalled and final_nwd < 0.5,
@@ -161,10 +156,10 @@ def test_criterion_4_step_oracle_equivalence():
         alpha = float(rng.uniform(0, 0.95))
         if variant is Variant.LMS:
             muf, alpha = 0.0, 0.0
-        elif variant is Variant.MOMENTUM_LMS:
-            muf = 0.0
         elif variant is Variant.FLMS:
             alpha = 0.0
+        elif variant is not Variant.MFLMS_ASSEMBLED:
+            muf = 0.0  # momentum LMS has no fractional term; the collapsed forms read mu1 for it
         params = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=variant)
         w_prev = rng.normal(0, 2, m)
         state = FilterState(w=w.copy(), w_prev=w_prev.copy(), v=v.copy())

@@ -29,6 +29,20 @@ SMALL_GRID = [
 ]
 
 
+def numpy_platform() -> str:
+    """numpy's version and SIMD dispatch, for the golden digests' failure messages.
+
+    numpy picks its loops for the CPU at import; without its AVX-512 loops
+    np.power and np.arctan2 differ in the last bit, and so do the digests.
+    """
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    missing = [name for name in umath.__cpu_dispatch__ if name not in enabled]
+    return (f"numpy {np.__version__}, SIMD dispatch enabled: {' '.join(enabled) or 'none'}; "
+            f"not enabled: {' '.join(missing) or 'none'}. The digests were measured with numpy 2.4.6 "
+            "and X86_V3, X86_V4, AVX512_ICL and AVX512_SPR enabled")
+
+
 def tree(path):
     return {
         p.name: p.read_bytes()
@@ -82,7 +96,7 @@ class TestGrid:
         ]) == 0
         digest = hashlib.sha256((out / "aggregates.csv").read_bytes()).hexdigest()
         # Measured with numpy 2.4.6.
-        assert digest == "0066028c7da473f1576ee563f69ad83be087c62760f2bc7b90bf7928a6607e4d"
+        assert digest == "0066028c7da473f1576ee563f69ad83be087c62760f2bc7b90bf7928a6607e4d", numpy_platform()
 
     def test_seed_changes_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -165,7 +179,7 @@ class TestGoldenFiles:
     @pytest.mark.parametrize("checkpoint_interval", [20, 1])
     def test_every_grid_file_digest(self, tmp_path, checkpoint_interval):
         golden_grid(tmp_path, checkpoint_interval)
-        assert sha256s(tmp_path) == GOLDEN_FILES[checkpoint_interval]
+        assert sha256s(tmp_path) == GOLDEN_FILES[checkpoint_interval], numpy_platform()
 
     def test_report_regenerates_every_digest(self, tmp_path):
         golden_grid(tmp_path, 1)
@@ -174,7 +188,7 @@ class TestGoldenFiles:
                 path.unlink()
         assert main(["report", "--out", str(tmp_path)]) == 0
         assert len(GOLDEN_FILES[1]) == 22
-        assert sha256s(tmp_path) == GOLDEN_FILES[1]
+        assert sha256s(tmp_path) == GOLDEN_FILES[1], numpy_platform()
 
 
 class TestReport:

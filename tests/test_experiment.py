@@ -10,6 +10,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from lmslab.experiment import (
     lms_params,
     mflms_params,
     run_monte_carlo,
-    run_single,
 )
 from lmslab.filters import (
     WEIGHT_LIMIT,
@@ -36,8 +36,6 @@ from lmslab.filters import (
     FilterState,
     Variant,
     diverged_rows,
-    lms_step,
-    make_filter,
     step,
 )
 from lmslab.metrics import MetricSpace, mse, nwd
@@ -45,7 +43,7 @@ from lmslab.signal_model import aphi_from_bc, benchmark_spec, regressor, synthes
 
 
 def variant_params(variant: Variant) -> FilterParams:
-    muf = 0.0 if variant in (Variant.LMS, Variant.MOMENTUM_LMS) else 0.02
+    muf = 0.02 if variant in (Variant.FLMS, Variant.MFLMS_ASSEMBLED) else 0.0
     alpha = 0.0 if variant in (Variant.LMS, Variant.FLMS) else 0.5
     return FilterParams(mu1=0.02, muf=muf, f=0.25, alpha=alpha, variant=variant)
 
@@ -131,11 +129,10 @@ class TestScenarioValidation:
 class TestDeterminism:
     def test_run_single_repeatable(self):
         sc = scenario()
-        a = run_single(lms_params(0.1), sc, 3)
-        b = run_single(lms_params(0.1), sc, 3)
-        np.testing.assert_array_equal(a.nwd_at_checkpoints, b.nwd_at_checkpoints)
-        np.testing.assert_array_equal(a.final_theta_bc, b.final_theta_bc)
-        np.testing.assert_array_equal(a.final_theta_aphi, b.final_theta_aphi)
+        a = _simulate(lms_params(0.1), sc, [3])
+        b = _simulate(lms_params(0.1), sc, [3])
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_monte_carlo_repeatable(self):
         sc = scenario()
@@ -149,9 +146,10 @@ class TestDeterminism:
         sc = scenario(n_runs=20)
         nwd_ck, final_bc, frozen = _simulate(lms_params(0.1), sc, range(20))
         for idx in (0, 7, 19):
-            traj = run_single(lms_params(0.1), sc, idx)
-            np.testing.assert_array_equal(traj.nwd_at_checkpoints, nwd_ck[idx])
-            np.testing.assert_array_equal(traj.final_theta_bc, final_bc[idx])
+            nwd1, final1, frozen1 = _simulate(lms_params(0.1), sc, [idx])
+            np.testing.assert_array_equal(nwd1[0], nwd_ck[idx])
+            np.testing.assert_array_equal(final1[0], final_bc[idx])
+            assert frozen1[0] == frozen[idx]
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_batching_does_not_change_rows(self, variant):
@@ -173,13 +171,9 @@ class TestDeterminism:
 class TestSeeding:
     def test_runs_use_distinct_streams(self):
         sc = scenario()
-        t0 = run_single(lms_params(0.1), sc, 0)
-        t1 = run_single(lms_params(0.1), sc, 1)
-        assert not np.array_equal(t0.final_theta_bc, t1.final_theta_bc)
-
-    def test_run_index_range_checked(self):
-        with pytest.raises(ValueError):
-            run_single(lms_params(0.1), scenario(n_runs=5), 5)
+        _, final0, _ = _simulate(lms_params(0.1), sc, [0])
+        _, final1, _ = _simulate(lms_params(0.1), sc, [1])
+        assert not np.array_equal(final0, final1)
 
     def test_noise_and_init_streams_independent(self):
         # Same run at two noise levels keeps the same initial segment of
@@ -326,11 +320,11 @@ class TestSharedStreams:
     def test_run_single_draws_only_the_runs_it_names(self, draws):
         sc = scenario(n_runs=1000, n_iters=100)
         for run_index in range(40):
-            run_single(lms_params(0.1), sc, run_index)
+            _simulate(lms_params(0.1), sc, [run_index])
         assert draws == [(42, 0, r) for r in range(40)]
         window = experiment._stream_windows[0]
         assert (window.start, len(window.w0), window.z.shape) == (39, 1, (1, 100))  # the last run only
-        run_single(lms_params(0.1), sc, 999)
+        _simulate(lms_params(0.1), sc, [999])
         assert draws[40:] == [(42, 0, 999)]
 
     def test_block_grows_to_the_request_not_the_cross_product(self, draws):
@@ -411,7 +405,7 @@ FREEZING = {
 
 
 def freezing_params(variant: Variant, mu1: float) -> FilterParams:
-    muf = 0.0 if variant in (Variant.LMS, Variant.MOMENTUM_LMS) else mu1
+    muf = mu1 if variant in (Variant.FLMS, Variant.MFLMS_ASSEMBLED) else 0.0
     alpha = 0.0 if variant in (Variant.LMS, Variant.FLMS) else 0.5
     return FilterParams(mu1=mu1, muf=muf, f=0.25, alpha=alpha, variant=variant)
 
@@ -492,9 +486,9 @@ class TestFrozenRowCompaction:
 
 
 def block_params(variant: Variant, mu1: float, alpha: float) -> FilterParams:
-    fractional = variant not in (Variant.LMS, Variant.MOMENTUM_LMS)
+    takes_muf = variant in (Variant.FLMS, Variant.MFLMS_ASSEMBLED)
     momentum = variant not in (Variant.LMS, Variant.FLMS)
-    return FilterParams(mu1=mu1, muf=mu1 if fractional else 0.0, f=0.25,
+    return FilterParams(mu1=mu1, muf=mu1 if takes_muf else 0.0, f=0.25,
                         alpha=alpha if momentum else 0.0, variant=variant)
 
 
@@ -550,58 +544,62 @@ class TestBatchedBlocks:
 class TestTrajectoryContract:
     def test_checkpoint_count(self):
         sc = scenario(n_iters=600, checkpoint_interval=100)
-        traj = run_single(lms_params(0.1), sc, 0)
-        assert len(traj.nwd_at_checkpoints) == 6
-        assert np.all(traj.nwd_at_checkpoints >= 0)
-        assert np.all(np.isfinite(traj.nwd_at_checkpoints))
+        nwd_ck, _, _ = _simulate(lms_params(0.1), sc, [0])
+        assert nwd_ck.shape == (1, 6)
+        assert np.all(nwd_ck >= 0)
+        assert np.all(np.isfinite(nwd_ck))
 
     def test_noiseless_truth_start_is_fixed_point(self):
         # Driving the filter by hand from the true weights with zero
         # noise: the error is identically zero and NWD stays at zero.
         spec, truth = benchmark_spec(noise_std=0.0)
-        state, params = make_filter(Variant.LMS, 0.1, 0.0, 0.5, 0.0, 8, truth.theta_bc)
+        state = FilterState(truth.theta_bc.copy(), truth.theta_bc.copy(), np.zeros(8))
+        params = lms_params(0.1)
         for n in range(1, 301):
             u = regressor(spec.frequencies, n)
             d = synthesize(spec, n, 0.0)
-            state, rec = lms_step(state, u, d, params)
+            state, rec = step(state, u, d, params)
             assert rec.error == 0.0
         assert nwd(state.w, truth.theta_bc) == 0.0
 
     def test_final_parameters_consistent(self):
+        # The ensemble's final parameters are the mean of each run's final
+        # weights in amplitude-phase form.
         sc = scenario()
-        traj = run_single(lms_params(0.1), sc, 2)
-        from lmslab.signal_model import aphi_from_bc
-
-        np.testing.assert_array_equal(traj.final_theta_aphi, aphi_from_bc(traj.final_theta_bc))
+        _, final_bc, frozen = _simulate(lms_params(0.1), sc, range(sc.n_runs))
+        assert not frozen.any()
+        agg = run_monte_carlo(lms_params(0.1), sc)
+        np.testing.assert_array_equal(agg.mean_final_theta_aphi, aphi_from_bc(final_bc).mean(axis=0))
 
 
 class TestAggregation:
     def test_single_run_aggregate_equals_trajectory(self):
         sc = scenario(n_runs=1)
-        traj = run_single(lms_params(0.1), sc, 0)
+        nwd_ck, final_bc, frozen = _simulate(lms_params(0.1), sc, [0])
+        final_aphi = aphi_from_bc(final_bc[0])
         agg = run_monte_carlo(lms_params(0.1), sc)
-        np.testing.assert_array_equal(agg.mean_nwd_at_checkpoints, traj.nwd_at_checkpoints)
-        np.testing.assert_array_equal(agg.mean_final_theta_aphi, traj.final_theta_aphi)
+        np.testing.assert_array_equal(agg.mean_nwd_at_checkpoints, nwd_ck[0])
+        np.testing.assert_array_equal(agg.mean_final_theta_aphi, final_aphi)
         _, truth = benchmark_spec()
         assert agg.mse_of_mean == pytest.approx(
-            mse(traj.final_theta_aphi, truth.theta_aphi), rel=1e-15
+            mse(final_aphi, truth.theta_aphi), rel=1e-15
         )
-        assert agg.divergence_count == 0
+        assert agg.divergence_count == 0 and not frozen[0]
 
     def test_divergent_runs_recorded_and_excluded(self):
         # An unstable step size makes every run blow past the guard.
         sc = scenario(n_runs=6, n_iters=200)
         unstable = lms_params(3.0)
-        traj = run_single(unstable, sc, 0)
-        assert traj.diverged
+        _, _, frozen = _simulate(unstable, sc, [0])
+        assert frozen[0]
         with pytest.raises(AllRunsDivergedError):
             run_monte_carlo(unstable, sc)
 
     def test_frozen_run_keeps_in_bound_weights(self):
-        traj = run_single(lms_params(3.0), scenario(n_runs=6, n_iters=200), 0)
-        assert traj.diverged
-        assert np.all(np.isfinite(traj.final_theta_bc))
-        assert np.all(np.abs(traj.final_theta_bc) <= WEIGHT_LIMIT)
+        _, final_bc, frozen = _simulate(lms_params(3.0), scenario(n_runs=6, n_iters=200), [0])
+        assert frozen[0]
+        assert np.all(np.isfinite(final_bc[0]))
+        assert np.all(np.abs(final_bc[0]) <= WEIGHT_LIMIT)
 
     def test_partial_divergence_keeps_means_finite(self):
         # A step size at the edge of stability splits the ensemble
@@ -897,6 +895,54 @@ class TestCalibration:
         assert next(grid_reads, None) is None
         references = [curve for a, curve in calls if a.variant is Variant.LMS]
         assert {bool(c[0] > experiment._CONVERGED_RATIO * c[-1]) for c in references} == {True, False}
+
+
+def documented_mu1() -> dict:
+    """The calibrated ``mu1`` table of ``docs/reproduction_notes.md``: ``(level, alpha, f) -> text``."""
+    notes = (Path(__file__).resolve().parents[1] / "docs" / "reproduction_notes.md").read_text()
+    section = notes.split("## Calibrated step sizes", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in section.splitlines() if line.startswith("|")]
+    header, body = rows[0], rows[2:]
+    blocks = [re.fullmatch(r"a=([\d.]+), f=([\d./]+)", cell).groups() for cell in header[1:]]
+    table = {}
+    for level, *cells in body:
+        for (alpha, orders), cell in zip(blocks, cells, strict=True):
+            for f, value in zip(orders.split("/"), cell.split(" / "), strict=True):
+                table[float(level), float(alpha), float(f)] = value
+    return table
+
+
+class TestCalibrationOracle:
+    """The default grid's calibration, checked against the documented table and the naive engine."""
+
+    def test_default_grid_matches_the_notes_and_a_naive_resimulation(self):
+        config = GridConfig()
+        records = calibrate_grid(config)
+        documented = documented_mu1()
+        assert len(records) == len(documented) == 27
+
+        def fitness(algorithm, sc):
+            # Mean NWD at the target (first) checkpoint over the in-bound
+            # calibration runs, re-simulated by the naive oracle.
+            sc = replace(sc, n_runs=config.calibration_runs, n_iters=sc.checkpoint_interval)
+            nwd_ck, _, frozen = naive_simulate(algorithm, sc, range(sc.n_runs), experiment._DOMAIN_CALIBRATION)
+            return float(nwd_ck[~frozen, 0].mean())
+
+        tolerance = config.calibration_tolerance
+        ascending = []
+        for level, record in records:
+            sc = record.scenario
+            assert record.miss is None
+            assert f"{record.mu1:.5f}" == documented[level, sc.alpha, sc.f], (level, sc.alpha, sc.f)
+            target = fitness(lms_params(sc.lms_eta), sc)
+            excess = fitness(mflms_params(record.mu1, sc.alpha, sc.f), sc) / target - 1
+            assert abs(excess) <= tolerance, (level, sc.alpha, sc.f, excess)
+            if sc.alpha == 0.8:
+                ascending.append(excess / tolerance)
+        # At a=0.8 the reference is already at steady state, so the search
+        # takes the upper part of the band: the fastest-converging match.
+        assert len(ascending) == 9
+        assert all(0.5 <= x <= 1.0 for x in ascending), ascending
 
 
 class TestFullGrid:

@@ -22,13 +22,6 @@ from lmslab.filters import (
     advance,
     default_muf,
     diverged_rows,
-    flms_step,
-    lms_step,
-    make_filter,
-    mflms_assembled_step,
-    mflms_corrected_step,
-    mflms_published16_step,
-    momentum_lms_step,
     step,
     update_rule,
     workspace,
@@ -94,6 +87,8 @@ def random_case(rng, variant):
         muf, alpha = float(rng.uniform(0, 0.3)), 0.0
     else:
         muf, alpha = float(rng.uniform(0, 0.3)), float(rng.uniform(0, 0.95))
+    if variant in (Variant.MFLMS_PUBLISHED16, Variant.MFLMS_CORRECTED):
+        muf = 0.0  # drawn all the same, so the draws after it do not move
     params = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha, variant=variant)
     state = state_of(rng.normal(0, 2, m), rng.normal(0, 2, m), rng.normal(0, 1, m))
     u = rng.normal(0, 1.5, m)
@@ -122,6 +117,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             params_of(Variant.MFLMS_ASSEMBLED, **{field: value})
 
+    @pytest.mark.parametrize("variant, name", [
+        (Variant.MFLMS_PUBLISHED16, "mFLMS-published"), (Variant.MFLMS_CORRECTED, "mFLMS-corrected"),
+    ], ids=["mflms_published16", "mflms_corrected"])
+    def test_collapsed_forms_take_no_muf(self, variant, name):
+        # Their b reads mu1, so a muf would be ignored: it is refused, and
+        # None resolves to 0 as for LMS.
+        for muf in (5.0, default_muf(0.01, 0.25)):
+            with pytest.raises(ValueError, match=f"^{name} requires muf = 0$"):
+                params_of(variant, mu1=0.01, muf=muf, f=0.25, alpha=0.2)
+        assert params_of(variant, mu1=0.01, muf=None, f=0.25, alpha=0.2).muf == 0.0
+
     def test_variant_constraints(self):
         with pytest.raises(ValueError):
             params_of(Variant.LMS, muf=0.1)
@@ -134,39 +140,45 @@ class TestParamsValidation:
 
 
 class TestMakeFilter:
+    """A filter as demo 01 makes one: a :class:`FilterParams` and a cold-start :class:`FilterState`."""
+
     def test_cold_start(self):
-        state, params = make_filter(Variant.LMS, 0.1, 0.0, 0.5, 0.0, 8, np.zeros(8))
+        w0 = np.zeros(8)
+        state = FilterState(w0.copy(), w0.copy(), np.zeros(8))
         assert state.n == 0
         np.testing.assert_array_equal(state.w, np.zeros(8))
         np.testing.assert_array_equal(state.w_prev, np.zeros(8))
         np.testing.assert_array_equal(state.v, np.zeros(8))
+        assert state.w is not state.w_prev
 
     def test_gaussian_init_accepted(self):
         rng = np.random.default_rng(0)
         w0 = rng.standard_normal(8)
-        state, params = make_filter(
-            Variant.MFLMS_ASSEMBLED, 0.027, 0.027 * math.gamma(1.75), 0.25, 0.2, 8, w0
-        )
+        state = FilterState(w0.copy(), w0.copy(), np.zeros(8))
+        params = FilterParams(mu1=0.027, muf=0.027 * math.gamma(1.75), f=0.25, alpha=0.2,
+                              variant=Variant.MFLMS_ASSEMBLED)
         np.testing.assert_array_equal(state.w, w0)
         assert params.muf == pytest.approx(default_muf(0.027, 0.25), rel=1e-12)
 
     def test_default_muf(self):
-        _, params = make_filter(Variant.MFLMS_ASSEMBLED, 0.1, None, 0.25, 0.2, 4, np.zeros(4))
+        params = FilterParams(mu1=0.1, muf=None, f=0.25, alpha=0.2, variant=Variant.MFLMS_ASSEMBLED)
         assert params.muf == pytest.approx(0.1 * math.gamma(1.75), rel=1e-12)
-        _, params = make_filter(Variant.LMS, 0.1, None, 0.5, 0.0, 4, np.zeros(4))
+        params = FilterParams(mu1=0.1, muf=None, f=0.5, alpha=0.0, variant=Variant.LMS)
         assert params.muf == 0.0
 
     def test_boundary_rejection(self):
         with pytest.raises(ValueError):
-            make_filter(Variant.MFLMS_ASSEMBLED, 0.1, None, 0.5, 1.0, 4, np.zeros(4))
+            FilterParams(mu1=0.1, muf=None, f=0.5, alpha=1.0, variant=Variant.MFLMS_ASSEMBLED)
         with pytest.raises(ValueError):
-            make_filter(Variant.LMS, 0.1, 0.0, 0.5, 0.0, 4, np.zeros(3))
+            FilterState(np.zeros(3), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="regressor length 4 does not match filter length 3"):
+            step(state_of(np.zeros(3)), np.zeros(4), 0.0, params_of(Variant.LMS))
 
 
 class TestHandDerivedExamples:
     def test_lms_one_step(self):
         state = state_of([0.0, 0.0])
-        new, rec = lms_step(state, [1.0, 0.0], 1.0, params_of(Variant.LMS, mu1=0.5))
+        new, rec = step(state, [1.0, 0.0], 1.0, params_of(Variant.LMS, mu1=0.5))
         assert rec.error == 1.0
         np.testing.assert_array_equal(new.w, [0.5, 0.0])
         np.testing.assert_array_equal(new.w_prev, [0.0, 0.0])
@@ -186,7 +198,7 @@ class TestHandDerivedExamples:
 
     def test_zero_regressor(self):
         state = state_of([1.0])
-        new, rec = lms_step(state, [0.0], 7.0, params_of(Variant.LMS))
+        new, rec = step(state, [0.0], 7.0, params_of(Variant.LMS))
         assert rec.error == 7.0
         np.testing.assert_array_equal(new.w, [1.0])
 
@@ -194,7 +206,7 @@ class TestHandDerivedExamples:
         # fractional coefficient collapses to mu1, |1|**0.5 = 1:
         # w' = 1 + 0.1 + 0.1 = 1.2
         params = params_of(Variant.FLMS, mu1=0.1, muf=0.1 * math.gamma(1.5), f=0.5)
-        new, rec = flms_step(state_of([1.0]), [1.0], 2.0, params)
+        new, rec = step(state_of([1.0]), [1.0], 2.0, params)
         assert rec.error == 1.0
         assert new.w[0] == pytest.approx(1.2, abs=1e-15)
 
@@ -202,18 +214,18 @@ class TestHandDerivedExamples:
         params_f = params_of(Variant.FLMS, mu1=0.2, muf=0.15, f=0.3)
         params_l = params_of(Variant.LMS, mu1=0.2)
         u, d = np.array([0.7, -1.1]), 0.9
-        new_f, _ = flms_step(state_of([0.0, 0.0]), u, d, params_f)
-        new_l, _ = lms_step(state_of([0.0, 0.0]), u, d, params_l)
+        new_f, _ = step(state_of([0.0, 0.0]), u, d, params_f)
+        new_l, _ = step(state_of([0.0, 0.0]), u, d, params_l)
         np.testing.assert_array_equal(new_f.w, new_l.w)
 
     def test_momentum_coasting(self):
         # After a step with a gradient, a zero-error step still moves the
         # weights by alpha * v.
         params = params_of(Variant.MOMENTUM_LMS, mu1=0.1, alpha=0.5)
-        s1, _ = momentum_lms_step(state_of([0.0]), [1.0], 1.0, params)
+        s1, _ = step(state_of([0.0]), [1.0], 1.0, params)
         v1 = s1.v.copy()
         assert v1[0] != 0.0
-        s2, rec = momentum_lms_step(s1, [0.0], 0.0, params)
+        s2, rec = step(s1, [0.0], 0.0, params)
         assert rec.error == 0.0
         np.testing.assert_array_equal(s2.w, s1.w + 0.5 * v1)
 
@@ -221,30 +233,30 @@ class TestHandDerivedExamples:
         params_m = params_of(Variant.MFLMS_ASSEMBLED, mu1=0.1, muf=0.2, f=0.4, alpha=0.6)
         params_l = params_of(Variant.LMS, mu1=0.1)
         u, d = np.array([1.3, -0.2]), 0.5
-        new_m, _ = mflms_assembled_step(state_of([0.0, 0.0]), u, d, params_m)
-        new_l, _ = lms_step(state_of([0.0, 0.0]), u, d, params_l)
+        new_m, _ = step(state_of([0.0, 0.0]), u, d, params_m)
+        new_l, _ = step(state_of([0.0, 0.0]), u, d, params_l)
         np.testing.assert_array_equal(new_m.w, new_l.w)
 
     def test_published16_hand_value(self):
         params = params_of(Variant.MFLMS_PUBLISHED16, mu1=0.1, f=0.5, alpha=0.0)
-        new, rec = mflms_published16_step(state_of([1.0]), [1.0], 2.0, params)
+        new, rec = step(state_of([1.0]), [1.0], 2.0, params)
         assert rec.error == 1.0
         assert new.w[0] == pytest.approx(1.1, abs=1e-15)
 
     def test_published16_origin_fixed_point(self):
         params = params_of(Variant.MFLMS_PUBLISHED16, mu1=0.3, f=0.25, alpha=0.7)
-        new, _ = mflms_published16_step(state_of([0.0, 0.0]), [1.0, 2.0], 5.0, params)
+        new, _ = step(state_of([0.0, 0.0]), [1.0, 2.0], 5.0, params)
         np.testing.assert_array_equal(new.w, [0.0, 0.0])
 
     def test_corrected_escapes_origin(self):
         params = params_of(Variant.MFLMS_CORRECTED, mu1=0.3, f=0.25, alpha=0.7)
         u, d = np.array([1.0, 2.0]), 5.0
-        new, rec = mflms_corrected_step(state_of([0.0, 0.0]), u, d, params)
+        new, rec = step(state_of([0.0, 0.0]), u, d, params)
         np.testing.assert_array_equal(new.w, 0.3 * rec.error * u)
 
     def test_corrected_hand_value(self):
         params = params_of(Variant.MFLMS_CORRECTED, mu1=0.1, f=0.5, alpha=0.2)
-        new, rec = mflms_corrected_step(state_of([1.0], w_prev=[0.5]), [1.0], 2.0, params)
+        new, rec = step(state_of([1.0], w_prev=[0.5]), [1.0], 2.0, params)
         assert rec.error == 1.0
         assert new.w[0] == pytest.approx(1.3, abs=1e-15)
 
@@ -252,8 +264,8 @@ class TestHandDerivedExamples:
         params_c = params_of(Variant.MFLMS_CORRECTED, mu1=0.25, f=0.6, alpha=0.0)
         params_l = params_of(Variant.LMS, mu1=0.25)
         u, d = np.array([0.4, 1.7, -2.0]), -0.8
-        new_c, _ = mflms_corrected_step(state_of([0.0] * 3), u, d, params_c)
-        new_l, _ = lms_step(state_of([0.0] * 3), u, d, params_l)
+        new_c, _ = step(state_of([0.0] * 3), u, d, params_c)
+        new_l, _ = step(state_of([0.0] * 3), u, d, params_l)
         np.testing.assert_array_equal(new_c.w, new_l.w)
 
 
@@ -310,8 +322,8 @@ class TestReductionChain:
 
 class TestDiscrepancyIdentity:
     def test_corrected_minus_published_is_plain_gradient(self):
-        # With mu_f = mu1*Gamma(2-f) the two collapsed forms differ by
-        # exactly mu1*e*u.
+        # Both collapsed forms read mu1 where the others read
+        # muf/Gamma(2-f), so they differ by exactly mu1*e*u.
         rng = np.random.default_rng(42)
         for _ in range(1000):
             m = int(rng.integers(1, 9))
@@ -322,13 +334,12 @@ class TestDiscrepancyIdentity:
             mu1 = float(rng.uniform(0.01, 0.4))
             f = float(rng.uniform(0.05, 0.95))
             alpha = float(rng.uniform(0, 0.95))
-            muf = default_muf(mu1, f)
-            pc = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha,
+            pc = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha,
                               variant=Variant.MFLMS_CORRECTED)
-            pp = FilterParams(mu1=mu1, muf=muf, f=f, alpha=alpha,
+            pp = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha,
                               variant=Variant.MFLMS_PUBLISHED16)
-            nc, rc = mflms_corrected_step(state_of(w, w_prev), u, d, pc)
-            np_, rp = mflms_published16_step(state_of(w, w_prev), u, d, pp)
+            nc, rc = step(state_of(w, w_prev), u, d, pc)
+            np_, rp = step(state_of(w, w_prev), u, d, pp)
             expected = mu1 * rc.error * u
             diff = nc.w - np_.w
             # The residual is rounding at the weight scale, so measure
@@ -492,13 +503,13 @@ class TestGuardsAndErrors:
         params = params_of(Variant.LMS, mu1=1.0)
         state = state_of([WEIGHT_LIMIT * 0.999])
         with pytest.raises(DivergenceError):
-            lms_step(state, [1.0], 3.0 * WEIGHT_LIMIT, params)
+            step(state, [1.0], 3.0 * WEIGHT_LIMIT, params)
 
     def test_divergence_mask_batched(self):
         params = params_of(Variant.LMS, mu1=1.0)
         w = np.array([[WEIGHT_LIMIT * 0.999], [0.0]])
         state = FilterState(w=w, w_prev=w.copy(), v=np.zeros_like(w))
-        new, _ = lms_step(state, np.array([1.0]), np.array([3.0 * WEIGHT_LIMIT, 0.5]), params)
+        new, _ = step(state, np.array([1.0]), np.array([3.0 * WEIGHT_LIMIT, 0.5]), params)
         mask = diverged_rows(new.w)
         assert mask.tolist() == [True, False]
 
@@ -542,16 +553,12 @@ class TestGuardsAndErrors:
     def test_divergence_guard_raises_on_nan_unbatched(self):
         params = params_of(Variant.LMS, mu1=1.0)
         with pytest.raises(DivergenceError):
-            lms_step(state_of([0.0]), [1.0], math.nan, params)
+            step(state_of([0.0]), [1.0], math.nan, params)
 
     def test_dimension_mismatch(self):
         params = params_of(Variant.LMS)
         with pytest.raises(ValueError):
-            lms_step(state_of([0.0, 0.0]), [1.0], 1.0, params)
-
-    def test_variant_dispatch_guard(self):
-        with pytest.raises(ValueError):
-            lms_step(state_of([0.0]), [1.0], 1.0, params_of(Variant.FLMS))
+            step(state_of([0.0, 0.0]), [1.0], 1.0, params)
 
     def test_state_shape_validation(self):
         with pytest.raises(ValueError):

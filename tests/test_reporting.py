@@ -3,6 +3,7 @@ deterministic rendering."""
 
 import builtins
 import collections
+import csv
 import math
 import re
 import tracemalloc
@@ -18,11 +19,7 @@ from lmslab.reporting import (
     ReportTable,
     estimation_table,
     fitness_table,
-    grid_file_names,
-    learning_curves,
-    parse_table_csv,
     read_aggregates_csv,
-    render_table_csv,
     render_table_text,
     write_aggregates_csv,
     write_grid_outputs,
@@ -59,6 +56,21 @@ def fake_block(sigma, rng, n_ck=10):
 @pytest.fixture
 def block():
     return fake_block(0.30, np.random.default_rng(8))
+
+
+def grid_names(sigmas) -> list[str]:
+    """The files of fake blocks at noise levels ``sigmas``, in write order, ``aggregates.csv`` aside."""
+    names = []
+    for sig in sigmas:
+        names += [f"fitness_sigma{sig}.csv", f"fitness_sigma{sig}.txt",
+                  f"estimation_sigma{sig}.csv", f"estimation_sigma{sig}.txt"]
+        names += [f"curves_sigma{sig}_f{f}.csv" for f in ("0.25", "0.50", "0.75")]
+    return names
+
+
+def read_csv(path) -> list[list[str]]:
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestFitnessTable:
@@ -112,13 +124,16 @@ class TestEstimationTable:
 
 
 class TestRoundTrip:
-    def test_csv_round_trip_exact(self, block):
-        table = fitness_table("0.30", block)
-        parsed = parse_table_csv(render_table_csv(table))
-        assert parsed.column_headers == table.column_headers
-        for (la, va), (lb, vb) in zip(parsed.rows, table.rows):
-            assert la == lb
-            assert va == vb  # float(repr(x)) == x, exactly
+    def test_csv_round_trip_exact(self, block, tmp_path):
+        write_grid_outputs(block, tmp_path)
+        for name, make_table in (("fitness", fitness_table), ("estimation", estimation_table)):
+            table = make_table("0.30", block)
+            header, *rows = read_csv(tmp_path / f"{name}_sigma0.30.csv")
+            assert header == ["label", *table.column_headers]
+            assert len(rows) == len(table.rows)
+            for (la, *va), (lb, vb) in zip(rows, table.rows):
+                assert la == lb
+                assert [float(x) for x in va] == vb  # float(repr(x)) == x, exactly
 
     def test_aggregates_round_trip_exact(self, block):
         text = write_aggregates_csv(block)
@@ -218,32 +233,37 @@ class TestAggregatesRejected:
 
 
 class TestLearningCurves:
-    def test_columns_and_iterations(self, block):
-        text = learning_curves(block)
-        lines = text.strip().split("\n")
-        header = lines[0].split(",")
-        assert header[0] == "iteration"
-        assert len(header) == 13  # iteration + 12 series
-        assert [ln.split(",")[0] for ln in lines[1:]] == [
-            str(i) for i in range(100, 1001, 100)
-        ]
+    """A curves file: the three momentum series of one order, then the paired LMS series."""
 
-    def test_values_round_trip(self, block):
-        text = learning_curves(block[:2])
-        lines = text.strip().split("\n")
-        first = block[0].aggregate.mean_nwd_at_checkpoints
-        col = [float(ln.split(",")[1]) for ln in lines[1:]]
-        np.testing.assert_array_equal(col, first)
+    @staticmethod
+    def series(block, f):
+        return [e for e in block if e.f == f] + [e for e in block if e.variant is Variant.LMS]
+
+    def test_columns_and_iterations(self, block, tmp_path):
+        write_grid_outputs(block, tmp_path)
+        header, *rows = read_csv(tmp_path / "curves_sigma0.30_f0.25.csv")
+        assert header == ["iteration"] + [e.label for e in self.series(block, 0.25)]
+        assert len(header) == 7  # iteration + 6 series
+        assert [row[0] for row in rows] == [str(i) for i in range(100, 1001, 100)]
+
+    def test_values_round_trip(self, block, tmp_path):
+        write_grid_outputs(block, tmp_path)
+        for f in (0.25, 0.5, 0.75):
+            _, *rows = read_csv(tmp_path / f"curves_sigma0.30_f{f:.2f}.csv")
+            columns = np.array(rows, dtype=float).T[1:]
+            for col, entry in zip(columns, self.series(block, f), strict=True):
+                np.testing.assert_array_equal(col, entry.aggregate.mean_nwd_at_checkpoints)
 
 
 class TestGridFiles:
-    def test_full_grid_file_set(self):
+    def test_full_grid_file_set(self, tmp_path):
         rng = np.random.default_rng(10)
         entries = []
         for sigma in (0.30, 0.60, 0.90):
             entries += fake_block(sigma, rng)
-        files = grid_file_names(entries)
-        csv_tables = [n for n in files if n.endswith(".csv") and not n.startswith("curves")]
+        files = {p.name: p.read_text() for p in write_grid_outputs(entries, tmp_path)}
+        assert list(files) == [*grid_names(["0.30", "0.60", "0.90"]), "aggregates.csv"]
+        csv_tables = [n for n in files if n.endswith(".csv") and not n.startswith(("curves", "aggregates"))]
         txt_tables = [n for n in files if n.endswith(".txt")]
         curves = [n for n in files if n.startswith("curves")]
         assert len(csv_tables) == 6
@@ -272,7 +292,7 @@ class TestGridFiles:
         values = [v for e in entries for v in e.aggregate.mean_nwd_at_checkpoints.tolist()]
         assert len(set(values)) == len(values) == 240
         assert [calls[v] for v in values] == [1] * len(values)
-        assert [p.name for p in paths] == [*grid_file_names(entries), "aggregates.csv"]
+        assert [p.name for p in paths] == [*grid_names(["0.30", "0.60"]), "aggregates.csv"]
 
     @pytest.mark.parametrize("n_ck, n_params", [(5, 8), (10, 7)])
     def test_dump_rows_share_the_first_entrys_columns(self, tmp_path, n_ck, n_params):
@@ -301,7 +321,7 @@ class TestGridFiles:
             bad.aggregate, mean_nwd_at_checkpoints=bad.aggregate.mean_nwd_at_checkpoints[:-1]))
         with pytest.raises(ValueError, match="checkpoint grids differ"):
             write_grid_outputs(entries, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(grid_file_names(entries[:12]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(grid_names(["0.30"]))
 
     def test_files_are_streamed(self, tmp_path):
         # Three 1000-checkpoint noise levels: besides each series' formatted

@@ -9,8 +9,8 @@ name still resolves to a callable, and that its list of variants names
 every update rule in order.  The harness's correctness checks
 also parse the order of calibration curves and log lines; a small grid
 must pass them.  Every module's ``__all__`` and the package's re-exports
-must resolve too, and README's configuration block must state the
-defaults that ``GridConfig`` declares.
+must resolve too, the re-exports are pinned name by name, and README's
+configuration block must state the defaults that ``GridConfig`` declares.
 """
 
 import ast
@@ -105,6 +105,30 @@ def test_package_reexports_public_names():
         for alias in node.names:
             assert getattr(lmslab, alias.asname or alias.name) is getattr(module, alias.name)
             assert alias.name in module.__all__, f"{alias.name} is not in lmslab.{node.module}.__all__"
+
+
+# Every name lmslab/__init__.py re-exports, by module: adding or removing
+# one is a deliberate change to the package's surface, made here too.
+PUBLIC_SURFACE = {
+    "filters": {"DivergenceError", "FilterParams", "FilterState", "StepRecord", "Variant", "WEIGHT_LIMIT",
+                "default_muf", "step"},
+    "kernels": {"abs_pow", "gamma"},
+    "metrics": {"MetricSpace", "mse", "nwd"},
+    "experiment": {"AggregateResult", "AllRunsDivergedError", "CalibrationError", "GridConfig", "GridEntry",
+                   "ScenarioConfig", "calibrate_mu1", "full_grid", "lms_params", "mflms_params",
+                   "run_monte_carlo"},
+    "signal_model": {"HarmonicSpec", "ModelTruth", "aphi_from_bc", "bc_from_aphi", "benchmark_spec",
+                     "regressor", "synthesize"},
+}
+
+
+def test_package_surface_is_pinned():
+    tree = ast.parse(Path(lmslab.__file__).read_text())
+    exported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            exported.setdefault(node.module, set()).update(alias.asname or alias.name for alias in node.names)
+    assert exported == PUBLIC_SURFACE
 
 
 def test_readme_config_block_is_the_default_grid():
