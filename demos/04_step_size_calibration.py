@@ -27,7 +27,7 @@ scenario = ScenarioConfig(
 
 print(f"pairing: LMS(eta={scenario.lms_eta}) vs mFLMS(alpha={scenario.alpha}, f={scenario.f})")
 print("calibrating mu1 by bisection on the iteration-100 ensemble fitness...")
-mu1 = calibrate_mu1(scenario, target_checkpoint=0, tolerance=0.05, calibration_runs=200)
+mu1 = calibrate_mu1(scenario, tolerance=0.05, calibration_runs=200)
 print(f"calibrated mu1 = {mu1:.5f}")
 print()
 

@@ -6,8 +6,8 @@ The package provides:
 * :mod:`lmslab.filters` -- the update rules of LMS, momentum LMS,
   fractional LMS and three momentum-fractional variants, applied by one
   step function;
-* :mod:`lmslab.signal_model` -- the multi-harmonic benchmark signal and
-  its parameter transforms;
+* :mod:`lmslab.signal_model` -- the four-harmonic benchmark signal as
+  constants, its regressor and its parameter transforms;
 * :mod:`lmslab.metrics` -- normalized weight difference and MSE;
 * :mod:`lmslab.experiment` -- the deterministic Monte-Carlo engine,
   step-size calibration and the full scenario grid;
@@ -43,14 +43,6 @@ from .experiment import (
     mflms_params,
     run_monte_carlo,
 )
-from .signal_model import (
-    HarmonicSpec,
-    ModelTruth,
-    aphi_from_bc,
-    bc_from_aphi,
-    benchmark_spec,
-    regressor,
-    synthesize,
-)
+from .signal_model import aphi_from_bc, bc_from_aphi, regressor
 
 __version__ = "0.1.0"

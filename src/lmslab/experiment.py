@@ -81,6 +81,7 @@ import functools
 import logging
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -99,7 +100,7 @@ from .filters import (
     workspace,
 )
 from .metrics import MetricSpace, mse, nwd
-from .signal_model import aphi_from_bc, benchmark_spec, regressor
+from .signal_model import FREQUENCIES, THETA_APHI, THETA_BC, aphi_from_bc, regressor
 
 __all__ = [
     "ScenarioConfig",
@@ -230,11 +231,14 @@ RANGES = {name: rule for names, rule in [
 def _check_fields(config) -> None:
     """Hold each field of the frozen ``config`` that :data:`RANGES` names as :meth:`Range.check` returns it.
 
-    A grid axis (a tuple field) is checked value by value; a field whose
-    default is None may be None.  ``metric_space`` is held as the enum.
+    A grid axis (a tuple field) is checked value by value, and must be an
+    iterable other than text; a field whose default is None may be None.
+    ``metric_space`` is held as the enum.
     """
     for name, rule, axis, optional in _field_checks(type(config)):
         value = getattr(config, name)
+        if axis and (isinstance(value, (str, bytes)) or not isinstance(value, Iterable)):
+            raise TypeError(f"{name}: must be a sequence of numbers, got {value!r}")
         if not (value is None and optional):
             value = tuple(rule.check(name, x) for x in value) if axis else rule.check(name, value)
             object.__setattr__(config, name, value)
@@ -381,11 +385,10 @@ def _simulate(
     n_iters = scenario.n_iters if n_iters is None else n_iters
     interval = scenario.checkpoint_interval
     n_ck = n_iters // interval
-    spec, truth = benchmark_spec(scenario.noise_std)
-    m = len(truth.theta_bc)
+    m = len(THETA_BC)
 
-    psi = regressor(spec.frequencies, np.arange(1, n_iters + 1))
-    d_clean = (psi * truth.theta_bc).sum(axis=-1)
+    psi = regressor(FREQUENCIES, np.arange(1, n_iters + 1))
+    d_clean = (psi * THETA_BC).sum(axis=-1)
 
     w0, z, rows = _streams(scenario.base_seed, domain, m, run_indices, n_iters)
     # Component-major buffers; the kernel steps their (runs, M) views.
@@ -409,7 +412,7 @@ def _simulate(
     nwd_ck = np.empty((n_runs, n_ck))
 
     aphi = scenario.metric_space is MetricSpace.APHI
-    truth_vec = truth.theta_aphi if aphi else truth.theta_bc
+    truth_vec = THETA_APHI if aphi else THETA_BC
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_iters):
@@ -481,7 +484,7 @@ def _batch_rule(algorithms, rows) -> Rule:
 
 
 def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
-    """One :class:`_Means` per block, in order, fed by ``add(scenario, means, nwd_ck, final_bc, frozen)``.
+    """One :class:`_Means` per block, in order, fed by ``add(means, nwd_ck, final_bc, frozen)``.
 
     Block ``(algorithm, scenario)`` is runs ``0 .. scenario.n_runs - 1``
     of one ``_simulate`` batch.  Blocks with one :func:`_batch_key` and
@@ -526,7 +529,7 @@ def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
         )
         bounds = np.cumsum([0, *(sc.n_runs for sc in scenarios)])
         for (i, _, _), start, stop in zip(batch, bounds, bounds[1:]):
-            add(blocks[i][1], means[i], *(a[start:stop] for a in rows))
+            add(means[i], *(a[start:stop] for a in rows))
         del rows  # before the next batch allocates its own
     return means
 
@@ -577,11 +580,10 @@ def _row_by_row(x: np.ndarray) -> bool:
     return x.ndim > 1 and x.shape[1] > 1
 
 
-def _add_finals(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
+def _add_finals(means: _Means, nwd_ck, final_bc, frozen) -> None:
     """Feed a slice of an ensemble's rows to ``means``: fitness curves, final estimates and their errors."""
     final_aphi = aphi_from_bc(final_bc[~frozen])
-    means.add(frozen, _in_bound(nwd_ck, frozen), final_aphi,
-              mse(final_aphi, benchmark_spec(scenario.noise_std)[1].theta_aphi))
+    means.add(frozen, _in_bound(nwd_ck, frozen), final_aphi, mse(final_aphi, THETA_APHI))
 
 
 def _in_bound(rows: np.ndarray, frozen: np.ndarray) -> np.ndarray:
@@ -589,16 +591,15 @@ def _in_bound(rows: np.ndarray, frozen: np.ndarray) -> np.ndarray:
     return rows[~frozen] if frozen.any() else rows
 
 
-def _aggregate(scenario: ScenarioConfig, means: _Means) -> AggregateResult:
+def _aggregate(means: _Means) -> AggregateResult:
     """The ensemble means of a block fed by :func:`_add_finals`."""
     if not means.runs:
         raise AllRunsDivergedError("every run in the ensemble diverged")
     mean_nwd, mean_aphi, mean_mse = means.means()
-    _, truth = benchmark_spec(scenario.noise_std)
     return AggregateResult(
         mean_nwd_at_checkpoints=mean_nwd,
         mean_final_theta_aphi=mean_aphi,
-        mse_of_mean=float(mse(mean_aphi, truth.theta_aphi)),
+        mse_of_mean=float(mse(mean_aphi, THETA_APHI)),
         mean_per_run_mse=float(mean_mse),
         divergence_count=means.diverged,
     )
@@ -610,10 +611,10 @@ def run_monte_carlo(algorithm: FilterParams, scenario: ScenarioConfig) -> Aggreg
     Diverged runs are excluded from the means and counted.
     """
     (means,) = _simulate_blocks([(algorithm, scenario)], _add_finals)
-    return _aggregate(scenario, means)
+    return _aggregate(means)
 
 
-def _add_curve(scenario: ScenarioConfig, means: _Means, nwd_ck, final_bc, frozen) -> None:
+def _add_curve(means: _Means, nwd_ck, final_bc, frozen) -> None:
     """Feed a slice of a probe's rows to ``means``: its fitness curves."""
     means.add(frozen, _in_bound(nwd_ck, frozen))
 
@@ -628,7 +629,7 @@ def _calibration_curve(algorithm, curve):
     return curve
 
 
-def _mu1_search(scenario: ScenarioConfig, tolerance: float, target_checkpoint: int):
+def _mu1_search(scenario: ScenarioConfig, tolerance: float):
     """The search of :func:`calibrate_mu1` for one cell, as a generator of curve requests.
 
     It yields lists of ``(algorithm, n_iters)`` whose calibration curves
@@ -639,17 +640,17 @@ def _mu1_search(scenario: ScenarioConfig, tolerance: float, target_checkpoint: i
     if the reference or every scan probe diverged).
     """
     (reference,) = yield [(lms_params(scenario.lms_eta), scenario.n_iters)]
-    target = float(reference[target_checkpoint])
+    target = float(reference[0])
     if not math.isfinite(target):
         return None, math.inf, "the reference LMS ensemble diverged"
-    probe_iters = int(scenario.checkpoints[target_checkpoint])
 
     def fitness(mu1s):
-        """Each probe's fitness at the target checkpoint."""
+        """Each probe's fitness at the first checkpoint, the only one it runs to."""
         curves = yield [
-            (mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf), probe_iters) for mu1 in mu1s
+            (mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf), scenario.checkpoint_interval)
+            for mu1 in mu1s
         ]
-        return [float(curve[target_checkpoint]) for curve in curves]
+        return [float(curve[0]) for curve in curves]
 
     lo, hi = _MU_BRACKET
     grid = [lo]
@@ -736,7 +737,6 @@ class Calibration:
 
 def calibrate_mu1(
     scenario: ScenarioConfig,
-    target_checkpoint: int = 0,
     tolerance: float = CALIBRATION_TOLERANCE,
     calibration_runs: int = CALIBRATION_RUNS,
     on_no_match: str = "raise",
@@ -744,9 +744,9 @@ def calibrate_mu1(
     """Step size at which the momentum-fractional filter matches the paired LMS.
 
     The paired LMS is run on a reduced ensemble and its mean fitness at
-    ``checkpoints[target_checkpoint]`` becomes the target; bisection
-    over ``mu1`` in ``[1e-4, 0.5]`` then matches the candidate's mean
-    fitness at the same checkpoint to within ``tolerance`` (relative).
+    the first checkpoint becomes the target; bisection over ``mu1`` in
+    ``[1e-4, 0.5]`` then matches the candidate's mean fitness at that
+    checkpoint to within ``tolerance`` (relative).
 
     Two regimes of the reference trajectory need different roots of the
     match equation:
@@ -772,9 +772,7 @@ def calibrate_mu1(
     calibration_runs = RANGES["calibration_runs"].check("calibration_runs", calibration_runs)
     if on_no_match not in ("raise", "closest"):
         raise ValueError("on_no_match must be 'raise' or 'closest'")
-    if not 0 <= target_checkpoint < len(scenario.checkpoints):
-        raise ValueError("target_checkpoint out of range")
-    (record,) = prefetch_calibration([scenario], tolerance, calibration_runs, target_checkpoint)
+    (record,) = prefetch_calibration([scenario], tolerance, calibration_runs)
     return record.settle(on_no_match)
 
 
@@ -798,9 +796,7 @@ def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
     return [curves[key] for key in keys]
 
 
-def prefetch_calibration(
-    scenarios, tolerance: float, calibration_runs: int, target_checkpoint: int = 0
-) -> list[Calibration]:
+def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> list[Calibration]:
     """The calibration search of every cell in ``scenarios``, run in lockstep: one :class:`Calibration` each.
 
     The searches (:func:`_mu1_search`) advance together: the paired-LMS
@@ -816,7 +812,7 @@ def prefetch_calibration(
     records = [None] * len(scenarios)
     pending = []
     for i, sc in enumerate(scenarios):
-        search = _mu1_search(sc, tolerance, target_checkpoint)
+        search = _mu1_search(sc, tolerance)
         pending.append((i, search, [], next(search)))
     while pending:
         probes = [(algorithm, scenarios[i], n_iters) for i, *_, request in pending for algorithm, n_iters in request]
@@ -971,7 +967,7 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
         if i in records:
             records[i].settle("closest")
         algorithm, _ = blocks[i]
-        aggregate = _aggregate(scenario, means.pop(i))  # an ensemble whose runs all diverged raises here
+        aggregate = _aggregate(means.pop(i))  # an ensemble whose runs all diverged raises here
         log.info(
             "scenario sigma=%s alpha=%g %s step=%.5g: final mean NWD %.4f",
             sigma_label(level), scenario.alpha,

@@ -33,7 +33,7 @@ import numpy as np
 from .experiment import AggregateResult, GridEntry, ScenarioConfig
 from .filters import Variant
 from .metrics import MetricSpace
-from .signal_model import benchmark_spec
+from .signal_model import THETA_APHI
 
 __all__ = [
     "ReportTable",
@@ -101,13 +101,12 @@ def _fitness_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
 def estimation_table(sigma_label: str, entries: list[GridEntry]) -> ReportTable:
     """Run-averaged final parameters plus MSE for one noise level."""
     entries, highlight = _block_order(entries)
-    _, truth = benchmark_spec()
-    n_params = len(truth.theta_aphi)
+    n_params = len(THETA_APHI)
     rows = []
     for entry in entries:
         agg = entry.aggregate
         rows.append((entry.label, _floats(agg.mean_final_theta_aphi) + [agg.mse_of_mean]))
-    rows.append(("True values", [float(v) for v in truth.theta_aphi] + [0.0]))
+    rows.append(("True values", [float(v) for v in THETA_APHI] + [0.0]))
     return ReportTable(
         title=f"Final parameter means and MSE, noise level {sigma_label}",
         column_headers=[f"theta_{i + 1}" for i in range(n_params)] + ["MSE"],

@@ -1,4 +1,4 @@
-"""Multi-harmonic signal model, regressor construction and parameter transforms.
+"""The benchmark signal, its regressor and the parameter transforms.
 
 The estimation target is a sum of ``N`` sinusoids with known angular
 frequencies,
@@ -18,33 +18,28 @@ The sample index starts at ``n = 1``: at ``n = 0`` every sine component
 vanishes, which would bias the first update, so the conventional start
 at 1 is used throughout.
 
-Noise is injected by the caller (a pre-drawn scalar), keeping these
-functions deterministic; all randomness lives in the experiment engine.
+The benchmark is one fixed signal of four harmonics: the tuples
+``BENCHMARK_AMPLITUDES``, ``BENCHMARK_FREQUENCIES`` and
+``BENCHMARK_PHASES`` state it, and the read-only vectors ``FREQUENCIES``,
+``THETA_BC`` and ``THETA_APHI`` are built from them once, at import.
+Noise is added by the experiment engine, where all randomness lives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "HarmonicSpec",
-    "ModelTruth",
     "regressor",
-    "synthesize",
     "bc_from_aphi",
     "aphi_from_bc",
-    "benchmark_spec",
     "BENCHMARK_AMPLITUDES",
     "BENCHMARK_FREQUENCIES",
     "BENCHMARK_PHASES",
+    "FREQUENCIES",
+    "THETA_BC",
+    "THETA_APHI",
 ]
-
-# Built-in benchmark: four sinusoids, frequencies known to the estimator.
-BENCHMARK_AMPLITUDES = (1.8, 2.9, 4.0, 2.5)
-BENCHMARK_FREQUENCIES = (0.07, 0.5, 2.0, 1.6)
-BENCHMARK_PHASES = (0.95, 0.8, 0.76, 1.1)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -54,72 +49,6 @@ def _as_vector(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class HarmonicSpec:
-    """Amplitudes, angular frequencies and phases of a multi-harmonic signal.
-
-    ``noise_std`` is the standard deviation of the additive Gaussian
-    disturbance ``eps(n)``.
-    """
-
-    amplitudes: np.ndarray
-    frequencies: np.ndarray
-    phases: np.ndarray
-    noise_std: float = 0.0
-
-    def __post_init__(self):
-        a = _as_vector(self.amplitudes, "amplitudes")
-        w = _as_vector(self.frequencies, "frequencies")
-        p = _as_vector(self.phases, "phases")
-        if not (len(a) == len(w) == len(p)):
-            raise ValueError("amplitudes, frequencies and phases must share a length")
-        # Zero amplitudes express degenerate (pure noise) test signals.
-        if np.any(a < 0):
-            raise ValueError("amplitudes must be non-negative")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "frequencies", w)
-        object.__setattr__(self, "phases", p)
-
-    @property
-    def n_harmonics(self) -> int:
-        return len(self.amplitudes)
-
-
-@dataclass(frozen=True)
-class ModelTruth:
-    """True parameters in both coordinate systems.
-
-    ``theta_bc`` interleaves ``[b_1, c_1, ..., b_N, c_N]`` (the weight
-    space the filters adapt in); ``theta_aphi`` lists all amplitudes then
-    all phases (the space results are reported in).
-    """
-
-    theta_bc: np.ndarray
-    theta_aphi: np.ndarray
-
-    def __post_init__(self):
-        bc = _as_vector(self.theta_bc, "theta_bc")
-        ap = _as_vector(self.theta_aphi, "theta_aphi")
-        if len(bc) != len(ap) or len(bc) % 2:
-            raise ValueError("parameter vectors must share an even length")
-        object.__setattr__(self, "theta_bc", bc)
-        object.__setattr__(self, "theta_aphi", ap)
-        # Cross-consistency of the two coordinate systems.
-        n = len(bc) // 2
-        a, phi = ap[:n], ap[n:]
-        if not np.allclose(bc, bc_from_aphi(a, phi), rtol=0, atol=1e-12):
-            raise ValueError("theta_bc and theta_aphi describe different signals")
-
-    @classmethod
-    def from_aphi(cls, amplitudes, phases) -> "ModelTruth":
-        a = _as_vector(amplitudes, "amplitudes")
-        phi = _as_vector(phases, "phases")
-        theta_aphi = np.concatenate([a, phi])
-        return cls(theta_bc=bc_from_aphi(a, phi), theta_aphi=theta_aphi)
 
 
 def regressor(frequencies, n) -> np.ndarray:
@@ -149,19 +78,6 @@ def regressor(frequencies, n) -> np.ndarray:
     if np.isscalar(n) or np.ndim(n) == 0:
         return out[0]
     return out
-
-
-def synthesize(spec: HarmonicSpec, n: int, noise: float) -> float:
-    """One sample of the signal model: ``psi(n) . theta_bc + noise``.
-
-    ``noise`` is supplied by the caller (typically a pre-drawn Gaussian
-    variate with standard deviation ``spec.noise_std``).
-    """
-    if np.ndim(n) != 0:
-        raise ValueError("synthesize() takes a scalar sample index")
-    theta_bc = bc_from_aphi(spec.amplitudes, spec.phases)
-    psi = regressor(spec.frequencies, n)
-    return float((psi * theta_bc).sum(axis=-1) + noise)
 
 
 def bc_from_aphi(amplitudes, phases) -> np.ndarray:
@@ -194,13 +110,16 @@ def aphi_from_bc(theta_bc) -> np.ndarray:
     return np.concatenate([a, np.arctan2(c, b)], axis=-1)
 
 
-def benchmark_spec(noise_std: float = 0.0) -> tuple[HarmonicSpec, ModelTruth]:
-    """The built-in four-harmonic benchmark and its true parameters."""
-    spec = HarmonicSpec(
-        amplitudes=np.array(BENCHMARK_AMPLITUDES),
-        frequencies=np.array(BENCHMARK_FREQUENCIES),
-        phases=np.array(BENCHMARK_PHASES),
-        noise_std=noise_std,
-    )
-    truth = ModelTruth.from_aphi(spec.amplitudes, spec.phases)
-    return spec, truth
+# The benchmark: four sinusoids, frequencies known to the estimator.
+BENCHMARK_AMPLITUDES = (1.8, 2.9, 4.0, 2.5)
+BENCHMARK_FREQUENCIES = (0.07, 0.5, 2.0, 1.6)
+BENCHMARK_PHASES = (0.95, 0.8, 0.76, 1.1)
+
+# The same as float64 vectors, built once: the angular frequencies and the
+# true parameters in the filters' (b, c) space and in the reported
+# amplitudes-then-phases order.  Every caller shares them, so they are
+# read-only.
+FREQUENCIES = np.array(BENCHMARK_FREQUENCIES)
+THETA_BC = bc_from_aphi(BENCHMARK_AMPLITUDES, BENCHMARK_PHASES)
+THETA_APHI = np.array(BENCHMARK_AMPLITUDES + BENCHMARK_PHASES)
+FREQUENCIES.flags.writeable = THETA_BC.flags.writeable = THETA_APHI.flags.writeable = False

@@ -32,7 +32,7 @@ from lmslab.filters import (
 )
 from lmslab.kernels import gamma
 from lmslab.metrics import nwd
-from lmslab.signal_model import aphi_from_bc, benchmark_spec, regressor
+from lmslab.signal_model import FREQUENCIES, THETA_APHI, THETA_BC, aphi_from_bc, regressor
 
 from test_filters import naive_step
 
@@ -119,16 +119,15 @@ def test_criterion_2_discrepancy_identity():
 
 def test_criterion_3_published_form_origin_stall():
     t0 = time.perf_counter()
-    spec, truth = benchmark_spec(SIGMA_030)
     rng = np.random.default_rng(SEED)
     mu1, alpha, f = 0.01, 0.2, 0.5
 
     pp = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha, variant=Variant.MFLMS_PUBLISHED16)
     state = FilterState(w=np.zeros(8), w_prev=np.zeros(8), v=np.zeros(8))
-    psi = regressor(spec.frequencies, np.arange(1, 10_001))
+    psi = regressor(FREQUENCIES, np.arange(1, 10_001))
     noise = rng.normal(0.0, SIGMA_030, 10_000)
     for k in range(10_000):
-        d = float((psi[k] * truth.theta_bc).sum() + noise[k])
+        d = float((psi[k] * THETA_BC).sum() + noise[k])
         state, _ = step(state, psi[k], d, pp)
     stalled = np.all(state.w == 0.0) and np.all(state.w_prev == 0.0)
 
@@ -136,9 +135,9 @@ def test_criterion_3_published_form_origin_stall():
     state = FilterState(w=np.zeros(8), w_prev=np.zeros(8), v=np.zeros(8))
     noise = rng.normal(0.0, SIGMA_030, 1000)
     for k in range(1000):
-        d = float((psi[k] * truth.theta_bc).sum() + noise[k])
+        d = float((psi[k] * THETA_BC).sum() + noise[k])
         state, _ = step(state, psi[k], d, pc)
-    final_nwd = nwd(aphi_from_bc(state.w), truth.theta_aphi)
+    final_nwd = nwd(aphi_from_bc(state.w), THETA_APHI)
     announce(3, "published form stalls at origin, corrected form converges",
              stalled and final_nwd < 0.5,
              f"corrected NWD {final_nwd:.4f} after 1000 iters, "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmslab.metrics import MetricSpace, mse, nwd
-from lmslab.signal_model import benchmark_spec
+from lmslab.signal_model import THETA_APHI
 
 # ||theta_aphi|| for the benchmark truth, frozen from a 50-digit
 # evaluation of sqrt(1.8^2 + 2.9^2 + 4^2 + 2.5^2 + 0.95^2 + 0.8^2 + 0.76^2 + 1.1^2).
@@ -29,11 +29,10 @@ class TestNwd:
         assert nwd(2 * theta, theta) == pytest.approx(1.0, rel=1e-15)
 
     def test_benchmark_single_coordinate_bump(self):
-        _, truth = benchmark_spec()
-        bumped = truth.theta_aphi.copy()
+        bumped = THETA_APHI.copy()
         bumped[0] += 0.01
-        assert np.sqrt((truth.theta_aphi ** 2).sum()) == pytest.approx(BENCH_APHI_NORM, rel=1e-15)
-        assert nwd(bumped, truth.theta_aphi) == pytest.approx(NWD_ONE_COORD_BUMP, rel=1e-12)
+        assert np.sqrt((THETA_APHI ** 2).sum()) == pytest.approx(BENCH_APHI_NORM, rel=1e-15)
+        assert nwd(bumped, THETA_APHI) == pytest.approx(NWD_ONE_COORD_BUMP, rel=1e-12)
 
     @given(st.floats(min_value=1e-6, max_value=1e6), st.booleans())
     def test_scale_covariance(self, s, negate):

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmslab.experiment import AggregateResult, GridEntry, ScenarioConfig
 from lmslab import reporting
@@ -230,6 +231,42 @@ class TestAggregatesRejected:
         spaced = "\n" + text.replace("\n", "\n\n")  # line n moves to line 2n
         with pytest.raises(ValueError, match="^line 6, column nwd_300: not a finite number"):
             read_aggregates_csv(spaced)
+
+
+# A small dump (three rows, two checkpoints) and every cell text in it:
+# the property below mutates its cells.
+DUMP = write_aggregates_csv(fake_block(0.30, np.random.default_rng(8), n_ck=2)[2:5])
+DUMP_CELLS = sorted(set(DUMP.replace("\n", ",").split(",")))
+CELL_TEXT = st.sampled_from(DUMP_CELLS) | st.text("0123456789.-+einfaLMS_", max_size=6)
+
+
+@st.composite
+def mutated_dumps(draw):
+    """``DUMP`` with a few cells of its header or rows replaced, deleted or inserted."""
+    lines = [line.split(",") for line in DUMP.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        cells = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(cells)))
+        how = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if how == "insert":
+            cells.insert(at, draw(CELL_TEXT))
+        elif at < len(cells):
+            if how == "delete":
+                del cells[at]
+            else:
+                cells[at] = draw(CELL_TEXT)
+    return "\n".join(",".join(cells) for cells in lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(mutated_dumps())
+def test_aggregates_reader_raises_only_line_errors(text):
+    # A damaged dump is read back or rejected with a ValueError that
+    # names its line; no other exception escapes the reader.
+    try:
+        read_aggregates_csv(text)
+    except ValueError as exc:
+        assert str(exc).startswith("line ") or str(exc) == "aggregates file has no data rows", exc
 
 
 class TestLearningCurves:

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from lmslab.signal_model import (
-    HarmonicSpec,
-    ModelTruth,
+    BENCHMARK_AMPLITUDES,
+    BENCHMARK_FREQUENCIES,
+    BENCHMARK_PHASES,
+    FREQUENCIES,
+    THETA_APHI,
+    THETA_BC,
     aphi_from_bc,
     bc_from_aphi,
-    benchmark_spec,
     regressor,
-    synthesize,
 )
 
 BENCH_APHI = [1.8, 2.9, 4.0, 2.5, 0.95, 0.8, 0.76, 1.1]
@@ -21,13 +23,15 @@ BENCH_APHI = [1.8, 2.9, 4.0, 2.5, 0.95, 0.8, 0.76, 1.1]
 SUM_A_SIN_PHI = 8.528184752825283
 
 
-def direct_form(spec: HarmonicSpec, n: int) -> float:
+def direct_form(amplitudes, frequencies, phases, n: int) -> float:
     # Independent evaluation of sum_k a_k sin(n w_k + phi_k) via the
     # standard library, no shared code with the package.
-    return sum(
-        float(a) * math.sin(n * float(w) + float(p))
-        for a, w, p in zip(spec.amplitudes, spec.frequencies, spec.phases)
-    )
+    return sum(float(a) * math.sin(n * float(w) + float(p)) for a, w, p in zip(amplitudes, frequencies, phases))
+
+
+def inner_form(amplitudes, frequencies, phases, n: int) -> float:
+    # The form the engine uses: psi(n) . theta_bc.
+    return float((regressor(frequencies, n) * bc_from_aphi(amplitudes, phases)).sum())
 
 
 class TestRegressor:
@@ -67,12 +71,7 @@ class TestRegressor:
 
 class TestSynthesize:
     def test_single_harmonic(self):
-        spec = HarmonicSpec([1.0], [math.pi / 2], [0.0], 0.0)
-        assert synthesize(spec, 1, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_noise_passthrough(self):
-        spec = HarmonicSpec([0.0], [0.5], [0.3], 0.7)
-        assert synthesize(spec, 3, 0.7) == pytest.approx(0.7, abs=1e-15)
+        assert inner_form([1.0], [math.pi / 2], [0.0], 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_forms_agree_on_random_draws(self):
         # The two forms differ only by rounding of the angle n*w (at most
@@ -81,24 +80,19 @@ class TestSynthesize:
         rng = np.random.default_rng(17)
         for _ in range(1000):
             n_harm = rng.integers(1, 5)
-            spec = HarmonicSpec(
-                amplitudes=rng.uniform(0.5, 4.0, n_harm),
-                frequencies=rng.uniform(0.01, 3.0, n_harm),
-                phases=rng.uniform(-1.5, 1.5, n_harm),
-            )
+            signal = (rng.uniform(0.5, 4.0, n_harm), rng.uniform(0.01, 3.0, n_harm), rng.uniform(-1.5, 1.5, n_harm))
             n = int(rng.integers(1, 2000))
-            inner = synthesize(spec, n, 0.0)
-            scale = max(1.0, float(spec.amplitudes.sum()))
-            assert inner == pytest.approx(direct_form(spec, n), abs=1e-12 * scale)
+            scale = max(1.0, float(signal[0].sum()))
+            assert inner_form(*signal, n) == pytest.approx(direct_form(*signal, n), abs=1e-12 * scale)
 
     def test_form_crosscheck_at_origin(self):
         # At n = 0 the inner-product form collapses to the sum of the c
         # components; both algebraic forms equal sum_k a_k sin(phi_k).
-        spec, truth = benchmark_spec()
         psi0 = np.zeros(8)
         psi0[1::2] = 1.0  # sin(0) = 0, cos(0) = 1
-        assert (psi0 * truth.theta_bc).sum() == pytest.approx(SUM_A_SIN_PHI, abs=1e-12)
-        assert direct_form(spec, 0) == pytest.approx(SUM_A_SIN_PHI, abs=1e-12)
+        assert (psi0 * THETA_BC).sum() == pytest.approx(SUM_A_SIN_PHI, abs=1e-12)
+        signal = (BENCHMARK_AMPLITUDES, BENCHMARK_FREQUENCIES, BENCHMARK_PHASES)
+        assert direct_form(*signal, 0) == pytest.approx(SUM_A_SIN_PHI, abs=1e-12)
 
 
 class TestTransforms:
@@ -154,36 +148,22 @@ class TestTransforms:
 
 class TestBenchmarkSpec:
     def test_truth_vector(self):
-        _, truth = benchmark_spec()
-        np.testing.assert_array_equal(truth.theta_aphi, BENCH_APHI)
+        np.testing.assert_array_equal(THETA_APHI, BENCH_APHI)
 
     def test_dimensions(self):
-        spec, truth = benchmark_spec()
-        assert spec.n_harmonics == 4
-        assert len(truth.theta_bc) == 8
+        assert FREQUENCIES.shape == (4,)
+        assert THETA_BC.shape == THETA_APHI.shape == (8,)
+        np.testing.assert_array_equal(FREQUENCIES, [0.07, 0.5, 2.0, 1.6])
 
     def test_consistency_invariants(self):
-        _, truth = benchmark_spec()
         n = 4
-        a, phi = truth.theta_aphi[:n], truth.theta_aphi[n:]
-        np.testing.assert_allclose(truth.theta_bc[0::2], a * np.cos(phi), atol=1e-12)
-        np.testing.assert_allclose(truth.theta_bc[1::2], a * np.sin(phi), atol=1e-12)
-        np.testing.assert_allclose(
-            np.sqrt(truth.theta_bc[0::2] ** 2 + truth.theta_bc[1::2] ** 2), a, atol=1e-12
-        )
+        a, phi = THETA_APHI[:n], THETA_APHI[n:]
+        np.testing.assert_allclose(THETA_BC[0::2], a * np.cos(phi), atol=1e-12)
+        np.testing.assert_allclose(THETA_BC[1::2], a * np.sin(phi), atol=1e-12)
+        np.testing.assert_allclose(np.sqrt(THETA_BC[0::2] ** 2 + THETA_BC[1::2] ** 2), a, atol=1e-12)
 
-    def test_noise_std_passthrough(self):
-        spec, _ = benchmark_spec(noise_std=0.6)
-        assert spec.noise_std == 0.6
-
-    def test_inconsistent_truth_rejected(self):
-        with pytest.raises(ValueError):
-            ModelTruth(theta_bc=np.ones(4), theta_aphi=np.array([1.0, 1.0, 0.0, 0.0]))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            HarmonicSpec([1.0, 2.0], [0.5], [0.1])
-        with pytest.raises(ValueError):
-            HarmonicSpec([1.0], [0.5], [0.1], noise_std=-0.1)
-        with pytest.raises(ValueError):
-            HarmonicSpec([-1.0], [0.5], [0.1])
+    def test_constants_are_read_only(self):
+        for constant in (FREQUENCIES, THETA_BC, THETA_APHI):
+            assert constant.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 0.0

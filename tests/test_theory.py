@@ -40,7 +40,7 @@ from lmslab.experiment import (
 )
 from lmslab.filters import FilterParams, Variant
 from lmslab.metrics import MetricSpace
-from lmslab.signal_model import benchmark_spec
+from lmslab.signal_model import THETA_BC
 
 M = 8
 TRACE_R = M / 2
@@ -76,18 +76,16 @@ def steady_nwd(params: FilterParams, level: float, eta: float, alpha: float, f: 
 def steady_state_ratio(params: FilterParams, level: float, eta: float, alpha: float) -> float:
     """Mean NWD over checkpoints 500-1000 in units of the theory's ``sqrt(MSD)/||theta||``."""
     msd = eta * level * M / (2 * (1 - eta * TRACE_R / 2))
-    _, truth = benchmark_spec()
-    return steady_nwd(params, level, eta, alpha) / (math.sqrt(msd) / np.linalg.norm(truth.theta_bc))
+    return steady_nwd(params, level, eta, alpha) / (math.sqrt(msd) / np.linalg.norm(THETA_BC))
 
 
 def diagonal_step_nwd(level: float, mu1: float, alpha: float, f: float) -> float:
     """Mean NWD of the Gaussian steady-state error of LMS with the step matrix ``D``."""
-    _, truth = benchmark_spec()
-    d = mu1 * (1 + np.abs(truth.theta_bc) ** (1 - f)) / (1 - alpha)
+    d = mu1 * (1 + np.abs(THETA_BC) ** (1 - f)) / (1 - alpha)
     covariance = level * d / (2 * (1 - d.sum() / 4))
     # 2^16 draws: a sampling error of about 0.1% of the mean norm.
     z = np.random.default_rng(0).standard_normal((2**16, M))
-    return float(np.linalg.norm(z * np.sqrt(covariance), axis=1).mean() / np.linalg.norm(truth.theta_bc))
+    return float(np.linalg.norm(z * np.sqrt(covariance), axis=1).mean() / np.linalg.norm(THETA_BC))
 
 
 PAIRS = list(zip(ALPHAS, PAIRED_LMS_ETAS))

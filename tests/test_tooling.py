@@ -117,8 +117,7 @@ PUBLIC_SURFACE = {
     "experiment": {"AggregateResult", "AllRunsDivergedError", "CalibrationError", "GridConfig", "GridEntry",
                    "ScenarioConfig", "calibrate_mu1", "full_grid", "lms_params", "mflms_params",
                    "run_monte_carlo"},
-    "signal_model": {"HarmonicSpec", "ModelTruth", "aphi_from_bc", "bc_from_aphi", "benchmark_spec",
-                     "regressor", "synthesize"},
+    "signal_model": {"aphi_from_bc", "bc_from_aphi", "regressor"},
 }
 
 
