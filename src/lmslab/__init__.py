@@ -2,10 +2,10 @@
 
 The package provides:
 
-* :mod:`lmslab.kernels` -- Gamma function and fractional magnitude kernels;
 * :mod:`lmslab.filters` -- the update rules of LMS, momentum LMS,
   fractional LMS and three momentum-fractional variants, applied by one
-  step function;
+  step function, with the Gamma function they need and the table of
+  every parameter's range;
 * :mod:`lmslab.signal_model` -- the four-harmonic benchmark signal as
   constants, its regressor and its parameter transforms;
 * :mod:`lmslab.metrics` -- normalized weight difference and MSE;
@@ -22,13 +22,12 @@ from .filters import (
     DivergenceError,
     FilterParams,
     FilterState,
-    StepRecord,
     Variant,
     WEIGHT_LIMIT,
     default_muf,
+    gamma,
     step,
 )
-from .kernels import abs_pow, gamma
 from .metrics import MetricSpace, mse, nwd
 from .experiment import (
     AggregateResult,

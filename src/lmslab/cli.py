@@ -66,7 +66,7 @@ def _load_settings(args) -> Settings:
             text = args.config.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        settings = parse_config(text)
+        settings = parse_config(text, validate=False)  # cross-field rules: after --set and --seed
     else:
         settings = Settings()
     for item in args.overrides:

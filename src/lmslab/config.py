@@ -4,7 +4,7 @@ The format is line-based: one ``key = value`` assignment per line,
 ``#`` starts a comment, blank lines are ignored, list values are
 comma-separated numbers.  Unknown keys are rejected (not ignored).  A
 value's range is the one the library gives it
-(:data:`~lmslab.experiment.RANGES`), checked on the line that sets it,
+(:data:`~lmslab.filters.RANGES`), checked on the line that sets it,
 so an error names the line and the key.
 
 Grid keys are the fields of :class:`~lmslab.experiment.GridConfig`,
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .experiment import NOISE_SCALES, RANGES, GridConfig, ScenarioConfig
-from .filters import Variant
+from .experiment import NOISE_SCALES, GridConfig, ScenarioConfig
+from .filters import RANGES, Variant
 from .metrics import MetricSpace
 
 __all__ = ["ConfigError", "Settings", "parse_config", "apply_override", "validate_settings"]
@@ -68,7 +68,7 @@ _KEYS = _GRID_KEYS | (frozenset(f.name for f in fields(Settings)) - {"grid"})
 
 # The values of each text key, by name.  Every other key is a number, or for
 # a grid axis a comma-separated list of numbers, of the type and in the range
-# that the library gives the field it sets (experiment.RANGES; noise_level
+# that the library gives the field it sets (filters.RANGES; noise_level
 # takes that of noise_levels), checked on the line that sets it.
 _CHOICES = {key: {getattr(c, "value", c): c for c in choices}
             for key, choices in (("noise_scale", NOISE_SCALES), ("metric_space", MetricSpace), ("algorithm", Variant))}
@@ -122,11 +122,13 @@ def validate_settings(settings: Settings) -> Settings:
     return settings
 
 
-def parse_config(text: str) -> Settings:
+def parse_config(text: str, *, validate: bool = True) -> Settings:
     """Parse a configuration file body into validated settings.
 
     An empty body yields the full default benchmark grid.  Errors carry
-    the 1-based line number of the offending assignment.
+    the 1-based line number of the offending assignment.  With
+    ``validate=False`` the cross-field rules are left to a caller that
+    assigns more keys first and then calls :func:`validate_settings`.
     """
     settings = Settings()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,4 +142,4 @@ def parse_config(text: str) -> Settings:
             settings = apply_override(settings, key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    return validate_settings(settings)
+    return validate_settings(settings) if validate else settings

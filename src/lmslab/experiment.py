@@ -77,23 +77,22 @@ running the cells one by one.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-import numbers
-from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .filters import (
     KINDS,
+    RANGES,
     WEIGHT_LIMIT,
     FilterParams,
     FilterState,
     Rule,
     Variant,
+    _check_fields,
     diverged_rows,
     step,
     update_rule,
@@ -117,7 +116,6 @@ __all__ = [
     "full_grid",
     "lms_params",
     "mflms_params",
-    "RANGES",
     "DEFAULT_BASE_SEED",
     "N_RUNS",
     "N_ITERS",
@@ -189,69 +187,6 @@ _stream_windows: dict[int, _Window] = {}
 _BATCH_ROWS = 4000
 
 
-class Range(NamedTuple):
-    """A scenario or grid field's values: ``kind`` numbers from ``lo`` (excluded after ``"("``) up to ``hi``, excluded."""
-
-    kind: type
-    bracket: str
-    lo: float
-    hi: float
-
-    def check(self, name: str, value):
-        """``value`` as a ``kind``; a ``TypeError`` or ``ValueError`` names ``name`` unless it is one in the range."""
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral if self.kind is int else numbers.Real):
-            raise TypeError(f"{name}: must be {'an integer' if self.kind is int else 'a real number'}, got {value!r}")
-        try:
-            x = self.kind(value)
-        except OverflowError:  # an int beyond every float
-            x = math.inf
-        # NaN fails every comparison, and hi is excluded, so a float in range is finite.
-        if not ((self.lo < x) if self.bracket == "(" else (self.lo <= x)) or not x < self.hi:
-            raise ValueError(f"{name}: must lie in {self.bracket}{self.lo}, {self.hi}), got {value!r}")
-        return x
-
-
-# The range of every scenario and grid value, stated once: ScenarioConfig,
-# GridConfig, calibrate_mu1 and the configuration parser check through it.
-# A grid axis takes its scenario field's range; a noise level's is that of
-# the standard deviation under either scale.
-RANGES = {name: rule for names, rule in [
-    (("noise_std", "noise_levels"), Range(float, "[", 0, math.inf)),
-    (("alpha", "alphas"), Range(float, "[", 0, 1)),
-    (("f", "fractional_orders"), Range(float, "(", 0, 1)),
-    (("lms_eta", "lms_etas"), Range(float, "(", 0, math.inf)),
-    (("mflms_mu1",), Range(float, "(", 0, math.inf)),
-    (("mflms_muf",), Range(float, "[", 0, math.inf)),
-    (("n_runs", "n_iters", "checkpoint_interval", "calibration_runs"), Range(int, "[", 1, math.inf)),
-    (("base_seed",), Range(int, "[", 0, 2**64)),
-    (("calibration_tolerance",), Range(float, "(", 0, math.inf)),  # a zero-width match is unreachable
-] for name in names}
-
-
-def _check_fields(config) -> None:
-    """Hold each field of the frozen ``config`` that :data:`RANGES` names as :meth:`Range.check` returns it.
-
-    A grid axis (a tuple field) is checked value by value, and must be an
-    iterable other than text; a field whose default is None may be None.
-    ``metric_space`` is held as the enum.
-    """
-    for name, rule, axis, optional in _field_checks(type(config)):
-        value = getattr(config, name)
-        if axis and (isinstance(value, (str, bytes)) or not isinstance(value, Iterable)):
-            raise TypeError(f"{name}: must be a sequence of numbers, got {value!r}")
-        if not (value is None and optional):
-            value = tuple(rule.check(name, x) for x in value) if axis else rule.check(name, value)
-            object.__setattr__(config, name, value)
-    object.__setattr__(config, "metric_space", MetricSpace(config.metric_space))
-
-
-@functools.cache
-def _field_checks(cls) -> tuple:
-    """``(name, rule, is_axis, may_be_none)`` of each field of ``cls`` that :data:`RANGES` names; built once a class."""
-    return tuple((f.name, RANGES[f.name], isinstance(f.default, tuple), f.default is None)
-                 for f in fields(cls) if f.name in RANGES)
-
-
 class CalibrationError(RuntimeError):
     """No step size in the search bracket achieves the requested match."""
 
@@ -285,6 +220,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        object.__setattr__(self, "metric_space", MetricSpace(self.metric_space))
         if self.n_iters % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide n_iters")
 
@@ -850,6 +786,7 @@ class GridConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        object.__setattr__(self, "metric_space", MetricSpace(self.metric_space))
         if self.noise_scale not in NOISE_SCALES:
             raise ValueError(f"noise_scale must be one of {NOISE_SCALES}")
         if len(self.alphas) != len(self.lms_etas):

@@ -20,7 +20,12 @@ whose ``b`` does not read ``muf`` takes none (the collapsed forms read
 (:class:`FilterParams` requires them 0); ``muf`` defaults to
 :func:`default_muf` where ``b`` reads it, else to 0.  Table rows read
 ``name(eta=...)`` where ``b`` is 0, else ``name(f=...)``, then
-`` a=...`` where the rule takes ``alpha``.
+`` a=...`` where the rule takes ``alpha``.  ``Gamma`` is :func:`gamma`
+(Lanczos, g = 7).
+
+Every parameter's range is a row of :data:`RANGES`, the one table of
+value ranges: :class:`FilterParams`, the experiment's scenario and grid
+configurations and the configuration parser all check through it.
 
 Where ``b`` reads ``muf``, ``b = 0`` whenever ``muf = 0``, so the
 reduction identities between variants hold to the bit.
@@ -54,22 +59,24 @@ instead of ``.sum(axis=-1)``, whose order depends on the layout.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import gamma
-
 __all__ = [
     "Variant",
     "KINDS",
+    "RANGES",
     "FilterParams",
     "FilterState",
-    "StepRecord",
     "DivergenceError",
     "WEIGHT_LIMIT",
+    "gamma",
     "default_muf",
     "update_rule",
     "workspace",
@@ -128,6 +135,47 @@ KINDS = {
 }
 
 
+# Lanczos approximation, g = 7, 9 coefficients: about 1e-14 relative
+# accuracy on gamma's domain, below its 1e-12 contract.
+_LANCZOS_G = 7.0
+_LANCZOS_COEFFS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def _lanczos(x: float) -> float:
+    # Valid for x >= 0.5.
+    acc = _LANCZOS_COEFFS[0]
+    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        acc += c / (x - 1.0 + i)
+    t = x - 0.5 + _LANCZOS_G
+    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * acc
+
+
+def gamma(x: float) -> float:
+    """Gamma function on ``(0, 3]``, to better than 1e-12 absolute error.
+
+    The rules only need ``Gamma(2 - f)`` on ``(1, 2)``; the wider domain
+    makes the recurrence ``Gamma(x + 1) = x*Gamma(x)`` testable.  Values
+    outside it raise ``ValueError``.
+    """
+    x = float(x)
+    if not 0.0 < x <= 3.0:  # NaN fails too; inf is above 3
+        raise ValueError(f"gamma() is defined on (0, 3], got {x!r}")
+    if x < 0.5:
+        # Reflection formula keeps the Lanczos series in its sweet spot.
+        return math.pi / (math.sin(math.pi * x) * _lanczos(1.0 - x))
+    return _lanczos(x)
+
+
 def default_muf(mu1: float, f: float) -> float:
     """Conventional fractional step size ``muf = mu1 * Gamma(2 - f)``.
 
@@ -138,23 +186,88 @@ def default_muf(mu1: float, f: float) -> float:
     return mu1 * gamma(2.0 - f)
 
 
+class Range(NamedTuple):
+    """A field's values: ``kind`` numbers from ``lo`` (excluded after ``"("``) up to ``hi``, excluded."""
+
+    kind: type
+    bracket: str
+    lo: float
+    hi: float
+
+    def check(self, name: str, value):
+        """``value`` as a ``kind``; a ``TypeError`` or ``ValueError`` names ``name`` unless it is one in the range."""
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if self.kind is int else numbers.Real):
+            raise TypeError(f"{name}: must be {'an integer' if self.kind is int else 'a real number'}, got {value!r}")
+        try:
+            x = self.kind(value)
+        except OverflowError:  # an int beyond every float
+            x = math.inf
+        # NaN fails every comparison, and hi is excluded, so a float in range is finite.
+        if not ((self.lo < x) if self.bracket == "(" else (self.lo <= x)) or not x < self.hi:
+            raise ValueError(f"{name}: must lie in {self.bracket}{self.lo}, {self.hi}), got {value!r}")
+        return x
+
+
+# The range of every filter parameter and every scenario and grid value,
+# stated once: FilterParams, ScenarioConfig, GridConfig, calibrate_mu1 and
+# the configuration parser check through it.  A filter parameter shares
+# the row of the scenario field that sets it, and a grid axis that of its
+# scenario field; a noise level's is that of the standard deviation under
+# either scale.
+RANGES = {name: rule for names, rule in [
+    (("noise_std", "noise_levels"), Range(float, "[", 0, math.inf)),
+    (("alpha", "alphas"), Range(float, "[", 0, 1)),
+    (("f", "fractional_orders"), Range(float, "(", 0, 1)),
+    (("mu1", "lms_eta", "lms_etas", "mflms_mu1"), Range(float, "(", 0, math.inf)),
+    (("muf", "mflms_muf"), Range(float, "[", 0, math.inf)),
+    (("n_runs", "n_iters", "checkpoint_interval", "calibration_runs"), Range(int, "[", 1, math.inf)),
+    (("base_seed",), Range(int, "[", 0, 2**64)),
+    (("calibration_tolerance",), Range(float, "(", 0, math.inf)),  # a zero-width match is unreachable
+] for name in names}
+
+
+def _check_fields(config, may_be_none: tuple = ()) -> None:
+    """Hold each field of the frozen ``config`` that :data:`RANGES` names as :meth:`Range.check` returns it.
+
+    A grid axis (a tuple field) is checked value by value, and must be an
+    iterable other than text.  A field may be None where its default is
+    None or ``may_be_none`` names it.
+    """
+    for name, rule, axis, optional in _field_checks(type(config)):
+        value = getattr(config, name)
+        if axis and (isinstance(value, (str, bytes)) or not isinstance(value, Iterable)):
+            raise TypeError(f"{name}: must be a sequence of numbers, got {value!r}")
+        if not (value is None and (optional or name in may_be_none)):
+            value = tuple(rule.check(name, x) for x in value) if axis else rule.check(name, value)
+            object.__setattr__(config, name, value)
+
+
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """``(name, rule, is_axis, default_is_none)`` of each field of ``cls`` that :data:`RANGES` names; built once a class."""
+    return tuple((f.name, RANGES[f.name], isinstance(f.default, tuple), f.default is None)
+                 for f in fields(cls) if f.name in RANGES)
+
+
 @dataclass(frozen=True)
 class FilterParams:
     """Step sizes, fractional order, momentum coefficient and variant.
 
+    Each number is held as a float in its range, a row of :data:`RANGES`.
+
     Parameters
     ----------
     mu1: float
-        Base step size, ``> 0``.  For plain LMS this is the learning
-        rate usually written ``eta``.
+        Base step size.  For plain LMS this is the learning rate usually
+        written ``eta``.
     muf: float or None
-        Fractional-term step size, ``>= 0``; None selects the rule's
-        default (see :data:`KINDS`).
+        Fractional-term step size; None selects the rule's default (see
+        :data:`KINDS`).
     f: float
-        Fractional order, strictly inside ``(0, 1)``.
+        Fractional order.
     alpha: float
-        Momentum coefficient in ``[0, 1)``; ``0`` expresses the
-        momentum-free degenerate case.
+        Momentum coefficient; ``0`` expresses the momentum-free
+        degenerate case.
     variant: Variant
         Which update rule :func:`step` dispatches to; its text value
         (``"lms"``) is held as the enum.
@@ -169,16 +282,9 @@ class FilterParams:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         kind = KINDS[self.variant]
-        if not (self.mu1 > 0 and math.isfinite(self.mu1)):
-            raise ValueError("mu1 must be positive and finite")
-        if not 0.0 < self.f < 1.0:
-            raise ValueError("fractional order f must lie strictly in (0, 1)")
+        _check_fields(self, may_be_none=("muf",))
         if self.muf is None:
             object.__setattr__(self, "muf", default_muf(self.mu1, self.f) if kind.b == "muf" else 0.0)
-        if not (self.muf >= 0 and math.isfinite(self.muf)):
-            raise ValueError("muf must be non-negative and finite")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
         unused = [name for name, used in (("muf", kind.b == "muf"), ("alpha", kind.takes_alpha)) if not used]
         if any(getattr(self, name) != 0 for name in unused):
             raise ValueError(f"{kind.name} requires {' and '.join(f'{name} = 0' for name in unused)}")
@@ -207,13 +313,6 @@ class FilterState:
             raise ValueError("w, w_prev and v must share a shape")
         if self.n < 0:
             raise ValueError("iteration counter must be non-negative")
-
-
-@dataclass
-class StepRecord:
-    """The instantaneous (pre-update) error of a step."""
-
-    error: float | np.ndarray
 
 
 def _pairwise_sum(x: np.ndarray):
@@ -311,8 +410,8 @@ def advance(rule: Rule, w, w_prev, v, u, d, work=None) -> np.ndarray:
     if _nonzero(rule.b):
         # g = (a*e)*u + ((b*e)*u)*|w|**p in two scratch arrays: the
         # fractional term is formed first and the plain term added to it,
-        # which rounds the same, as IEEE addition commutes.  The power is
-        # kernels.abs_pow without its checks: update_rule's p is in (0, 1).
+        # which rounds the same, as IEEE addition commutes.  The power
+        # needs no check: update_rule's p = 1 - f, and FilterParams checks f.
         np.power(np.abs(w, out=g), rule.p, out=g)
         g *= np.multiply(np.multiply(rule.b, col, out=c), u, out=t)
         g += np.multiply(np.multiply(rule.a, col, out=c), u, out=t)
@@ -341,8 +440,9 @@ def step(
 ):
     """Advance one iteration with the update rule selected by ``params.variant``.
 
-    Returns the new state and a :class:`StepRecord`; an unbatched step
-    whose weights leave the guard raises :class:`DivergenceError`.
+    Returns the new state and the pre-update error: a float for one
+    row, else an array.  An unbatched step whose weights leave the guard
+    raises :class:`DivergenceError`.
 
     With ``in_place=True`` the step overwrites ``state`` instead (the
     ``w`` and ``w_prev`` buffers swap, ``v`` updates in place) and
@@ -374,4 +474,4 @@ def step(
             f"weights left the guard (NaN or magnitude above {WEIGHT_LIMIT:g}) "
             f"at iteration {new.n}"
         )
-    return new, StepRecord(error=float(e) if e.ndim == 0 else e)
+    return new, float(e) if e.ndim == 0 else e

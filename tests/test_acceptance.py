@@ -30,7 +30,7 @@ from lmslab.filters import (
     Variant,
     step,
 )
-from lmslab.kernels import gamma
+from lmslab.filters import gamma
 from lmslab.metrics import nwd
 from lmslab.signal_model import FREQUENCIES, THETA_APHI, THETA_BC, aphi_from_bc, regressor
 
@@ -80,8 +80,8 @@ def test_criterion_1_reduction_identities():
         def advance(variant, mu_f, alpha):
             params = FilterParams(mu1=mu1, muf=mu_f, f=f, alpha=alpha, variant=variant)
             state = FilterState(w=w.copy(), w_prev=w.copy(), v=v.copy())
-            new, rec = step(state, u, d, params)
-            return new.w, rec.error
+            new, err = step(state, u, d, params)
+            return new.w, err
 
         pairs = [
             (advance(Variant.MFLMS_ASSEMBLED, muf, 0.0), advance(Variant.FLMS, muf, 0.0)),
@@ -107,9 +107,9 @@ def test_criterion_2_discrepancy_identity():
         pp = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha, variant=Variant.MFLMS_PUBLISHED16)
         sc = FilterState(w=w.copy(), w_prev=w_prev.copy(), v=v.copy())
         sp = FilterState(w=w.copy(), w_prev=w_prev.copy(), v=v.copy())
-        nc, rc = step(sc, u, d, pc)
+        nc, ec = step(sc, u, d, pc)
         np16, _ = step(sp, u, d, pp)
-        expected = mu1 * rc.error * u
+        expected = mu1 * ec * u
         scale = max(np.linalg.norm(expected), np.linalg.norm(w))
         err = np.linalg.norm((nc.w - np16.w) - expected) / scale
         worst = max(worst, err)
@@ -163,10 +163,10 @@ def test_criterion_4_step_oracle_equivalence():
         w_prev = rng.normal(0, 2, m)
         state = FilterState(w=w.copy(), w_prev=w_prev.copy(), v=v.copy())
         w_exp, _, e_exp = naive_step(variant, w, w_prev, v, u, d, mu1, muf, f, alpha)
-        new, rec = step(state, u, d, params)
+        new, err = step(state, u, d, params)
         scale = max(np.linalg.norm(w_exp), 1.0)
         worst = max(worst, np.linalg.norm(new.w - w_exp) / scale)
-        worst = max(worst, abs(rec.error - e_exp) / max(abs(e_exp), 1.0))
+        worst = max(worst, abs(err - e_exp) / max(abs(e_exp), 1.0))
     announce(4, "every variant matches the naive loop evaluator", worst <= 1e-12,
              f"worst relative deviation {worst:.2e}, {time.perf_counter() - t0:.2f}s")
 

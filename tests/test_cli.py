@@ -385,6 +385,31 @@ class TestErrors:
         assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "aggregates.csv").exists()
 
+    # A file line whose cross-field rule only holds once a --set line is read.
+    COMPLETED_BY_SET = [("checkpoint_interval = 300", "n_iters=900"), ("alphas = 0.2", "lms_etas=0.027")]
+    TINY_GRID = ["--set", "noise_levels=0.30", "--set", "fractional_orders=0.25",
+                 "--set", "mflms_mu1=0.01", "--set", "n_runs=4"]
+
+    @pytest.mark.parametrize("line, override", COMPLETED_BY_SET)
+    def test_set_completes_a_config_file(self, tmp_path, line, override):
+        # The rules that couple keys are checked once the file, --set and
+        # --seed are all read, so a pair valid together is accepted.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "results"
+        assert main(["grid", "--config", str(cfg), "--out", str(out), "--seed", "42",
+                     "--set", override, *self.TINY_GRID]) == 0
+        assert (out / "aggregates.csv").exists()
+
+    @pytest.mark.parametrize("line, override", COMPLETED_BY_SET)
+    def test_config_file_invalid_alone_exits_1(self, tmp_path, capsys, line, override):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "results"
+        assert main(["grid", "--config", str(cfg), "--out", str(out), *self.TINY_GRID]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
     def test_seed_out_of_range(self, capsys):
         assert main(["grid", "--seed", str(2**64), *SMALL_GRID]) == 1
         assert "base_seed" in capsys.readouterr().err

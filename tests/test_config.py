@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from lmslab import config
 from lmslab.config import ConfigError, Settings, apply_override, parse_config
-from lmslab.experiment import RANGES, GridConfig, ScenarioConfig
-from lmslab.filters import Variant
+from lmslab.experiment import GridConfig, ScenarioConfig
+from lmslab.filters import RANGES, FilterParams, Variant
 from lmslab.metrics import MetricSpace
 
 
@@ -42,10 +42,10 @@ class TestDefaults:
 
     def test_every_range_is_a_field_of_the_library(self):
         # A rule left behind by a renamed or removed field would check nothing.
-        names = {f.name for cls in (ScenarioConfig, GridConfig) for f in fields(cls)}
+        names = {f.name for cls in (FilterParams, ScenarioConfig, GridConfig) for f in fields(cls)}
         assert set(RANGES) <= names
-        # And every field but the two text ones has a rule.
-        assert names - set(RANGES) == {"noise_scale", "metric_space"}
+        # And every field but the three that take a choice has a rule.
+        assert names - set(RANGES) == {"noise_scale", "metric_space", "variant"}
 
     def test_variance_scale_default(self):
         grid = parse_config("").grid_config()

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from lmslab import experiment
 from lmslab.experiment import (
@@ -556,8 +557,8 @@ class TestTrajectoryContract:
         for n in range(1, 301):
             u = regressor(FREQUENCIES, n)
             d = (u * THETA_BC).sum()
-            state, rec = step(state, u, d, params)
-            assert rec.error == 0.0
+            state, err = step(state, u, d, params)
+            assert err == 0.0
         assert nwd(state.w, THETA_BC) == 0.0
 
     def test_final_parameters_consistent(self):
@@ -1157,3 +1158,52 @@ class TestFullGrid:
         failing = list(config.cells())[3][2]
         mflms_blocks = [sc for blocks in calls for a, sc in blocks if a.variant is not Variant.LMS]
         assert len(mflms_blocks) >= 2 and failing not in mflms_blocks
+
+
+def _axis(values):
+    """Draws of 1 or 2 values from ``values``, as a tuple."""
+    return st.lists(values, min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def tiny_grids(draw):
+    """A tiny grid's keyword arguments, its axes over their whole ranges."""
+    alphas = draw(_axis(st.floats(0, 1, exclude_max=True)))
+    interval = draw(st.integers(1, 3))
+    return dict(
+        noise_levels=draw(_axis(st.floats(0, 1.7e308))),
+        noise_scale=draw(st.sampled_from(experiment.NOISE_SCALES)),
+        alphas=alphas,
+        lms_etas=draw(st.lists(st.floats(0, 1.7e308, exclude_min=True), min_size=len(alphas),
+                               max_size=len(alphas)).map(tuple)),
+        fractional_orders=draw(_axis(st.floats(0, 1, exclude_min=True, exclude_max=True))),
+        mflms_mu1=draw(st.none() | st.floats(0, 1e300, exclude_min=True)),
+        n_runs=draw(st.integers(1, 3)),
+        n_iters=interval * draw(st.integers(1, 3)),
+        checkpoint_interval=interval,
+        base_seed=draw(st.integers(0, 2**64 - 1)),
+        metric_space=draw(st.sampled_from(MetricSpace)),
+        calibration_runs=draw(st.integers(1, 3)),
+        calibration_tolerance=draw(st.floats(1e-3, 1e3)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(tiny_grids())
+def test_accepted_grid_gives_finite_tables_or_a_library_error(values):
+    # Any value the grid accepts, up to the largest floats, yields finite
+    # rows, or a named error: no calibration matches, or every run of a
+    # cell diverged.  Never a NaN table or an unnamed numpy failure.
+    try:
+        config = GridConfig(**values)
+    except ValueError:  # two values sharing an output label
+        reject()
+    try:
+        entries = full_grid(config)
+    except (CalibrationError, AllRunsDivergedError):
+        return
+    for entry in entries:
+        got = entry.aggregate
+        assert math.isfinite(entry.step_size)
+        assert np.isfinite(got.mean_nwd_at_checkpoints).all() and np.isfinite(got.mean_final_theta_aphi).all()
+        assert math.isfinite(got.mse_of_mean) and math.isfinite(got.mean_per_run_mse)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lmslab.experiment import ScenarioConfig
 from lmslab.filters import (
     DivergenceError,
     FilterParams,
@@ -128,6 +129,26 @@ class TestParamsValidation:
                 params_of(variant, mu1=0.01, muf=muf, f=0.25, alpha=0.2)
         assert params_of(variant, mu1=0.01, muf=None, f=0.25, alpha=0.2).muf == 0.0
 
+    # Each FilterParams field, the ScenarioConfig field that sets it, and
+    # values just outside its range.
+    BOUNDARY = {"mu1": ("mflms_mu1", [0.0]), "muf": ("mflms_muf", [-5e-324]),
+                "f": ("f", [0.0, 1.0]), "alpha": ("alpha", [-5e-324, 1.0])}
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field, (_, outside) in BOUNDARY.items()
+        for value in [True, "0.1", math.nan, math.inf, -math.inf, *outside, None]
+        # None is a value of both step-size fields of a scenario: mflms_mu1
+        # calibrates, and mflms_muf, like muf, selects the default.
+        if not (value is None and field in ("mu1", "muf"))
+    ])
+    def test_boundary_agrees_with_scenario_config(self, field, value):
+        scenario_field = self.BOUNDARY[field][0]
+        with pytest.raises((TypeError, ValueError), match=f"^{field}: must") as library:
+            params_of(Variant.MFLMS_ASSEMBLED, **{field: value})
+        with pytest.raises((TypeError, ValueError), match=f"^{scenario_field}: must") as scenario:
+            ScenarioConfig(**{"noise_std": 0.5, "alpha": 0.2, "f": 0.25, "lms_eta": 0.027, scenario_field: value})
+        assert type(library.value) is type(scenario.value)
+
     def test_variant_constraints(self):
         with pytest.raises(ValueError):
             params_of(Variant.LMS, muf=0.1)
@@ -178,8 +199,8 @@ class TestMakeFilter:
 class TestHandDerivedExamples:
     def test_lms_one_step(self):
         state = state_of([0.0, 0.0])
-        new, rec = step(state, [1.0, 0.0], 1.0, params_of(Variant.LMS, mu1=0.5))
-        assert rec.error == 1.0
+        new, err = step(state, [1.0, 0.0], 1.0, params_of(Variant.LMS, mu1=0.5))
+        assert err == 1.0
         np.testing.assert_array_equal(new.w, [0.5, 0.0])
         np.testing.assert_array_equal(new.w_prev, [0.0, 0.0])
         assert new.n == 1
@@ -192,22 +213,22 @@ class TestHandDerivedExamples:
         for variant in Variant:
             state = state_of(theta, theta, np.zeros(6))
             params = random_case(rng, variant)[3]
-            new, rec = step(state, u, d, params)
-            assert rec.error == 0.0
+            new, err = step(state, u, d, params)
+            assert err == 0.0
             np.testing.assert_array_equal(new.w, theta)
 
     def test_zero_regressor(self):
         state = state_of([1.0])
-        new, rec = step(state, [0.0], 7.0, params_of(Variant.LMS))
-        assert rec.error == 7.0
+        new, err = step(state, [0.0], 7.0, params_of(Variant.LMS))
+        assert err == 7.0
         np.testing.assert_array_equal(new.w, [1.0])
 
     def test_flms_hand_value(self):
         # fractional coefficient collapses to mu1, |1|**0.5 = 1:
         # w' = 1 + 0.1 + 0.1 = 1.2
         params = params_of(Variant.FLMS, mu1=0.1, muf=0.1 * math.gamma(1.5), f=0.5)
-        new, rec = step(state_of([1.0]), [1.0], 2.0, params)
-        assert rec.error == 1.0
+        new, err = step(state_of([1.0]), [1.0], 2.0, params)
+        assert err == 1.0
         assert new.w[0] == pytest.approx(1.2, abs=1e-15)
 
     def test_flms_zero_weights_equal_lms(self):
@@ -225,8 +246,8 @@ class TestHandDerivedExamples:
         s1, _ = step(state_of([0.0]), [1.0], 1.0, params)
         v1 = s1.v.copy()
         assert v1[0] != 0.0
-        s2, rec = step(s1, [0.0], 0.0, params)
-        assert rec.error == 0.0
+        s2, err = step(s1, [0.0], 0.0, params)
+        assert err == 0.0
         np.testing.assert_array_equal(s2.w, s1.w + 0.5 * v1)
 
     def test_assembled_cold_start_equals_lms(self):
@@ -239,8 +260,8 @@ class TestHandDerivedExamples:
 
     def test_published16_hand_value(self):
         params = params_of(Variant.MFLMS_PUBLISHED16, mu1=0.1, f=0.5, alpha=0.0)
-        new, rec = step(state_of([1.0]), [1.0], 2.0, params)
-        assert rec.error == 1.0
+        new, err = step(state_of([1.0]), [1.0], 2.0, params)
+        assert err == 1.0
         assert new.w[0] == pytest.approx(1.1, abs=1e-15)
 
     def test_published16_origin_fixed_point(self):
@@ -251,13 +272,13 @@ class TestHandDerivedExamples:
     def test_corrected_escapes_origin(self):
         params = params_of(Variant.MFLMS_CORRECTED, mu1=0.3, f=0.25, alpha=0.7)
         u, d = np.array([1.0, 2.0]), 5.0
-        new, rec = step(state_of([0.0, 0.0]), u, d, params)
-        np.testing.assert_array_equal(new.w, 0.3 * rec.error * u)
+        new, err = step(state_of([0.0, 0.0]), u, d, params)
+        np.testing.assert_array_equal(new.w, 0.3 * err * u)
 
     def test_corrected_hand_value(self):
         params = params_of(Variant.MFLMS_CORRECTED, mu1=0.1, f=0.5, alpha=0.2)
-        new, rec = step(state_of([1.0], w_prev=[0.5]), [1.0], 2.0, params)
-        assert rec.error == 1.0
+        new, err = step(state_of([1.0], w_prev=[0.5]), [1.0], 2.0, params)
+        assert err == 1.0
         assert new.w[0] == pytest.approx(1.3, abs=1e-15)
 
     def test_corrected_zero_weights_reduce_to_lms(self):
@@ -291,9 +312,9 @@ class TestReductionChain:
                               **{**dict(muf=muf, alpha=0.0), **kwargs_b})
             sa = state_of(w, w, v)
             sb = state_of(w, w, v)
-            na, ra = step(sa, u, d, pa)
-            nb, rb = step(sb, u, d, pb)
-            assert ra.error == rb.error
+            na, ea = step(sa, u, d, pa)
+            nb, eb = step(sb, u, d, pb)
+            assert ea == eb
             np.testing.assert_array_equal(na.w, nb.w)
 
     def test_assembled_alpha0_is_flms(self):
@@ -338,9 +359,9 @@ class TestDiscrepancyIdentity:
                               variant=Variant.MFLMS_CORRECTED)
             pp = FilterParams(mu1=mu1, muf=0.0, f=f, alpha=alpha,
                               variant=Variant.MFLMS_PUBLISHED16)
-            nc, rc = step(state_of(w, w_prev), u, d, pc)
+            nc, ec = step(state_of(w, w_prev), u, d, pc)
             np_, rp = step(state_of(w, w_prev), u, d, pp)
-            expected = mu1 * rc.error * u
+            expected = mu1 * ec * u
             diff = nc.w - np_.w
             # The residual is rounding at the weight scale, so measure
             # relative to the larger of the update and the weights.
@@ -354,8 +375,8 @@ class TestErrorDefinition:
         for variant in Variant:
             state, u, d, params = random_case(rng, variant)
             w_before = state.w.copy()
-            _, rec = step(state, u, d, params)
-            assert rec.error == float(d - (u * w_before).sum())
+            _, err = step(state, u, d, params)
+            assert err == float(d - (u * w_before).sum())
 
 
 class TestStepOracle:
@@ -369,8 +390,8 @@ class TestStepOracle:
                 variant, state.w, state.w_prev, state.v, u, d,
                 params.mu1, params.muf, params.f, params.alpha,
             )
-            new, rec = step(state, u, d, params)
-            assert rec.error == pytest.approx(e_exp, rel=1e-12, abs=1e-12)
+            new, err = step(state, u, d, params)
+            assert err == pytest.approx(e_exp, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(new.w, w_exp, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(new.v, v_exp, rtol=1e-12, atol=1e-12)
 
@@ -392,8 +413,8 @@ class TestKernel:
             v_new, out = v.copy(), w_prev.copy()
             e = advance(update_rule(params), w, out, v_new, u, d)
             for r in range(rows):
-                new, rec = step(state_of(w[r], w_prev[r], v[r]), u, d[r], params)
-                assert e[r] == rec.error
+                new, err = step(state_of(w[r], w_prev[r], v[r]), u, d[r], params)
+                assert e[r] == err
                 np.testing.assert_array_equal(out[r], new.w)
                 np.testing.assert_array_equal(v_new[r], new.v)
                 w_exp, v_exp, e_exp = naive_step(
@@ -415,8 +436,8 @@ class TestKernel:
         pure = FilterState(w=state.w.copy(), w_prev=state.w_prev.copy(), v=state.v.copy())
         for k in range(3):
             u, d = rng.normal(0, 1.5, 3), rng.normal(0, 2, 5)
-            pure, rec = step(pure, u, d, params)
-            np.testing.assert_array_equal(step(state, u, d, params, in_place=True), rec.error)
+            pure, err = step(pure, u, d, params)
+            np.testing.assert_array_equal(step(state, u, d, params, in_place=True), err)
             np.testing.assert_array_equal(state.w, pure.w)
             np.testing.assert_array_equal(state.w_prev, pure.w_prev)
             np.testing.assert_array_equal(state.v, pure.v)

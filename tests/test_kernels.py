@@ -1,4 +1,5 @@
-"""Kernel tests: Gamma against a high-precision oracle, abs_pow properties.
+"""Kernel tests: Gamma against a high-precision oracle, and the properties
+of the fractional magnitude ``|w|**p`` that the batched kernel forms.
 
 Expected values marked "frozen" were computed with mpmath at 50 digits
 (the oracle is also evaluated live so the frozen literals cannot drift).
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lmslab.kernels import abs_pow, gamma
+from lmslab.filters import FilterParams, Form, Rule, Variant, advance, gamma, workspace
 
 mpmath.mp.dps = 50
 
@@ -51,6 +52,21 @@ class TestGamma:
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
             gamma(x)
+
+
+def abs_pow(w, p: float) -> np.ndarray:
+    """``|w|**p`` as :func:`advance` forms it, read from its gradient scratch.
+
+    Each value ``x`` is a row ``[x, -x]`` stepped by a plain rule with
+    ``a = 0`` and ``b = 1`` at ``u = [1, 1]`` and ``d = 1``: the error
+    ``1 - (x + -x)`` is exactly 1, so the gradient is ``|w|**p`` unscaled.
+    """
+    x = np.asarray(w, dtype=np.float64)
+    rows = np.stack([x, -x], axis=-1)
+    work = workspace(rows)
+    advance(Rule(Form.PLAIN, 0.0, 1.0, p, 0.0), rows, np.empty_like(rows), np.empty_like(rows),
+            np.ones(2), np.ones(x.shape), work)
+    return work[0][..., 0].copy()
 
 
 class TestAbsPow:
@@ -97,5 +113,7 @@ class TestAbsPow:
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_exponent_range(self, p):
-        with pytest.raises(ValueError):
-            abs_pow([1.0], p)
+        # The kernel takes p = 1 - f unchecked: FilterParams refuses each f
+        # that would give it an exponent outside (0, 1).
+        with pytest.raises(ValueError, match="^f: must"):
+            FilterParams(mu1=0.1, muf=None, f=1.0 - p, alpha=0.0, variant=Variant.FLMS)
