@@ -49,10 +49,14 @@ sample buffer the batch reuses.  Each step is guarded by the batch's
 largest and smallest weight; only when either is NaN or beyond
 ``WEIGHT_LIMIT`` are the diverged rows found (:func:`diverged_rows`).
 Those runs are reset to their last in-bound weights, copied to the
-row-major output and dropped from the batch: the kept rows move to the
-front of the state's buffers, and the leading rows of the workspace
-serve them, so frozen runs cost nothing further; their later checkpoints
-repeat their frozen fitness.  Checkpoint metrics read that row-major
+row-major output and dropped from the batch: each frozen row below the
+new row count takes a kept row from above it, in the state's buffers,
+the run bookkeeping, the rule's coefficient columns and the current
+sample chunk, and the leading rows of the workspace serve them, so only
+the frozen rows' places are written and frozen runs cost nothing
+further; their later checkpoints repeat their frozen fitness.  Rows step
+independently and map back to their runs through the active list, so
+the reordering changes no bit.  Checkpoint metrics read that row-major
 output, several checkpoints at a time, which keeps them bit-identical to
 a row-major engine.  A batch may also hold blocks with their own
 coefficients and noise levels.
@@ -316,8 +320,8 @@ def _simulate(
         algorithm, scenario = algorithm[0], scenario[0]
     else:
         rule, noise_std = update_rule(algorithm), np.full(n_runs, scenario.noise_std)
-    # Per-row coefficient columns, at full batch size; compacted with the rows.
-    columns = {name: c for name, c in zip(Rule._fields, rule) if isinstance(c, np.ndarray)}
+    # The rule's per-row coefficient columns, compacted with the rows.
+    columns = [name for name, c in zip(Rule._fields, rule) if isinstance(c, np.ndarray)]
     n_iters = scenario.n_iters if n_iters is None else n_iters
     interval = scenario.checkpoint_interval
     n_ck = n_iters // interval
@@ -367,16 +371,22 @@ def _simulate(
                     bad = diverged_rows(state.w)
                     w_out[active[bad]] = state.w_prev[bad]
                     frozen[active[bad]] = True
-                    keep = ~bad
-                    active, active_runs, active_std = active[keep], active_runs[keep], active_std[keep]
-                    d = np.compress(keep, d, axis=1)
-                    # The kept rows move to the front of the batch's buffers.
+                    # Each frozen row below the kept count takes a kept row
+                    # from above it; rows step independently, and w_out
+                    # reads them back through active, so order is free.
+                    n_keep = len(active) - np.count_nonzero(bad)
+                    dst, src = np.flatnonzero(bad[:n_keep]), np.flatnonzero(~bad[n_keep:]) + n_keep
+
+                    def fill(a):  # a's first axis is the batch's rows
+                        a[dst] = a[src]
+                        return a[:n_keep]
+
+                    active, active_runs, active_std = fill(active), fill(active_runs), fill(active_std)
+                    d = fill(d.T).T
                     for name in ("w", "w_prev", "v"):
-                        a = getattr(state, name).T
-                        a[:, :len(active)] = np.compress(keep, a, axis=1)
-                        setattr(state, name, a[:, :len(active)].T)
-                    rule = rule._replace(**{name: c[active] for name, c in columns.items()})
-                    work = tuple(a[:len(active)] for a in work)
+                        setattr(state, name, fill(getattr(state, name)))
+                    rule = rule._replace(**{name: fill(getattr(rule, name)) for name in columns})
+                    work = tuple(a[:n_keep] for a in work)
             if (k + 1) % interval == 0:
                 j = (k + 1) // interval - 1
                 slot = j % n_slots

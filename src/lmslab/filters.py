@@ -48,6 +48,13 @@ transition; the experiment engine calls
 and a batch's :func:`workspace`, and leaves the divergence guard to the
 caller (:func:`diverged_rows`).
 
+The fractional magnitude ``|w|**(1-f)`` of the default orders (f = 0.25,
+0.5, 0.75) is formed from correctly rounded operations, so its bits are
+the same on every IEEE-754 machine and SIMD path: ``sqrt(|w|)``,
+``sqrt(sqrt(|w|))`` and ``sqrt(|w|)*sqrt(sqrt(|w|))``, within 0.5, 1
+and 2.5 ulp of the exact power.  Any other order takes ``np.power``,
+whose last bit may follow the CPU's SIMD loops.
+
 The kernel is layout-agnostic: a batch ``(..., M)`` may be a row-major
 array or the transposed view of a component-major ``(M, ...)`` buffer,
 as the experiment engine holds it, and gives the same bits either way.
@@ -412,7 +419,19 @@ def advance(rule: Rule, w, w_prev, v, u, d, work=None) -> np.ndarray:
         # fractional term is formed first and the plain term added to it,
         # which rounds the same, as IEEE addition commutes.  The power
         # needs no check: update_rule's p = 1 - f, and FilterParams checks f.
-        np.power(np.abs(w, out=g), rule.p, out=g)
+        # At p = 0.5, 0.25 and 0.75 (exact as 1 - f) it is taken from square
+        # roots, portable and cheaper than np.power; p = 0.75 uses t,
+        # which is overwritten only after.
+        np.abs(w, out=g)
+        if rule.p == 0.5:
+            np.sqrt(g, out=g)
+        elif rule.p == 0.25:
+            np.sqrt(np.sqrt(g, out=g), out=g)
+        elif rule.p == 0.75:
+            np.sqrt(np.sqrt(g, out=t), out=g)
+            g *= t
+        else:
+            np.power(g, rule.p, out=g)
         g *= np.multiply(np.multiply(rule.b, col, out=c), u, out=t)
         g += np.multiply(np.multiply(rule.a, col, out=c), u, out=t)
     else:

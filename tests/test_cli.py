@@ -7,11 +7,15 @@ is skipped where speed matters).
 
 import hashlib
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmslab
 from lmslab.cli import _single_algorithm, main
 from lmslab.config import parse_config
 from lmslab.experiment import GridConfig, calibrate_mu1
@@ -32,8 +36,11 @@ SMALL_GRID = [
 def numpy_platform() -> str:
     """numpy's version and SIMD dispatch, for the golden digests' failure messages.
 
-    numpy picks its loops for the CPU at import; without its AVX-512 loops
-    np.power and np.arctan2 differ in the last bit, and so do the digests.
+    numpy picks its loops for the CPU at import.  The SIMD-dependent
+    operations are np.arctan2, which forms every amplitude/phase value,
+    and np.power at exponents other than 0.25, 0.5 and 0.75, which the
+    kernel forms from square roots; without numpy's AVX-512 loops the
+    former differs in the last bit, and so do the digests.
     """
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
     enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
@@ -96,7 +103,7 @@ class TestGrid:
         ]) == 0
         digest = hashlib.sha256((out / "aggregates.csv").read_bytes()).hexdigest()
         # Measured with numpy 2.4.6.
-        assert digest == "0066028c7da473f1576ee563f69ad83be087c62760f2bc7b90bf7928a6607e4d", numpy_platform()
+        assert digest == "d3ba2d780aa8c85953c7a4030f749ee259a856d3a0a657b56ec8f84b2a482aac", numpy_platform()
 
     def test_seed_changes_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -115,51 +122,51 @@ def sha256s(path):
 # numpy 2.4.6.
 GOLDEN_FILES = {
     20: {
-        "aggregates.csv": "0066028c7da473f1576ee563f69ad83be087c62760f2bc7b90bf7928a6607e4d",
-        "curves_sigma0.30_f0.25.csv": "372003c43f207edc16dfa9e839bcf2c385510e8db9823a0af43ade01093b9013",
+        "aggregates.csv": "d3ba2d780aa8c85953c7a4030f749ee259a856d3a0a657b56ec8f84b2a482aac",
+        "curves_sigma0.30_f0.25.csv": "949dff2bc4a87f4034b9f8afd5244ffca88e70e9f78ff965ea39d185cf6428ee",
         "curves_sigma0.30_f0.50.csv": "1fa6e04052fa3317d116b0014b04631f7041febac2598826d22f60e102de1554",
-        "curves_sigma0.30_f0.75.csv": "134acd1c538723d68ba2580c17815e9c699f01a2f00ee9b56f8fae0147821908",
-        "curves_sigma0.60_f0.25.csv": "3503a123d86f621c10f78faf1610c82a35e17bbc7f40992e870e1530a83c1c5b",
+        "curves_sigma0.30_f0.75.csv": "f789ef33c48ae111fdfa9d4b59218bcb5b57e7a9a349aea780df7d3e33de0f74",
+        "curves_sigma0.60_f0.25.csv": "13232bd8304208f75d961ceea714001ed4becf921b6ca98d209d2de98e326b59",
         "curves_sigma0.60_f0.50.csv": "11594bb18f8803f06c35973bcaa143fa0a4de986d6e87a1377a6dfb7e39858bd",
-        "curves_sigma0.60_f0.75.csv": "7bc736c28437c6a1fc785ce8f21ba91635a006ced612e279e453576983486c6c",
-        "curves_sigma0.90_f0.25.csv": "0d746d245d43d60f1f1dce6742cc2d877b22af0412d489493218539da0a1c787",
+        "curves_sigma0.60_f0.75.csv": "f4908a91fd960786c2cfc0f60a048d6175a9400981c463a9121dd462381b1907",
+        "curves_sigma0.90_f0.25.csv": "a7b0df4a73fc7cc920091ff54a6a93fe70095c36ca167cb50f33df5291df4f5f",
         "curves_sigma0.90_f0.50.csv": "850f5b93b0154ef50b2a76c1a3a5331ff5977c1aab104c813bfd908f0838806e",
-        "curves_sigma0.90_f0.75.csv": "b4f1e00592e19f2825eb9e23f9240c46042c8cce5d577a685336422445daa0d8",
-        "estimation_sigma0.30.csv": "528bed05813abd308e3d2948c67bc9da0ef0fc0dc5de9c174a285f9dc9c3e5ba",
+        "curves_sigma0.90_f0.75.csv": "cbe25dd48347085fc8c28e2ca9d024cbb02043f5b9e99f94b35ee31b2aec98d5",
+        "estimation_sigma0.30.csv": "7cb90ddc5a17b40330a967efe790b1c9dcb0156cca0549fd92791236682bf1f0",
         "estimation_sigma0.30.txt": "d7cea240090b70c4a0cac94408f103e04f96d3066da9f0858135f7e19a7828c0",
-        "estimation_sigma0.60.csv": "4c533585e786d5413c9f1a58bff296bbdb31f3b595e2b62e07a65d08aeaf7d80",
+        "estimation_sigma0.60.csv": "5c2f2e0cdd1723caa505c5620aec4db8c849fdcac96e55178aa64af8f669560f",
         "estimation_sigma0.60.txt": "f7948f2e38458d0d6165b660511351b6625f7dd6a8f62e4bcda6e5cdf827fd1d",
-        "estimation_sigma0.90.csv": "5b897784a4ba43fccb3b2fcff67cb81fd7c1b73524f699fe01164aa8304b290c",
+        "estimation_sigma0.90.csv": "7916d01bd1cd17bade665f80126439f5ffd015435e690a3109c070bf59823b4f",
         "estimation_sigma0.90.txt": "997bf17124916487af6e730cd625120f2012a79f15b80dd5e98eb211e431c7de",
-        "fitness_sigma0.30.csv": "551a2760c0f9a17bb696183a0e3a8e424c98ace650f6cc53bde4925eb26c8f91",
+        "fitness_sigma0.30.csv": "e3551c1db48a869084ded2bce5bc3e4809df7aaaa42ed83f4289829e879e39b8",
         "fitness_sigma0.30.txt": "ce07ea85009bb8bd2095e868852e43fd2c4f245ddeccf3e5fc9906032ed0140f",
-        "fitness_sigma0.60.csv": "8552024bd982990b1c71245992d91641ad3056e4e1208412c427d13b14509ffc",
+        "fitness_sigma0.60.csv": "9b60e35423a7af89fdf0c40da234cc66f288cf36254b78031da8842baf3808fa",
         "fitness_sigma0.60.txt": "6ad998df0970ed311ed4cc97a86862cc8c2708874fbe2cb9491861b5942939ce",
-        "fitness_sigma0.90.csv": "4c5bafb08b25fa7701370903fbfee49e697eaf9db6f839884fe06c1fa640d5cb",
+        "fitness_sigma0.90.csv": "e72839f37f111f64ba4e71478019c9ea15a75688168ef335d40510eb2eb11a88",
         "fitness_sigma0.90.txt": "e75c3a8a9fce755fe318f089c840ed5225740ed2854ecc0d5e6acd5e68cc96f8",
     },
     1: {
-        "aggregates.csv": "239a74ad0e71d178733d1494c956791af10e4b14cc6953137dd9d3960f27e489",
-        "curves_sigma0.30_f0.25.csv": "c98393ca3aca282b889f17c209bbb7c95f7d5abaf33428a4818aa80c8c06c082",
+        "aggregates.csv": "17daa892e29c87db77dad2a338bf61104b8377a47f30b7afa9d543ed003538a2",
+        "curves_sigma0.30_f0.25.csv": "fb0a8b361086c6d9d59f7b768ebd96ecf46fadbc5366f7cb87fce41e39b75975",
         "curves_sigma0.30_f0.50.csv": "35256e5e9e3aa69ad4f4e6e9644bc441483bcef91a4f1a218e1ad379e4da38c1",
-        "curves_sigma0.30_f0.75.csv": "93d9077793a4beaa7815850dc7dda58f7e223aa1a37e63b18e9221f02b7cf3a8",
-        "curves_sigma0.60_f0.25.csv": "fe6e03716cd4399b26d154848e73949a549ce4da1923669fa39285bbd4bc9d64",
+        "curves_sigma0.30_f0.75.csv": "820a561a66c88a1522afa0ac7ca90e7d7aec75c79b8e5db3959dac245303aeef",
+        "curves_sigma0.60_f0.25.csv": "a04b9fdb94b2ec631683b3644fda1d368a5ce4945ec5cad640d363d9b3de00e9",
         "curves_sigma0.60_f0.50.csv": "1eed27743c02f3dd48ac3b681e9d181bce3ab22c4a621cb7d81ba8e5f2d354f1",
-        "curves_sigma0.60_f0.75.csv": "ec16d819dbac06db9cdd23dd14ece1086c99e411b0493d4ecd70f03cd6a617c2",
-        "curves_sigma0.90_f0.25.csv": "bca7e3bcf91f98b337cbea20e8390ad61e142125eb5d77f5a218d92d3ce442c4",
+        "curves_sigma0.60_f0.75.csv": "fb689ce0301aea3c0ea7f140b86eb1d8baae62288279526e4d19355c2f0362d2",
+        "curves_sigma0.90_f0.25.csv": "fcce70562847b4c21e900a51997f567e171437c8dfaddbe1cc02694c4a8cd8be",
         "curves_sigma0.90_f0.50.csv": "db7219be138b06150255ff5f2d5a94001398ff3b3d3d1fa8a8d18925163da68a",
-        "curves_sigma0.90_f0.75.csv": "e39d16b4d8b18f706d5a479851ab4ebf7266872afcb8b779319e9a75dacdf450",
-        "estimation_sigma0.30.csv": "528bed05813abd308e3d2948c67bc9da0ef0fc0dc5de9c174a285f9dc9c3e5ba",
+        "curves_sigma0.90_f0.75.csv": "b5bed1e9a811375c2d37a6c41765e7427681c4fe3920fb9ce4518f745f199224",
+        "estimation_sigma0.30.csv": "7cb90ddc5a17b40330a967efe790b1c9dcb0156cca0549fd92791236682bf1f0",
         "estimation_sigma0.30.txt": "d7cea240090b70c4a0cac94408f103e04f96d3066da9f0858135f7e19a7828c0",
-        "estimation_sigma0.60.csv": "4c533585e786d5413c9f1a58bff296bbdb31f3b595e2b62e07a65d08aeaf7d80",
+        "estimation_sigma0.60.csv": "5c2f2e0cdd1723caa505c5620aec4db8c849fdcac96e55178aa64af8f669560f",
         "estimation_sigma0.60.txt": "f7948f2e38458d0d6165b660511351b6625f7dd6a8f62e4bcda6e5cdf827fd1d",
-        "estimation_sigma0.90.csv": "5b897784a4ba43fccb3b2fcff67cb81fd7c1b73524f699fe01164aa8304b290c",
+        "estimation_sigma0.90.csv": "7916d01bd1cd17bade665f80126439f5ffd015435e690a3109c070bf59823b4f",
         "estimation_sigma0.90.txt": "997bf17124916487af6e730cd625120f2012a79f15b80dd5e98eb211e431c7de",
-        "fitness_sigma0.30.csv": "a2003398f63fd73d279d09ac9c8eb415eb2719e377ce97a49bac136418e236e0",
+        "fitness_sigma0.30.csv": "ee6c6ba71603ca91d7393acc7b4a1c4c831357cf346e2dd5c82d53dbcbef5fbc",
         "fitness_sigma0.30.txt": "3bac299bb7c9b0aad8a7bf94ffc68bb3b38883327c87375f2d4000b4766c40da",
-        "fitness_sigma0.60.csv": "d4d8ffb6834b8ea86beab4a573e1326ddd20312ec8fda5e57843a78b6f1c7b2c",
+        "fitness_sigma0.60.csv": "c8afd9430088604cbf5ca2193abd81d53993ec978570b106303a0d189074937e",
         "fitness_sigma0.60.txt": "4a82689dcf53ba994fe9afa2bfe974392c43ffa4903c27dc7bdf48556c430d30",
-        "fitness_sigma0.90.csv": "66f58554339ee75130bc5bc2b0fd044a078193b191817c5dada07f35458aff9b",
+        "fitness_sigma0.90.csv": "40ea54563a734d0c6a2776bbc5403b080b27d7bcf6385a674b3761340418234f",
         "fitness_sigma0.90.txt": "12cfea564c343eae0dd04533836a29f179f32c8235d9478115dbf6719ddcfd82",
     },
 }
@@ -189,6 +196,51 @@ class TestGoldenFiles:
         assert main(["report", "--out", str(tmp_path)]) == 0
         assert len(GOLDEN_FILES[1]) == 22
         assert sha256s(tmp_path) == GOLDEN_FILES[1], numpy_platform()
+
+
+# numpy's SIMD dispatch targets switched off for a child process: its
+# AVX-512 loops, then its AVX2 (x86-64-v3) loops as well.
+DISPATCH = set((getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_dispatch__)
+SIMD_OFF = {
+    "avx512": ("AVX512_SPR", "AVX512_ICL", "X86_V4"),
+    "avx512-avx2": ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3"),
+}
+
+
+def bc_grid_files(out, disabled=()):
+    """The bc-space curves and fitness files of a small grid, written by a child whose numpy skips ``disabled``.
+
+    numpy reads NPY_DISABLE_CPU_FEATURES at import, so the switch acts
+    on the child only.  The estimation tables and ``aggregates.csv`` are
+    left out: they hold amplitude/phase estimates and their MSE, and
+    np.arctan2 still rounds those last bits differently on each SIMD path.
+    """
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(lmslab.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([
+        sys.executable, "-m", "lmslab", "grid", "--out", str(out), "--seed", "42",
+        "--set", "mflms_mu1=0.011", "--set", "n_runs=20", "--set", "n_iters=200", "--set", "metric_space=bc",
+    ], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {name: data for name, data in tree(out).items() if name.startswith(("curves_", "fitness_"))}
+
+
+class TestPortableBytes:
+    @pytest.fixture(scope="class")
+    def native(self, tmp_path_factory):
+        return bc_grid_files(tmp_path_factory.mktemp("native"))
+
+    @pytest.mark.parametrize("disabled", [
+        pytest.param(targets, id=name, marks=pytest.mark.skipif(
+            not set(targets) <= DISPATCH, reason=f"numpy does not dispatch to {' '.join(targets)}"))
+        for name, targets in SIMD_OFF.items()
+    ])
+    def test_bc_outputs_do_not_depend_on_simd_loops(self, tmp_path, native, disabled):
+        # Every mFLMS step at f = 0.25 and 0.75 forms |w|**(1 - f) here, so
+        # a power taken through numpy's SIMD loops shows in these files.
+        assert len(native) == 15
+        assert bc_grid_files(tmp_path, disabled) == native, numpy_platform()
 
 
 class TestReport:

@@ -473,6 +473,41 @@ class TestFrozenRowCompaction:
         for a, b in zip(got, naive_simulate(params, sc, range(60))):
             np.testing.assert_array_equal(a, b)
 
+    def test_blocks_freezing_at_both_ends_match_naive_oracle(self, monkeypatch):
+        # A frozen row's place is taken by a kept row from the batch's top,
+        # here one of another block: its noise level, coefficients and
+        # desired samples must move with it.  The batch's first and last
+        # rows (runs 39 and 143; run 103 would freeze first) freeze first,
+        # together, at iteration 39, so the top row is itself a hole; later
+        # runs freeze mid-chunk, before the chunk at iteration 54 reads the
+        # noise levels again.
+        masks = []
+
+        def recording_diverged_rows(w):
+            masks.append(diverged_rows(w))
+            return masks[-1]
+
+        monkeypatch.setattr(experiment, "diverged_rows", recording_diverged_rows)
+        variant = Variant.MFLMS_ASSEMBLED
+        mu1, n_iters = FREEZING[variant]
+        blocks = [
+            (freezing_params(variant, mu1), 1.0, range(39, 139)),
+            (block_params(variant, mu1 / 4, 0.3), math.sqrt(0.3), range(100)),
+            (FilterParams(mu1=0.9 * mu1, muf=0.9 * mu1, f=0.25, alpha=0.6, variant=variant), 0.5,
+             [r for r in range(100, 200) if r not in (103, 143)] + [143]),
+        ]
+        algorithms = tuple(params for params, _, _ in blocks)
+        scenarios = tuple(
+            scenario(noise_std=noise_std, n_runs=len(runs), n_iters=n_iters, checkpoint_interval=2)
+            for _, noise_std, runs in blocks
+        )
+        got = _simulate(algorithms, scenarios, [i for _, _, runs in blocks for i in runs], n_iters=n_iters)
+        assert masks[0][0] and masks[0][-1] and len(masks) > 10
+        assert experiment._CHUNK_ELEMENTS // len(masks[0]) == 27
+        parts = [naive_simulate(a, sc, list(runs)) for a, sc, (_, _, runs) in zip(algorithms, scenarios, blocks)]
+        for i, batched in enumerate(got):
+            np.testing.assert_array_equal(batched, np.concatenate([p[i] for p in parts]))
+
     def test_checkpoint_metrics_span_several_buffers(self):
         # A checkpoint at every iteration: the metrics are measured many
         # checkpoints at a time, and the last buffer is partly filled.

@@ -1,5 +1,6 @@
 """Kernel tests: Gamma against a high-precision oracle, and the properties
-of the fractional magnitude ``|w|**p`` that the batched kernel forms.
+of the fractional magnitude ``|w|**p`` that the batched kernel forms: from
+square roots at the default orders' exponents, with ``np.power`` elsewhere.
 
 Expected values marked "frozen" were computed with mpmath at 50 digits
 (the oracle is also evaluated live so the frozen literals cannot drift).
@@ -110,6 +111,38 @@ class TestAbsPow:
             mags = np.sort(np.abs(rng.normal(0, 2, 50)))
             out = abs_pow(mags, p)
             assert np.all(np.diff(out) >= 0)
+
+    @pytest.mark.parametrize("p, formula", [
+        (0.25, lambda x: np.sqrt(np.sqrt(x))),
+        (0.5, np.sqrt),
+        (0.75, lambda x: np.sqrt(x) * np.sqrt(np.sqrt(x))),
+    ])
+    def test_quarter_exponents_are_square_roots(self, p, formula):
+        # The default fractional orders' exponents come from correctly
+        # rounded square roots and a product, so their bits do not depend
+        # on which of numpy's SIMD loops np.power would take.
+        rng = np.random.default_rng(5)
+        w = np.concatenate([rng.normal(0, 3, 1000), [0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 1e300, -1e308]])
+        np.testing.assert_array_equal(abs_pow(w, p), formula(np.abs(w)))
+
+    @pytest.mark.parametrize("p, ulps", [(0.25, 1.0), (0.5, 0.5), (0.75, 2.5)])
+    def test_quarter_exponents_against_oracle(self, p, ulps):
+        # Within a few ulp of the 50-digit power: sqrt is correctly rounded
+        # (0.5 ulp), its square root adds at most half an ulp more, and the
+        # product of the two rounds once more.  An infinite weight cannot be
+        # read here (its row's error is NaN); the engine's guard freezes
+        # such a row before it steps again.
+        sample = [0.0, 2.5e-310, 1e-300, 0.3, 1e6, 1e300]
+        got = abs_pow(sample, p)
+        assert got[0] == 0.0
+        for x, y in zip(sample[1:], got[1:]):
+            exact = mpmath.mpf(x) ** mpmath.mpf(p)
+            assert abs(mpmath.mpf(y) - exact) <= ulps * math.ulp(float(exact)), (x, y)
+        assert np.isnan(abs_pow([math.nan], p)).all()
+
+    def test_other_exponents_keep_numpy_power(self):
+        w = np.random.default_rng(9).normal(0, 3, 1000)
+        np.testing.assert_array_equal(abs_pow(w, 0.6), np.power(np.abs(w), 0.6))
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_exponent_range(self, p):
