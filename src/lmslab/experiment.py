@@ -42,7 +42,10 @@ calls ``step`` once on their ``(runs, M)`` views, so the kernel's
 operations run over contiguous runs.  The kernel's scratch is one
 workspace (:func:`~lmslab.filters.workspace`, laid out like the state),
 allocated with the batch and freed with it, so a step allocates no
-``(runs, M)`` array.  Desired samples are formed ``_CHUNK_ELEMENTS``
+``(runs, M)`` array.  The loop runs with a small ufunc buffer
+(``_UFUNC_BUFFER``; the caller's is restored after), so that numpy does
+not copy the operands of the kernel's broadcasts through it, with the
+same bits.  Desired samples are formed ``_CHUNK_ELEMENTS``
 values at a time, a chunk of iterations for every active run: the unit
 noise is gathered with ``np.take``, then scaled and shifted into one
 sample buffer the batch reuses.  Each step is guarded by the batch's
@@ -170,6 +173,15 @@ _DOMAIN_CALIBRATION = 1
 # Desired samples are formed from the unit noise this many elements at a
 # time, so a simulation holds no (n_iters, n_runs) array of its own.
 _CHUNK_ELEMENTS = 2**13
+
+# numpy's ufunc buffer, in elements, while a batch steps (default 8192).
+# numpy copies every operand of a broadcasting operation (u or a per-row
+# column over the weights, noise levels over a sample chunk) through the
+# buffer when it holds about two or more rows of the operation: at 3000
+# component-major rows, u * w took 22 us and allocated 49,104 bytes at the
+# default, 7.3 us and 1,104 bytes at 256.  From 64 to 2048, 256 stepped as
+# fast as the best size at 180 to 3600 rows; bits do not depend on it.
+_UFUNC_BUFFER = 256
 
 
 class _Window(NamedTuple):
@@ -355,50 +367,55 @@ def _simulate(
     truth_vec = THETA_APHI if aphi else THETA_BC
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_iters):
-            if k % chunk == 0:
-                # Desired samples of the next chunk of iterations, one row
-                # per iteration: the clean signal plus each active run's noise.
-                # np.take gathers the rows faster than fancy indexing.
-                zc = np.take(z[:, k:min(k + chunk, n_iters)], active_runs, axis=0).T
-                d = np.multiply(zc, active_std, out=samples[:len(zc), :len(active)])
-                d += d_clean[k:k + chunk, None]
-            if len(active):
-                step(state, psi[k], d[k % chunk], algorithm, in_place=True, rule=rule, work=work)
-                if not (state.w.max() <= WEIGHT_LIMIT and state.w.min() >= -WEIGHT_LIMIT):
-                    # Diverged runs freeze at their last in-bound weights and
-                    # leave the batch; their later checkpoints repeat them.
-                    bad = diverged_rows(state.w)
-                    w_out[active[bad]] = state.w_prev[bad]
-                    frozen[active[bad]] = True
-                    # Each frozen row below the kept count takes a kept row
-                    # from above it; rows step independently, and w_out
-                    # reads them back through active, so order is free.
-                    n_keep = len(active) - np.count_nonzero(bad)
-                    dst, src = np.flatnonzero(bad[:n_keep]), np.flatnonzero(~bad[n_keep:]) + n_keep
+        # Restored by hand: numpy 1.x's errstate leaves the buffer size set.
+        bufsize = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            for k in range(n_iters):
+                if k % chunk == 0:
+                    # Desired samples of the next chunk of iterations, one row
+                    # per iteration: the clean signal plus each active run's noise.
+                    # np.take gathers the rows faster than fancy indexing.
+                    zc = np.take(z[:, k:min(k + chunk, n_iters)], active_runs, axis=0).T
+                    d = np.multiply(zc, active_std, out=samples[:len(zc), :len(active)])
+                    d += d_clean[k:k + chunk, None]
+                if len(active):
+                    step(state, psi[k], d[k % chunk], algorithm, in_place=True, rule=rule, work=work)
+                    if not (state.w.max() <= WEIGHT_LIMIT and state.w.min() >= -WEIGHT_LIMIT):
+                        # Diverged runs freeze at their last in-bound weights and
+                        # leave the batch; their later checkpoints repeat them.
+                        bad = diverged_rows(state.w)
+                        w_out[active[bad]] = state.w_prev[bad]
+                        frozen[active[bad]] = True
+                        # Each frozen row below the kept count takes a kept row
+                        # from above it; rows step independently, and w_out
+                        # reads them back through active, so order is free.
+                        n_keep = len(active) - np.count_nonzero(bad)
+                        dst, src = np.flatnonzero(bad[:n_keep]), np.flatnonzero(~bad[n_keep:]) + n_keep
 
-                    def fill(a):  # a's first axis is the batch's rows
-                        a[dst] = a[src]
-                        return a[:n_keep]
+                        def fill(a):  # a's first axis is the batch's rows
+                            a[dst] = a[src]
+                            return a[:n_keep]
 
-                    active, active_runs, active_std = fill(active), fill(active_runs), fill(active_std)
-                    d = fill(d.T).T
-                    for name in ("w", "w_prev", "v"):
-                        setattr(state, name, fill(getattr(state, name)))
-                    rule = rule._replace(**{name: fill(getattr(rule, name)) for name in columns})
-                    work = tuple(a[:n_keep] for a in work)
-            if (k + 1) % interval == 0:
-                j = (k + 1) // interval - 1
-                slot = j % n_slots
-                if len(active) == n_runs:
-                    np.copyto(w_out, state.w)
-                else:
-                    w_out[active] = state.w
-                if n_slots > 1:
-                    ck[slot] = w_out
-                if slot == n_slots - 1 or j == n_ck - 1:
-                    estimate = aphi_from_bc(ck[:slot + 1]) if aphi else ck[:slot + 1]
-                    nwd_ck[:, j - slot:j + 1] = nwd(estimate, truth_vec).T
+                        active, active_runs, active_std = fill(active), fill(active_runs), fill(active_std)
+                        d = fill(d.T).T
+                        for name in ("w", "w_prev", "v"):
+                            setattr(state, name, fill(getattr(state, name)))
+                        rule = rule._replace(**{name: fill(getattr(rule, name)) for name in columns})
+                        work = tuple(a[:n_keep] for a in work)
+                if (k + 1) % interval == 0:
+                    j = (k + 1) // interval - 1
+                    slot = j % n_slots
+                    if len(active) == n_runs:
+                        np.copyto(w_out, state.w)
+                    else:
+                        w_out[active] = state.w
+                    if n_slots > 1:
+                        ck[slot] = w_out
+                    if slot == n_slots - 1 or j == n_ck - 1:
+                        estimate = aphi_from_bc(ck[:slot + 1]) if aphi else ck[:slot + 1]
+                        nwd_ck[:, j - slot:j + 1] = nwd(estimate, truth_vec).T
+        finally:
+            np.setbufsize(bufsize)
 
     return nwd_ck, w_out, frozen
 

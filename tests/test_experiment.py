@@ -606,6 +606,60 @@ class TestTrajectoryContract:
         np.testing.assert_array_equal(agg.mean_final_theta_aphi, aphi_from_bc(final_bc).mean(axis=0))
 
 
+class TestUfuncBuffer:
+    """Batches step with the engine's ufunc buffer; the caller's numpy state is restored after."""
+
+    CALLER_BUFSIZE = 4096
+
+    @pytest.fixture
+    def buffer_sizes(self, monkeypatch):
+        # The buffer size each step of the engine saw, under a caller's own
+        # buffer size and error state (restored after the test).
+        seen = []
+
+        def recording_step(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "step", recording_step)
+        caller = np.setbufsize(self.CALLER_BUFSIZE)
+        try:
+            yield seen
+        finally:
+            np.setbufsize(caller)
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_monte_carlo(lms_params(0.027), scenario(n_runs=5, n_iters=100)),
+        lambda: calibrate_mu1(scenario(n_runs=5, n_iters=100), calibration_runs=5),
+        lambda: full_grid(GridConfig(
+            noise_levels=(0.30,), alphas=(0.2,), lms_etas=(0.027,), fractional_orders=(0.25,),
+            n_runs=5, n_iters=100, checkpoint_interval=100, calibration_runs=5,
+        )),
+    ], ids=["run_monte_carlo", "calibrate_mu1", "full_grid"])
+    def test_steps_see_the_engine_buffer_and_the_caller_gets_its_own_back(self, buffer_sizes, call):
+        errors = np.geterr()
+        call()
+        assert buffer_sizes and set(buffer_sizes) == {experiment._UFUNC_BUFFER}
+        assert np.getbufsize() == self.CALLER_BUFSIZE
+        assert np.geterr() == errors
+
+    def test_restored_when_a_step_raises(self, buffer_sizes, monkeypatch):
+        recording_step = experiment.step
+
+        def failing_step(*args, **kwargs):
+            if len(buffer_sizes) == 3:
+                raise RuntimeError("third step")
+            return recording_step(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "step", failing_step)
+        errors = np.geterr()
+        with pytest.raises(RuntimeError, match="third step"):
+            _simulate(lms_params(0.027), scenario(n_runs=5, n_iters=100), range(5))
+        assert buffer_sizes == [experiment._UFUNC_BUFFER] * 3
+        assert np.getbufsize() == self.CALLER_BUFSIZE
+        assert np.geterr() == errors
+
+
 class TestAggregation:
     def test_single_run_aggregate_equals_trajectory(self):
         sc = scenario(n_runs=1)

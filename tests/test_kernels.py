@@ -1,6 +1,8 @@
-"""Kernel tests: Gamma against a high-precision oracle, and the properties
+"""Kernel tests: Gamma against a high-precision oracle, the properties
 of the fractional magnitude ``|w|**p`` that the batched kernel forms: from
-square roots at the default orders' exponents, with ``np.power`` elsewhere.
+square roots at the default orders' exponents, with ``np.power`` elsewhere,
+and the bits of a step and of the checkpoint metrics at any size of
+numpy's ufunc buffer.
 
 Expected values marked "frozen" were computed with mpmath at 50 digits
 (the oracle is also evaluated live so the frozen literals cannot drift).
@@ -11,9 +13,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lmslab.filters import FilterParams, Form, Rule, Variant, advance, gamma, workspace
+from lmslab.filters import KINDS, FilterParams, Form, Rule, Variant, advance, gamma, workspace
+from lmslab.metrics import nwd
+from lmslab.signal_model import FREQUENCIES, THETA_APHI, THETA_BC, aphi_from_bc, regressor
 
 mpmath.mp.dps = 50
 
@@ -150,3 +154,69 @@ class TestAbsPow:
         # that would give it an exponent outside (0, 1).
         with pytest.raises(ValueError, match="^f: must"):
             FilterParams(mu1=0.1, muf=None, f=1.0 - p, alpha=0.0, variant=Variant.FLMS)
+
+
+def at_buffer(size: int, f, *args):
+    """``f(*args)`` with numpy's ufunc buffer holding ``size`` elements."""
+    caller = np.setbufsize(size)
+    try:
+        return f(*args)
+    finally:
+        np.setbufsize(caller)
+
+
+@st.composite
+def component_major_batches(draw):
+    """A kernel branch's rule and a component-major batch, as the engine holds one."""
+    kind = KINDS[draw(st.sampled_from(list(Variant)))]
+    columns = draw(st.sets(st.sampled_from(["a", "b", "alpha"])))
+    used = {"a": kind.a is not None, "b": kind.b is not None, "alpha": kind.form is not Form.PLAIN}
+    rows = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coefficient(name, lo, hi):
+        if not used[name]:
+            return 0.0
+        return rng.uniform(lo, hi, (rows, 1)) if name in columns else float(rng.uniform(lo, hi))
+
+    rule = Rule(kind.form, coefficient("a", 1e-3, 0.1), coefficient("b", 1e-3, 0.1),
+                draw(st.sampled_from([0.25, 0.5, 0.75, 0.6])), coefficient("alpha", 0.1, 0.9))
+    # Rows past the batch: a [:rows] view of larger buffers is a batch
+    # after frozen rows were compacted away.
+    spare = draw(st.sampled_from([0, 1, 37, 400]))
+    buffers = rng.normal(0.0, 3.0, (3, 8, rows + spare))
+    u = regressor(FREQUENCIES, draw(st.integers(1, 1000)))
+    return rule, buffers, u, rng.normal(0.0, 5.0, rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(component_major_batches())
+def test_step_bits_do_not_depend_on_the_ufunc_buffer(batch):
+    # The engine steps with a small ufunc buffer: every kernel output must
+    # carry the same bits as at numpy's default, whatever the buffer.
+    rule, buffers, u, d = batch
+
+    def stepped():
+        state = buffers.copy()
+        w, w_prev, v = (x.T[:len(d)] for x in state)
+        work = tuple(x[:len(d)] for x in workspace(state[0].T))
+        return advance(rule, w, w_prev, v, u, d, work), w_prev, v
+
+    want = at_buffer(8192, stepped)
+    for size in (16, 256):
+        for a, b in zip(at_buffer(size, stepped), want):
+            np.testing.assert_array_equal(a, b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 8), st.integers(1, 600), st.integers(0, 2**32 - 1))
+def test_checkpoint_metric_bits_do_not_depend_on_the_ufunc_buffer(slots, runs, seed):
+    ck = np.random.default_rng(seed).normal(0.0, 3.0, (slots, runs, 8))
+
+    def metrics():
+        return nwd(aphi_from_bc(ck), THETA_APHI), nwd(ck, THETA_BC)
+
+    want = at_buffer(8192, metrics)
+    for size in (16, 256):
+        for a, b in zip(at_buffer(size, metrics), want):
+            np.testing.assert_array_equal(a, b)
