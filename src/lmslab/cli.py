@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_settings(args) -> Settings:
     if args.config is not None:
         try:
-            text = args.config.read_text()
-        except OSError as exc:
+            text = args.config.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         settings = parse_config(text, validate=False)  # cross-field rules: after --set and --seed
     else:
@@ -110,8 +110,7 @@ def _cmd_run(settings: Settings, out_dir: Path) -> int:
     scenario = settings.single_scenario()
     algorithm = _single_algorithm(settings, scenario)
     aggregate = run_monte_carlo(algorithm, scenario)
-    f = None if algorithm.variant is Variant.LMS else scenario.f
-    entry = GridEntry.of(settings.noise_level, f, algorithm, scenario, aggregate)
+    entry = GridEntry.of(settings.noise_level, algorithm, scenario, aggregate)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "aggregates.csv").write_text(write_aggregates_csv([entry]))
     print(f"{entry.label} @ sigma={entry.sigma_label}: "
@@ -162,10 +161,6 @@ def main(argv=None) -> int:
         settings = _load_settings(args)
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers must be a positive integer")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.subcommand](settings, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -325,8 +325,8 @@ def _simulate(
     if isinstance(algorithm, tuple):
         rows = [sc.n_runs for sc in scenario]
         if (len(algorithm) != len(scenario) or sum(rows) != n_runs
-                or len({(sc.checkpoint_interval, sc.base_seed, sc.metric_space) for sc in scenario}) > 1):
-            raise ValueError("a batch needs a scenario per block, n_runs rows each and one protocol")
+                or len(set(map(_batch_key, algorithm, scenario))) > 1):
+            raise ValueError("a batch needs a scenario per block, n_runs rows each and one batch key")
         rule = _batch_rule(algorithm, rows)
         noise_std = np.repeat([sc.noise_std for sc in scenario], rows)
         algorithm, scenario = algorithm[0], scenario[0]
@@ -420,10 +420,11 @@ def _simulate(
     return nwd_ck, w_out, frozen
 
 
-def _batch_key(algorithm: FilterParams) -> tuple:
-    """What the blocks of a batch share: the variant, the exponent and which of ``b`` and ``alpha`` are zero."""
+def _batch_key(algorithm: FilterParams, scenario: ScenarioConfig) -> tuple:
+    """The kernel branch (variant, exponent, zero ``b`` or ``alpha``) and protocol that a batch's blocks share."""
     rule = update_rule(algorithm)
-    return algorithm.variant, rule.p, rule.b == 0.0, rule.alpha == 0.0
+    return (algorithm.variant, rule.p, rule.b == 0.0, rule.alpha == 0.0,
+            scenario.n_iters, scenario.checkpoint_interval, scenario.base_seed, scenario.metric_space)
 
 
 def _batch_rule(algorithms, rows) -> Rule:
@@ -432,11 +433,8 @@ def _batch_rule(algorithms, rows) -> Rule:
     Each block's coefficients are its own :func:`update_rule`'s floats;
     those that differ between blocks become per-row ``(runs, 1)``
     columns, which ``step`` applies row by row with the same bits.  The
-    blocks must share their :func:`_batch_key`, so that the kernel takes
-    one branch for every row.
+    blocks share their :func:`_batch_key` (``_simulate`` checks it).
     """
-    if len({_batch_key(a) for a in algorithms}) > 1:
-        raise ValueError("the blocks of a batch must share the variant, the exponent and the zero coefficients")
     rules = [update_rule(a) for a in algorithms]
     columns = {}
     for name in ("a", "b", "alpha"):
@@ -450,8 +448,8 @@ def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
     """One :class:`_Means` per block, in order, fed by ``add(means, nwd_ck, final_bc, frozen)``.
 
     Block ``(algorithm, scenario)`` is runs ``0 .. scenario.n_runs - 1``
-    of one ``_simulate`` batch.  Blocks with one :func:`_batch_key` and
-    protocol share batches of at most ``_BATCH_ROWS`` rows.  In the main
+    of one ``_simulate`` batch.  Blocks with one :func:`_batch_key`
+    share batches of at most ``_BATCH_ROWS`` rows.  In the main
     domain a group needing several batches is split by runs: batch ``b``
     holds runs ``lo_b .. hi_b - 1`` of every block (one run of each at
     least), and the groups advance slice by slice, so the streams hold
@@ -463,9 +461,8 @@ def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
     returns, so one batch's rows are held at a time.
     """
     groups = {}
-    for i, (algorithm, sc) in enumerate(blocks):
-        protocol = (sc.n_iters, sc.checkpoint_interval, sc.base_seed, sc.metric_space)
-        groups.setdefault((_batch_key(algorithm), protocol), []).append(i)
+    for i, block in enumerate(blocks):
+        groups.setdefault(_batch_key(*block), []).append(i)
     n_runs = [sc.n_runs for _, sc in blocks]
     batches = []  # (first run, [(block, lo, hi), ...]) each
     for group in groups.values():
@@ -687,7 +684,10 @@ class Calibration:
     miss: str | None
 
     def settle(self, on_no_match: str = "raise") -> float:
-        """Pass each curve the search read to :func:`_calibration_curve`, in order, then return, warn or raise as :func:`calibrate_mu1` does."""
+        """Pass each curve the search read to :func:`_calibration_curve`, in order, then return ``mu1``.
+
+        On a miss, raise :class:`CalibrationError`; ``"closest"`` instead warns and returns the fallback, if any.
+        """
         for algorithm, curve in self.reads:
             _calibration_curve(algorithm, curve)
         if self.miss is None:
@@ -702,7 +702,6 @@ def calibrate_mu1(
     scenario: ScenarioConfig,
     tolerance: float = CALIBRATION_TOLERANCE,
     calibration_runs: int = CALIBRATION_RUNS,
-    on_no_match: str = "raise",
 ) -> float:
     """Step size at which the momentum-fractional filter matches the paired LMS.
 
@@ -723,38 +722,32 @@ def calibrate_mu1(
       ascending branch near the upper edge of the tolerance band: the
       fastest-converging configuration consistent with the match.
 
-    ``on_no_match`` selects the failure behaviour: ``"raise"`` (default)
-    raises :class:`CalibrationError`; ``"closest"`` logs a warning and
-    returns the scan point whose fitness comes closest to the target
-    or, when the bisection misses, its last midpoint.
-
-    The search runs as a one-cell :func:`prefetch_calibration`, whose
-    record is then settled (:meth:`Calibration.settle`).
+    No match raises :class:`CalibrationError`.  The search runs as a
+    one-cell :func:`prefetch_calibration`, whose record is then settled
+    (:meth:`Calibration.settle`).
     """
     tolerance = RANGES["calibration_tolerance"].check("tolerance", tolerance)
     calibration_runs = RANGES["calibration_runs"].check("calibration_runs", calibration_runs)
-    if on_no_match not in ("raise", "closest"):
-        raise ValueError("on_no_match must be 'raise' or 'closest'")
     (record,) = prefetch_calibration([scenario], tolerance, calibration_runs)
-    return record.settle(on_no_match)
+    return record.settle()
 
 
-def _simulate_curves(probes, calibration_runs: int, curves: dict) -> list:
+def _simulate_curves(probes, calibration_runs: int) -> list:
     """Calibration curves of ``probes``, ``(algorithm, scenario, n_iters)`` each, in order.
 
-    Probes not yet in ``curves``, keyed by what their simulation reads,
-    are simulated, ``calibration_runs`` runs over ``n_iters`` iterations
-    each, in a few wide batches (:func:`_simulate_blocks`), and added.
+    Probes alike in what their simulation reads share one read-only
+    curve, simulated once, ``calibration_runs`` runs over ``n_iters``
+    iterations, in a few wide batches (:func:`_simulate_blocks`).
     """
-    keys, missing = [], {}
+    keys, blocks = [], {}
     for algorithm, sc, n_iters in probes:
         keys.append((algorithm, sc.noise_std, n_iters, sc.checkpoint_interval, sc.base_seed, sc.metric_space))
-        if keys[-1] not in curves:
-            missing.setdefault(keys[-1], (algorithm, replace(sc, n_runs=calibration_runs, n_iters=n_iters)))
+        blocks.setdefault(keys[-1], (algorithm, replace(sc, n_runs=calibration_runs, n_iters=n_iters)))
 
-    blocks = list(missing.values())
-    for key, (_, scenario), means in zip(missing, blocks, _simulate_blocks(blocks, _add_curve, _DOMAIN_CALIBRATION)):
-        curves[key] = _mean_curve(scenario, means)
+    curves = {}
+    means = _simulate_blocks(list(blocks.values()), _add_curve, _DOMAIN_CALIBRATION)
+    for (key, (_, scenario)), block_means in zip(blocks.items(), means):
+        curves[key] = _mean_curve(scenario, block_means)
         curves[key].flags.writeable = False
     return [curves[key] for key in keys]
 
@@ -771,7 +764,6 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
     released when the searches end.  Nothing is logged or raised here;
     each record's :meth:`~Calibration.settle` does that.
     """
-    curves: dict = {}
     records = [None] * len(scenarios)
     pending = []
     for i, sc in enumerate(scenarios):
@@ -779,7 +771,7 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
         pending.append((i, search, [], next(search)))
     while pending:
         probes = [(algorithm, scenarios[i], n_iters) for i, *_, request in pending for algorithm, n_iters in request]
-        found = iter(_simulate_curves(probes, calibration_runs, curves))
+        found = iter(_simulate_curves(probes, calibration_runs))
         advanced = []
         for i, search, reads, request in pending:
             sent = [next(found) for _ in request]
@@ -822,7 +814,7 @@ class GridConfig:
             raise ValueError("grid axes must be non-empty")
         # Output files and table rows are named by these labels: two values
         # sharing one would write into each other's files.
-        for name, label in (("noise_levels", sigma_label), ("fractional_orders", lambda f: f"{f:.2f}"),
+        for name, label in (("noise_levels", sigma_label), ("fractional_orders", order_label),
                             ("alphas", lambda a: f"{a:g}"), ("lms_etas", lambda eta: f"{eta:g}")):
             values = getattr(self, name)
             labels = [label(x) for x in values]
@@ -856,32 +848,42 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class GridEntry:
-    """One table row: scenario, the algorithm actually run, and its aggregate."""
+    """One table row: scenario (whose ``alpha`` and ``f`` it shows), the algorithm actually run, its aggregate."""
 
     sigma_label: str
     variant: Variant
-    alpha: float
-    f: float | None
     step_size: float
     scenario: ScenarioConfig
     aggregate: AggregateResult
 
     @classmethod
-    def of(cls, level: float, f: float | None, algorithm: FilterParams, scenario: ScenarioConfig,
+    def of(cls, level: float, algorithm: FilterParams, scenario: ScenarioConfig,
            aggregate: AggregateResult) -> GridEntry:
-        """The row of ``algorithm`` run at ``scenario`` on noise level ``level``; ``f`` is None on an LMS row."""
-        return cls(sigma_label(level), algorithm.variant, scenario.alpha, f, algorithm.mu1, scenario, aggregate)
+        """The row of ``algorithm`` run at ``scenario`` on noise level ``level``."""
+        return cls(sigma_label(level), algorithm.variant, algorithm.mu1, scenario, aggregate)
+
+    @property
+    def alpha(self) -> float:
+        return self.scenario.alpha
+
+    @property
+    def f(self) -> float | None:
+        return None if self.variant is Variant.LMS else self.scenario.f
 
     @property
     def label(self) -> str:
         """The rule's name with its step size if it has no fractional term, else its order, then its alpha."""
         kind = KINDS[self.variant]
-        order = f"eta={self.step_size:g}" if kind.b is None else f"f={self.f:.2f}"
+        order = f"eta={self.step_size:g}" if kind.b is None else f"f={order_label(self.f)}"
         return f"{kind.name}({order})" + (f" a={self.alpha:g}" if kind.takes_alpha else "")
 
 
 def sigma_label(level: float) -> str:
     return f"{level:.2f}"
+
+
+def order_label(f: float) -> str:
+    return f"{f:.2f}"
 
 
 def calibrate_grid(config: GridConfig) -> list[tuple[float, Calibration]]:
@@ -938,5 +940,5 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
             "lms" if f is None else f"f={f:g}", algorithm.mu1,
             aggregate.mean_nwd_at_checkpoints[-1],
         )
-        entries.append(GridEntry.of(level, f, algorithm, scenario, aggregate))
+        entries.append(GridEntry.of(level, algorithm, scenario, aggregate))
     return entries

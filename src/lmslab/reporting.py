@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import AggregateResult, GridEntry, ScenarioConfig
+from .experiment import AggregateResult, GridEntry, ScenarioConfig, order_label
 from .filters import Variant
 from .metrics import MetricSpace
 from .signal_model import THETA_APHI
@@ -125,21 +125,8 @@ def _reprs(values) -> list[str]:
     return list(map(repr, _floats(values)))
 
 
-def _curves(entries: list[GridEntry], columns: list[list[str]]):
-    """Lines of the curves file of ``entries``, whose checkpoint values ``columns`` holds as text.
-
-    The grids are checked here, before the first line is made.
-    """
-    if not entries:
-        raise ValueError("no series supplied")
-    checkpoints = entries[0].scenario.checkpoints.tolist()
-    if any(len(c) != len(checkpoints) for c in columns):
-        raise ValueError("checkpoint grids differ between series")
-    return _curves_lines([e.label for e in entries], checkpoints, columns)
-
-
-def _curves_lines(labels: list[str], checkpoints: list[int], columns: list[list[str]]):
-    """Lines of a curves file; see :func:`_curves`."""
+def _curves_lines(labels: list[str], checkpoints: list[str], columns: list[list[str]]):
+    """Lines of a curves file: the iteration column ``checkpoints``, then one column of text per series."""
     yield "iteration," + ",".join(labels) + "\n"
     rows = zip(checkpoints, zip(*columns))
     # A block of lines a piece: a write per line would cost more than its line.
@@ -198,7 +185,7 @@ _REAL = (lambda x: repr(float(x)), _real)
 _AGG_COLUMNS = [
     ("sigma_label", "entry", str, str),
     ("variant", "entry", lambda v: v.value, Variant),
-    ("alpha", "entry", *_REAL),
+    ("alpha", "scenario", *_REAL),
     ("f", "entry", lambda f: "" if f is None else repr(float(f)), lambda text: _real(text) if text else None),
     ("step_size", "entry", *_REAL),
     ("lms_eta", "scenario", *_REAL),
@@ -277,11 +264,11 @@ def read_aggregates_csv(text: str) -> list[GridEntry]:
         parts = {part: {name: v for (name, p, *_), v in zip(_AGG_COLUMNS, values) if p == part}
                  for part in ("entry", "scenario", "aggregate")}
         row, (theta, nwd) = parts["entry"], np.split(np.array(values[len(_AGG_COLUMNS):]), [n_theta])
-        if (row["f"] is None) != (row["variant"] is Variant.LMS):
+        f = row.pop("f")
+        if (f is None) != (row["variant"] is Variant.LMS):
             raise ValueError(f"line {lineno}, column f: only an LMS row leaves it empty")
-        f = 0.5 if row["f"] is None else row["f"]  # an LMS row's scenario takes a placeholder order
-        try:
-            scenario = ScenarioConfig(alpha=row["alpha"], f=f, **parts["scenario"])
+        try:  # an LMS row's scenario takes a placeholder order
+            scenario = ScenarioConfig(f=0.5 if f is None else f, **parts["scenario"])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         aggregate = AggregateResult(mean_nwd_at_checkpoints=nwd, mean_final_theta_aphi=theta, **parts["aggregate"])
@@ -326,8 +313,9 @@ def _grid_files(entries: list[GridEntry], include_aggregates: bool = False):
         lms_rows = ftab.highlight_rows
         for f in dict.fromkeys(e.f for e in block if e.f is not None):
             series = [j for j, e in enumerate(block) if e.f == f and e.variant is not Variant.LMS] + lms_rows
-            yield (f"curves_sigma{sig}_f{f:.2f}.csv",
-                   _curves([block[j] for j in series], [texts[j].split(",") for j in series]))
+            yield (f"curves_sigma{sig}_f{order_label(f)}.csv",
+                   _curves_lines([block[j].label for j in series], ftab.column_headers,
+                                 [texts[j].split(",") for j in series]))
     if include_aggregates:
         yield "aggregates.csv", _aggregates(entries, nwd)
 

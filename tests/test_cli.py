@@ -482,6 +482,18 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["grid", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["grid", "--config", "{tmp}/latin.cfg"], 1, "configuration error: cannot read config file: "),
+        (["grid", "--config", "{tmp}"], 1, "configuration error: cannot read config file: "),
+        (["report", "--out", "{tmp}"], 2, "error: no aggregates dump at "),
+    ], ids=["not-utf8", "directory", "report-without-dump"])
+    def test_unreadable_input_is_one_stderr_line(self, tmp_path, capsys, argv, code, prefix):
+        (tmp_path / "latin.cfg").write_bytes(b"n_runs = 10\n\xff\xfe\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_env_worker_cap(self, tmp_path, monkeypatch):
         # LMSLAB_MAX_WORKERS is no longer read: a malformed value changes nothing.
         monkeypatch.setenv("LMSLAB_MAX_WORKERS", "not-a-number")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmslab import config
 from lmslab.config import ConfigError, Settings, apply_override, parse_config
-from lmslab.experiment import GridConfig, ScenarioConfig
+from lmslab.experiment import GridConfig, ScenarioConfig, order_label
 from lmslab.filters import RANGES, FilterParams, Variant
 from lmslab.metrics import MetricSpace
 
@@ -131,6 +131,7 @@ class TestRejections:
     @pytest.mark.parametrize("line, label", [
         ("noise_levels = 0.301, 0.304", "0.30"),
         ("fractional_orders = 0.251, 0.254", "0.25"),
+        ("fractional_orders = 0.75, 0.7451", order_label(0.7451)),
         ("alphas = 0.2, 0.2000001\nlms_etas = 0.027, 0.042", "0.2"),
         ("lms_etas = 0.027, 0.02700001\nalphas = 0.2, 0.5", "0.027"),
     ])

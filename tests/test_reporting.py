@@ -40,8 +40,7 @@ def fake_entry(sigma, variant, alpha, f, size, rng, n_ck=10):
         divergence_count=0,
     )
     return GridEntry(
-        sigma_label=f"{float(sigma):.2f}", variant=variant, alpha=alpha,
-        f=f, step_size=size, scenario=scenario, aggregate=agg,
+        sigma_label=f"{float(sigma):.2f}", variant=variant, step_size=size, scenario=scenario, aggregate=agg,
     )
 
 
@@ -137,12 +136,15 @@ class TestRoundTrip:
                 assert [float(x) for x in va] == vb  # float(repr(x)) == x, exactly
 
     def test_aggregates_round_trip_exact(self, block):
+        # A momentum-LMS row, as `lmslab run` writes one, keeps its order.
+        block = block + [fake_entry(0.30, Variant.MOMENTUM_LMS, 0.5, 0.25, 0.02, np.random.default_rng(3))]
         text = write_aggregates_csv(block)
         parsed = read_aggregates_csv(text)
         assert len(parsed) == len(block)
         for a, b in zip(parsed, block):
             assert a.sigma_label == b.sigma_label
             assert a.variant is b.variant
+            assert (a.alpha, a.f) == (b.alpha, b.f)
             assert a.label == b.label
             assert a.step_size == b.step_size
             np.testing.assert_array_equal(
@@ -152,6 +154,8 @@ class TestRoundTrip:
                 a.aggregate.mean_final_theta_aphi, b.aggregate.mean_final_theta_aphi
             )
             assert a.aggregate.mse_of_mean == b.aggregate.mse_of_mean
+        assert [e.alpha for e in parsed] == [0.2] * 4 + [0.5] * 4 + [0.8] * 4 + [0.5]
+        assert [e.f for e in parsed] == [0.25, 0.5, 0.75, None] * 3 + [0.25]
         # and re-serialisation is byte-identical
         assert write_aggregates_csv(parsed) == text
 
