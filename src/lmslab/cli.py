@@ -7,15 +7,17 @@ Subcommands:
 * ``run`` -- run one scenario (selected via config/``--set`` keys) and
   append-free write its aggregate row;
 * ``calibrate`` -- print the calibrated momentum-fractional step size
-  per scenario without running the full ensembles;
+  of one cell (any scenario key set) or of every grid cell, without
+  running the ensembles;
 * ``report`` -- regenerate tables and curves from a previously written
   ``aggregates.csv`` without recomputation.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.  All
-randomness funnels through one seed (``--seed`` overrides the config).
-Every command runs in one thread.  ``--workers`` is still accepted and
-validated (a positive integer, else exit code 1) for existing command
-lines, but has no effect.
+Every step-size search runs through one driver,
+:func:`~lmslab.experiment.prefetch_calibration`.  Exit codes: 0
+success, 1 configuration error, 2 runtime error.  ``--seed`` overrides
+the config's seed.  Every command runs in one thread; ``--workers`` is
+still accepted and validated (a positive integer, else exit code 1) for
+existing command lines, but has no effect.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from pathlib import Path
 from .config import ConfigError, Settings, apply_override, parse_config, validate_settings
 from .experiment import (
     GridEntry,
-    calibrate_grid,
     calibrate_mu1,
     full_grid,
     lms_params,
+    prefetch_calibration,
     run_monte_carlo,
     sigma_label,
 )
@@ -122,16 +124,14 @@ def _cmd_run(settings: Settings, out_dir: Path) -> int:
 
 def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
     grid = settings.grid_config()
-    if settings.noise_level is not None or settings.alpha is not None or settings.f is not None:
-        scenario = settings.single_scenario()
-        cells = [(settings.noise_level, scenario,
-                  calibrate_mu1(scenario, tolerance=grid.calibration_tolerance,
-                                calibration_runs=grid.calibration_runs))]
+    if any(getattr(settings, key) is not None for key in ("noise_level", "alpha", "f", "lms_eta")):
+        cells = [(settings.noise_level, settings.single_scenario())]
     else:
-        # Settled one by one, so a failing cell exits after the lines before it.
-        cells = ((level, record.scenario, record.settle()) for level, record in calibrate_grid(grid))
-    for level, scenario, mu1 in cells:
-        print(f"sigma={sigma_label(level)} alpha={scenario.alpha:g} f={scenario.f:g}: mu1={mu1!r}")
+        cells = [(level, scenario) for level, f, scenario in grid.cells() if f is not None]
+    records = prefetch_calibration([sc for _, sc in cells], grid.calibration_tolerance, grid.calibration_runs)
+    # Settled one by one, so a failing cell exits after the lines before it.
+    for (level, scenario), record in zip(cells, records):
+        print(f"sigma={sigma_label(level)} alpha={scenario.alpha:g} f={scenario.f:g}: mu1={record.settle()!r}")
     return 0
 
 

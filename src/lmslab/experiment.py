@@ -3,9 +3,9 @@
 The benchmark sweeps a grid of noise levels, momentum coefficients and
 fractional orders.  Each momentum value is paired with a plain-LMS
 learning rate; each momentum-fractional scenario is run at a base step
-size ``mu1`` obtained by :func:`calibrate_mu1` so that the two
-algorithms are set up at equal convergence before their steady states
-are compared (an explicit ``mu1`` override skips calibration).
+size ``mu1`` calibrated so that the two algorithms are set up at equal
+convergence before their steady states are compared (an explicit
+``mu1`` override skips calibration).
 
 Noise levels are grid labels: with the default ``variance`` scale a
 level ``L`` means the disturbance has variance ``L`` (standard
@@ -22,64 +22,41 @@ bit-identical across repeated invocations and however runs are grouped
 into batches.
 
 Those streams are drawn once per process and stream domain (the main
-ensemble, the calibration probes): a read-only window of initial weights
-and unit-variance noise, which every ensemble and calibration probe at
-that seed reads and scales by its own noise level (common random
-numbers).  A window holds runs ``lo .. hi - 1`` of the request that
-built it, drawn whole, over that request's iterations: about
-``runs x n_iters x 8`` bytes.  A later request with the same seed, no
-more iterations and its runs inside the window reads it; any other
-request releases it and draws a window of its own runs.  A grid's
-ensembles advance a slice of runs at a time, so the main window holds
-one slice (2.7 MB of noise at the default protocol).  The calibration
-window holds every probe's runs (1.6 MB); the paired-LMS references draw
-it first, at full length, and :func:`prefetch_calibration` releases it
-when its searches end.
+ensemble, the calibration probes) into a read-only window
+(:func:`_streams`), which every ensemble and calibration probe at that
+seed reads and scales by its own noise level (common random numbers).
+A grid's ensembles advance a slice of runs at a time, so the main
+window holds one slice (2.7 MB of noise at the default protocol).  The
+calibration window holds every probe's runs (1.6 MB); the paired-LMS
+references draw it first, at full length, and the calibration driver
+releases it when its searches end.
 
 The engine (:func:`_simulate`) holds a batch component-major: ``w``,
 ``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
 calls ``step`` once on their ``(runs, M)`` views, so the kernel's
-operations run over contiguous runs.  The kernel's scratch is one
-workspace (:func:`~lmslab.filters.workspace`, laid out like the state),
-allocated with the batch and freed with it, so a step allocates no
-``(runs, M)`` array.  The loop runs with a small ufunc buffer
-(``_UFUNC_BUFFER``; the caller's is restored after), so that numpy does
-not copy the operands of the kernel's broadcasts through it, with the
-same bits.  Desired samples are formed ``_CHUNK_ELEMENTS``
-values at a time, a chunk of iterations for every active run: the unit
-noise is gathered with ``np.take``, then scaled and shifted into one
-sample buffer the batch reuses.  Each step is guarded by the batch's
-largest and smallest weight; only when either is NaN or beyond
-``WEIGHT_LIMIT`` are the diverged rows found (:func:`diverged_rows`).
-Those runs are reset to their last in-bound weights, copied to the
-row-major output and dropped from the batch: each frozen row below the
-new row count takes a kept row from above it, in the state's buffers,
-the run bookkeeping, the rule's coefficient columns and the current
-sample chunk, and the leading rows of the workspace serve them, so only
-the frozen rows' places are written and frozen runs cost nothing
-further; their later checkpoints repeat their frozen fitness.  Rows step
-independently and map back to their runs through the active list, so
-the reordering changes no bit.  Checkpoint metrics read that row-major
-output, several checkpoints at a time, which keeps them bit-identical to
-a row-major engine.  A batch may also hold blocks with their own
-coefficients and noise levels.
+operations run over contiguous runs, with one scratch workspace
+(:func:`~lmslab.filters.workspace`) and a small ufunc buffer
+(``_UFUNC_BUFFER``).  Each step is guarded by the batch's largest and
+smallest weight; only when either is NaN or beyond ``WEIGHT_LIMIT`` are
+the diverged rows found (:func:`diverged_rows`).  Those runs are reset
+to their last in-bound weights and dropped from the batch, so frozen
+runs cost nothing further; their later checkpoints repeat their frozen
+fitness.  Rows step independently and map back to their runs through
+the active list, so the reordering changes no bit.  Checkpoint metrics
+read a row-major copy of the weights, which keeps them bit-identical
+to a row-major engine.
 
 Ensembles and calibration probes share one batching helper
 (:func:`_simulate_blocks`): blocks with one kernel branch and protocol
-run together in even batches of at most ``_BATCH_ROWS`` rows, a cap on
-the memory a batch holds.  An ensemble group needing several batches is
-split by runs: batch ``b`` holds the same slice of runs of every block,
-and the groups advance slice by slice.  Each block is averaged over its
-slices by an in-order running sum (:class:`_Means`), with the bits of
-averaging the whole block at once.  Calibration probes keep whole blocks
-a batch.  Calibration runs in lockstep (:func:`prefetch_calibration`):
-the searches of all cells to calibrate (one cell, or every cell of a
-grid) advance in rounds, each round's probes in a few batches, and each
-search runs once, leaving a :class:`Calibration` record of the curves it
-read and where it ended.  A grid then runs every cell's ensemble in a
-few batches too.  Each row then settles its record and logs its line, in
-row order, so the log, every step size and every error are those of
-running the cells one by one.
+run together in batches of at most ``_BATCH_ROWS`` rows.  Every
+step-size search enters through one driver,
+:func:`prefetch_calibration`: :func:`calibrate_mu1` is its one-cell
+call, and :func:`full_grid` and ``lmslab calibrate`` pass it their
+cells.  It advances the searches in lockstep and leaves one
+:class:`Calibration` record per cell; a grid then runs every cell's
+ensemble in a few batches too.  Each row then settles its record and
+logs its line, in row order, so the log, every step size and every
+error are those of running the cells one by one.
 """
 
 from __future__ import annotations
@@ -119,7 +96,6 @@ __all__ = [
     "Calibration",
     "calibrate_mu1",
     "prefetch_calibration",
-    "calibrate_grid",
     "full_grid",
     "lms_params",
     "mflms_params",
@@ -677,7 +653,6 @@ class Calibration:
     reference that diverged is a miss with no ``mu1``.
     """
 
-    scenario: ScenarioConfig
     reads: list
     mu1: float | None
     fitness: float
@@ -722,14 +697,11 @@ def calibrate_mu1(
       ascending branch near the upper edge of the tolerance band: the
       fastest-converging configuration consistent with the match.
 
-    No match raises :class:`CalibrationError`.  The search runs as a
-    one-cell :func:`prefetch_calibration`, whose record is then settled
+    No match raises :class:`CalibrationError`.  This is the one-cell
+    :func:`prefetch_calibration`, whose record is then settled
     (:meth:`Calibration.settle`).
     """
-    tolerance = RANGES["calibration_tolerance"].check("tolerance", tolerance)
-    calibration_runs = RANGES["calibration_runs"].check("calibration_runs", calibration_runs)
-    (record,) = prefetch_calibration([scenario], tolerance, calibration_runs)
-    return record.settle()
+    return prefetch_calibration([scenario], tolerance, calibration_runs)[0].settle()
 
 
 def _simulate_curves(probes, calibration_runs: int) -> list:
@@ -755,6 +727,9 @@ def _simulate_curves(probes, calibration_runs: int) -> list:
 def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> list[Calibration]:
     """The calibration search of every cell in ``scenarios``, run in lockstep: one :class:`Calibration` each.
 
+    The one calibration driver: every step-size search enters here, and
+    ``tolerance`` and ``calibration_runs`` are range-checked here, before
+    anything is simulated.
     The searches (:func:`_mu1_search`) advance together: the paired-LMS
     references first (so the calibration streams are drawn once, at full
     length), then every cell's doubling scan, then one bisection
@@ -764,6 +739,8 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
     released when the searches end.  Nothing is logged or raised here;
     each record's :meth:`~Calibration.settle` does that.
     """
+    tolerance = RANGES["calibration_tolerance"].check("tolerance", tolerance)
+    calibration_runs = RANGES["calibration_runs"].check("calibration_runs", calibration_runs)
     records = [None] * len(scenarios)
     pending = []
     for i, sc in enumerate(scenarios):
@@ -779,7 +756,7 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
             try:
                 advanced.append((i, search, reads, search.send(sent)))
             except StopIteration as done:
-                records[i] = Calibration(scenarios[i], reads, *done.value)
+                records[i] = Calibration(reads, *done.value)
         pending = advanced
     _stream_windows.pop(_DOMAIN_CALIBRATION, None)  # every curve is read: release the probes' streams
     return records
@@ -886,28 +863,15 @@ def order_label(f: float) -> str:
     return f"{f:.2f}"
 
 
-def calibrate_grid(config: GridConfig) -> list[tuple[float, Calibration]]:
-    """Calibrate every momentum-fractional cell of the grid: ``(level, record)`` per cell, in row order.
-
-    Every cell's search runs in lockstep (:func:`prefetch_calibration`);
-    nothing is logged or raised until a record is settled
-    (:meth:`Calibration.settle`), which a caller does at the cell's row.
-    """
-    cells = [(level, scenario) for level, f, scenario in config.cells() if f is not None]
-    records = prefetch_calibration(
-        [scenario for _, scenario in cells], config.calibration_tolerance, config.calibration_runs
-    )
-    return [(level, record) for (level, _), record in zip(cells, records)]
-
-
 def full_grid(config: GridConfig) -> list[GridEntry]:
     """Run the complete benchmark grid in table row order.
 
     For each noise level and each momentum block: the fractional-order
     scenarios first, then the paired LMS row.  Momentum-fractional step
     sizes come from ``config.mflms_mu1`` when set, otherwise from
-    :func:`calibrate_grid` (falling back to the closest achievable match
-    rather than aborting the grid).  Every cell's calibration is
+    :func:`prefetch_calibration` over the momentum-fractional cells
+    (falling back to the closest achievable match rather than aborting
+    the grid).  Every cell's calibration is
     simulated first, then every cell's ensemble, in a few wide batches
     (:func:`_simulate_blocks`).  Then each row settles its calibration
     record and logs its line in row order, so a row's error is raised
@@ -916,7 +880,8 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
     """
     cells = list(config.cells())
     rows = [i for i, (_, f, _) in enumerate(cells) if f is not None]
-    records = {} if config.mflms_mu1 is not None else {i: r for i, (_, r) in zip(rows, calibrate_grid(config))}
+    records = {} if config.mflms_mu1 is not None else dict(zip(rows, prefetch_calibration(
+        [cells[i][2] for i in rows], config.calibration_tolerance, config.calibration_runs)))
     blocks = {}
     for i, (_, f, scenario) in enumerate(cells):
         if f is None:

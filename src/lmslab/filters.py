@@ -216,11 +216,11 @@ class Range(NamedTuple):
 
 
 # The range of every filter parameter and every scenario and grid value,
-# stated once: FilterParams, ScenarioConfig, GridConfig, calibrate_mu1 and
-# the configuration parser check through it.  A filter parameter shares
-# the row of the scenario field that sets it, and a grid axis that of its
-# scenario field; a noise level's is that of the standard deviation under
-# either scale.
+# stated once: FilterParams, ScenarioConfig, GridConfig,
+# prefetch_calibration and the configuration parser check through it.  A
+# filter parameter shares the row of the scenario field that sets it, and
+# a grid axis that of its scenario field; a noise level's is that of the
+# standard deviation under either scale.
 RANGES = {name: rule for names, rule in [
     (("noise_std", "noise_levels"), Range(float, "[", 0, math.inf)),
     (("alpha", "alphas"), Range(float, "[", 0, 1)),

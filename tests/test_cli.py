@@ -375,6 +375,16 @@ class TestRun:
 
 
 class TestCalibrate:
+    # Two momentum blocks of two fractional orders, calibrated at 300 iterations.
+    CALIBRATED_GRID = [
+        "--set", "noise_levels=0.30",
+        "--set", "alphas=0.2,0.8",
+        "--set", "lms_etas=0.027,0.1",
+        "--set", "fractional_orders=0.25,0.75",
+        "--set", "n_iters=300",
+        "--set", "calibration_runs=20",
+    ]
+
     def test_single_scenario_prints_mu1(self, tmp_path, capsys):
         code = main([
             "calibrate", "--out", str(tmp_path), "--seed", "42",
@@ -414,6 +424,28 @@ class TestCalibrate:
         assert code == 2
         assert captured.out == expected
         assert captured.err.startswith("error: bisection converged to mu1=")
+
+    def test_one_cell_prints_its_line_of_the_grid(self, tmp_path, capsys):
+        # One cell and the whole grid take one path: the cell's line is the
+        # grid's line for that cell, byte for byte.
+        assert main(["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        cells = [(0.2, 0.25), (0.2, 0.75), (0.8, 0.25), (0.8, 0.75)]
+        assert len(lines) == len(cells)
+        for line, (alpha, f) in zip(lines, cells):
+            assert main(["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID,
+                         "--set", "noise_level=0.30", "--set", f"alpha={alpha}", "--set", f"f={f}"]) == 0
+            assert capsys.readouterr().out == line
+
+    def test_lms_eta_alone_selects_one_cell(self, tmp_path, capsys):
+        # A set lms_eta names one cell's reference, so the cell's other
+        # keys are required rather than the rate ignored.
+        code = main(["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID,
+                     "--set", "lms_eta=0.1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "configuration error: missing required scenario key(s): noise_level, alpha, f\n"
 
 
 class TestErrors:

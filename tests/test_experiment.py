@@ -25,7 +25,6 @@ from lmslab.experiment import (
     ScenarioConfig,
     _run_rngs,
     _simulate,
-    calibrate_grid,
     calibrate_mu1,
     full_grid,
     lms_params,
@@ -841,6 +840,9 @@ class TestCalibration:
         monkeypatch.setattr(experiment, "_simulate", no_simulation)
         with pytest.raises(ValueError, match=r"^tolerance: must lie in \(0, inf\), got "):
             calibrate_mu1(scenario(n_runs=10), tolerance=tolerance)
+        # The driver checks its own inputs, for every caller.
+        with pytest.raises(ValueError, match=r"^tolerance: must lie in \(0, inf\), got "):
+            prefetch_calibration([scenario(n_runs=10)], tolerance, 20)
         with pytest.raises(ValueError, match=r"^calibration_tolerance: must lie in \(0, inf\), got "):
             GridConfig(calibration_tolerance=tolerance)
 
@@ -852,6 +854,10 @@ class TestCalibration:
         for runs in (2.5, True):
             with pytest.raises(TypeError, match="^calibration_runs: must be an integer, got "):
                 calibrate_mu1(scenario(n_runs=10), calibration_runs=runs)
+            with pytest.raises(TypeError, match="^calibration_runs: must be an integer, got "):
+                prefetch_calibration([scenario(n_runs=10)], CALIBRATION_TOLERANCE, runs)
+        with pytest.raises(ValueError, match=r"^calibration_runs: must lie in \[1, inf\), got 0$"):
+            prefetch_calibration([scenario(n_runs=10)], CALIBRATION_TOLERANCE, 0)
 
     def test_grid_block_simulates_its_reference_once(self, monkeypatch):
         # The three cells of a momentum block share one LMS reference:
@@ -948,8 +954,9 @@ class TestCalibration:
         # The reference runs the cell's n_iters, a probe up to its first
         # checkpoint, both calibration_runs runs at the cell's protocol.
         grid_reads = iter(grid_calls)
-        for _, record in calibrate_grid(config):
-            cal = replace(record.scenario, n_runs=config.calibration_runs)
+        records = prefetch_calibration(cells, config.calibration_tolerance, config.calibration_runs)
+        for sc, record in zip(cells, records, strict=True):
+            cal = replace(sc, n_runs=config.calibration_runs)
             for j, (algorithm, _) in enumerate(record.reads):
                 read, got = next(grid_reads)
                 assert read == algorithm and (algorithm.variant is Variant.LMS) == (j == 0)
@@ -985,7 +992,8 @@ class TestCalibrationOracle:
 
     def test_default_grid_matches_the_notes_and_a_naive_resimulation(self):
         config = GridConfig()
-        records = calibrate_grid(config)
+        cells = [(level, sc) for level, f, sc in config.cells() if f is not None]
+        records = prefetch_calibration([sc for _, sc in cells], config.calibration_tolerance, config.calibration_runs)
         documented = documented_mu1()
         assert len(records) == len(documented) == 27
 
@@ -998,8 +1006,7 @@ class TestCalibrationOracle:
 
         tolerance = config.calibration_tolerance
         ascending = []
-        for level, record in records:
-            sc = record.scenario
+        for (level, sc), record in zip(cells, records):
             assert record.miss is None
             assert f"{record.mu1:.5f}" == documented[level, sc.alpha, sc.f], (level, sc.alpha, sc.f)
             target = fitness(lms_params(sc.lms_eta), sc)
