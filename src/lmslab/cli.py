@@ -6,9 +6,9 @@ Subcommands:
   and the machine-readable ``aggregates.csv`` to the output directory;
 * ``run`` -- run one scenario (selected via config/``--set`` keys) and
   append-free write its aggregate row;
-* ``calibrate`` -- print the calibrated momentum-fractional step size
-  of one cell (any scenario key set) or of every grid cell, without
-  running the ensembles;
+* ``calibrate`` -- print the calibrated mFLMS step size (any other
+  ``algorithm`` is an error) of one cell (any cell key set) or of every
+  grid cell, without running the ensembles;
 * ``report`` -- regenerate tables and curves from a previously written
   ``aggregates.csv`` without recomputation.
 
@@ -87,7 +87,7 @@ def _single_algorithm(settings: Settings, scenario) -> FilterParams:
     Unset, mFLMS calibrates it and the others take ``lms_eta``.  A rule
     takes ``mflms_muf`` and ``alpha`` where its ``KINDS`` row reads them.
     """
-    variant, mu1 = settings.algorithm, scenario.mflms_mu1
+    variant, mu1 = settings.algorithm or Variant.MFLMS_ASSEMBLED, scenario.mflms_mu1
     if variant is Variant.LMS:
         return lms_params(scenario.lms_eta)
     if variant is Variant.MFLMS_ASSEMBLED and mu1 is None:
@@ -123,6 +123,8 @@ def _cmd_run(settings: Settings, out_dir: Path) -> int:
 
 
 def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
+    if settings.algorithm not in (None, Variant.MFLMS_ASSEMBLED):
+        raise ConfigError(f"algorithm: calibrate calibrates mflms only, got {settings.algorithm.value!r}")
     grid = settings.grid_config()
     if any(getattr(settings, key) is not None for key in ("noise_level", "alpha", "f", "lms_eta")):
         cells = [(settings.noise_level, settings.single_scenario())]

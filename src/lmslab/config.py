@@ -11,8 +11,8 @@ Grid keys are the fields of :class:`~lmslab.experiment.GridConfig`,
 which declares their defaults and cross-field rules; the
 single-scenario keys (``algorithm``, ``noise_level``, ``alpha``, ``f``,
 ``lms_eta``) select one cell for the ``run`` and ``calibrate``
-subcommands.  Apart from ``algorithm`` (default ``mflms``) they have no
-defaults: ``run`` refuses to guess a scenario.
+subcommands.  They have no defaults: ``run`` refuses to guess a
+scenario, and reads an unset ``algorithm`` as ``mflms``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Settings:
     """Parsed configuration: grid overrides plus optional single-scenario keys."""
 
     grid: dict = field(default_factory=dict)
-    algorithm: Variant = Variant.MFLMS_ASSEMBLED
+    algorithm: Variant | None = None
     noise_level: float | None = None
     alpha: float | None = None
     f: float | None = None

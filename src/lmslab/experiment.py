@@ -46,9 +46,9 @@ the active list, so the reordering changes no bit.  Checkpoint metrics
 read a row-major copy of the weights, which keeps them bit-identical
 to a row-major engine.
 
-Ensembles and calibration probes share one batching helper
-(:func:`_simulate_blocks`): blocks with one kernel branch and protocol
-run together in batches of at most ``_BATCH_ROWS`` rows.  Every
+Ensembles and calibration probes share one batch plan (:func:`_plan`:
+blocks with one kernel branch and protocol, in batches of at most
+``_BATCH_ROWS`` rows) and its runner (:func:`_simulate_blocks`).  Every
 step-size search enters through one driver,
 :func:`prefetch_calibration`: :func:`calibrate_mu1` is its one-cell
 call, and :func:`full_grid` and ``lmslab calibrate`` pass it their
@@ -172,10 +172,9 @@ class _Window(NamedTuple):
 # Stream domain -> its window of runs.
 _stream_windows: dict[int, _Window] = {}
 
-# Rows of a batch of blocks (see _simulate_blocks), a memory bound: a
-# batch holds about 0.65 KB per row.  The default grid's ensembles run
-# in 12 batches of 2,997-3,006 rows: a slice of 333 or 334 runs of each
-# of a kernel branch's nine blocks.
+# Rows of a batch of blocks (see _plan), a memory bound: a batch holds
+# about 0.65 KB per row.  TestPlan in tests/test_experiment.py pins the
+# default grid's batches.
 _BATCH_ROWS = 4000
 
 
@@ -261,7 +260,7 @@ def _streams(base_seed: int, domain: int, m: int, run_indices: np.ndarray, n_ite
     same seed, no more iterations and its runs inside the window reads
     it.  Any other releases it before a window of its own runs is drawn.
     """
-    lo, hi = (int(run_indices.min()), int(run_indices.max()) + 1) if len(run_indices) else (0, 0)
+    lo, hi = int(run_indices.min()), int(run_indices.max()) + 1
     window = _stream_windows.pop(domain, None)
     if (window is None or window.base_seed != base_seed or window.z.shape[1] < n_iters
             or not window.start <= lo <= hi <= window.start + len(window.w0)):
@@ -278,36 +277,32 @@ def _streams(base_seed: int, domain: int, m: int, run_indices: np.ndarray, n_ite
 
 
 def _simulate(
-    algorithm: FilterParams | tuple[FilterParams, ...],
-    scenario: ScenarioConfig | tuple[ScenarioConfig, ...],
+    algorithm: tuple[FilterParams, ...],
+    scenario: tuple[ScenarioConfig, ...],
     run_indices,
     domain: int = _DOMAIN_MAIN,
     n_iters: int | None = None,
 ):
     """Advance a batch of runs; returns (nwd_ck, final_bc, frozen).
 
-    Every run owns its seed-derived streams, so the returned rows do not
-    depend on how runs are grouped into batches.  Runs that hit the
-    guard keep their last in-bound weights and leave the active batch.
-
-    ``algorithm`` and ``scenario`` may instead be tuples, one entry per
-    block: block ``i`` is the next ``scenario[i].n_runs`` runs, stepped
-    with ``algorithm[i]`` at ``scenario[i]``'s noise level.
+    Block ``i`` of the batch is the next ``scenario[i].n_runs`` of
+    ``run_indices``, stepped with ``algorithm[i]`` at ``scenario[i]``'s
+    noise level; the blocks share one :func:`_batch_key`.  Every run owns
+    its seed-derived streams, so the returned rows do not depend on how
+    runs are grouped into batches.  Runs that hit the guard keep their
+    last in-bound weights and leave the active batch.
     """
     run_indices = np.asarray(list(run_indices), dtype=np.intp)
-    if run_indices.min(initial=0) < 0:
-        raise ValueError("run indices must be non-negative")
     n_runs = len(run_indices)
-    if isinstance(algorithm, tuple):
-        rows = [sc.n_runs for sc in scenario]
-        if (len(algorithm) != len(scenario) or sum(rows) != n_runs
-                or len(set(map(_batch_key, algorithm, scenario))) > 1):
-            raise ValueError("a batch needs a scenario per block, n_runs rows each and one batch key")
-        rule = _batch_rule(algorithm, rows)
-        noise_std = np.repeat([sc.noise_std for sc in scenario], rows)
-        algorithm, scenario = algorithm[0], scenario[0]
-    else:
-        rule, noise_std = update_rule(algorithm), np.full(n_runs, scenario.noise_std)
+    rows = [sc.n_runs for sc in scenario]
+    if (len(algorithm) != len(scenario) or sum(rows) != n_runs
+            or len(set(map(_batch_key, algorithm, scenario))) != 1):
+        raise ValueError("a batch needs a block or more, a scenario per block, n_runs rows each and one batch key")
+    if run_indices.min() < 0:
+        raise ValueError("run indices must be non-negative")
+    rule = _batch_rule(algorithm, rows)
+    noise_std = np.repeat([sc.noise_std for sc in scenario], rows)
+    algorithm, scenario = algorithm[0], scenario[0]
     # The rule's per-row coefficient columns, compacted with the rows.
     columns = [name for name, c in zip(Rule._fields, rule) if isinstance(c, np.ndarray)]
     n_iters = scenario.n_iters if n_iters is None else n_iters
@@ -331,11 +326,11 @@ def _simulate(
     frozen = np.zeros(n_runs, dtype=bool)
     # Row-major weights the metrics read: a strided view changes their bits.
     w_out = np.empty((n_runs, m))
-    chunk = max(1, _CHUNK_ELEMENTS // max(n_runs, 1))
+    chunk = max(1, _CHUNK_ELEMENTS // n_runs)
     samples = np.empty((chunk, n_runs))
     # Checkpoint weights are gathered and measured this many at a time;
     # one at a time, the metrics read w_out itself.
-    n_slots = min(n_ck, max(1, _CHUNK_ELEMENTS // max(n_runs * m, 1)))
+    n_slots = min(n_ck, max(1, _CHUNK_ELEMENTS // (n_runs * m)))
     ck = w_out[None] if n_slots == 1 else np.empty((n_slots, n_runs, m))
     nwd_ck = np.empty((n_runs, n_ck))
 
@@ -420,49 +415,51 @@ def _batch_rule(algorithms, rows) -> Rule:
     return rules[0]._replace(**columns)
 
 
-def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
-    """One :class:`_Means` per block, in order, fed by ``add(means, nwd_ck, final_bc, frozen)``.
+def _plan(blocks, domain: int) -> list:
+    """The batches of ``blocks``, in run order, each a tuple of ``(index, lo, hi)``: runs ``lo .. hi - 1`` of a block.
 
-    Block ``(algorithm, scenario)`` is runs ``0 .. scenario.n_runs - 1``
-    of one ``_simulate`` batch.  Blocks with one :func:`_batch_key`
-    share batches of at most ``_BATCH_ROWS`` rows.  In the main
-    domain a group needing several batches is split by runs: batch ``b``
-    holds runs ``lo_b .. hi_b - 1`` of every block (one run of each at
-    least), and the groups advance slice by slice, so the streams hold
-    one slice of runs at a time.  Calibration probes run whole blocks a
-    batch, even a block above ``_BATCH_ROWS``, for speed: sliced by runs
-    as above, the default grid's probes made the same calls, steps and
-    draws, yet the grid ran slower.  Each batch's rows are
-    passed to ``add``, slice by slice in run order, when the batch
-    returns, so one batch's rows are held at a time.
+    Block ``(algorithm, scenario)`` has runs ``0 .. scenario.n_runs - 1``.
+    Blocks with one :func:`_batch_key` share batches of at most
+    ``_BATCH_ROWS`` rows.  In the main domain a group needing several
+    batches is split by runs: batch ``b`` holds runs ``lo_b .. hi_b - 1``
+    of every block (one run of each at least), and the groups advance
+    slice by slice, so the streams hold one slice of runs at a time.
+    Calibration probes run whole blocks a batch, even a block above
+    ``_BATCH_ROWS``: sliced by runs, the default grid's probes ran slower.
     """
     groups = {}
     for i, block in enumerate(blocks):
         groups.setdefault(_batch_key(*block), []).append(i)
     n_runs = [sc.n_runs for _, sc in blocks]
-    batches = []  # (first run, [(block, lo, hi), ...]) each
+    batches = []
     for group in groups.values():
         runs = max(n_runs[i] for i in group)
         if domain == _DOMAIN_MAIN:
             n = math.ceil(runs / max(1, _BATCH_ROWS // len(group)))
             cuts = [b * runs // n for b in range(n + 1)]  # even slices
-            batches += [(lo, [(i, lo, min(hi, n_runs[i])) for i in group if lo < n_runs[i]])
+            batches += [tuple((i, lo, min(hi, n_runs[i])) for i in group if lo < n_runs[i])
                         for lo, hi in zip(cuts, cuts[1:])]
         else:
             per_batch = max(1, _BATCH_ROWS // runs)
             size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
-            batches += [(0, [(i, 0, n_runs[i]) for i in group[start:start + size]])
+            batches += [tuple((i, 0, n_runs[i]) for i in group[start:start + size])
                         for start in range(0, len(group), size)]
+    return sorted(batches, key=lambda batch: batch[0][1])
+
+
+def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
+    """One :class:`_Means` per block, in order, fed by ``add(means, nwd_ck, final_bc, frozen)``.
+
+    Each batch of :func:`_plan` is one ``_simulate`` call, whose rows go
+    to ``add`` block by block before the next batch runs.
+    """
     means = [_Means() for _ in blocks]
-    for _, batch in sorted(batches, key=lambda b: b[0]):
+    for batch in _plan(blocks, domain):
         algorithms = tuple(blocks[i][0] for i, _, _ in batch)
         scenarios = tuple(replace(blocks[i][1], n_runs=hi - lo) for i, lo, hi in batch)
-        # n_iters is passed so that the call's arguments state its length:
-        # the traced benchmark reads it there, and a tuple has none.
-        rows = _simulate(
-            algorithms, scenarios, np.concatenate([np.arange(lo, hi) for _, lo, hi in batch]),
-            domain=domain, n_iters=scenarios[0].n_iters,
-        )
+        runs = np.concatenate([np.arange(lo, hi) for _, lo, hi in batch])
+        # n_iters states the call's length where the traced benchmark reads it.
+        rows = _simulate(algorithms, scenarios, runs, domain=domain, n_iters=scenarios[0].n_iters)
         bounds = np.cumsum([0, *(sc.n_runs for sc in scenarios)])
         for (i, _, _), start, stop in zip(batch, bounds, bounds[1:]):
             add(means[i], *(a[start:stop] for a in rows))
@@ -871,12 +868,11 @@ def full_grid(config: GridConfig) -> list[GridEntry]:
     sizes come from ``config.mflms_mu1`` when set, otherwise from
     :func:`prefetch_calibration` over the momentum-fractional cells
     (falling back to the closest achievable match rather than aborting
-    the grid).  Every cell's calibration is
-    simulated first, then every cell's ensemble, in a few wide batches
-    (:func:`_simulate_blocks`).  Then each row settles its calibration
-    record and logs its line in row order, so a row's error is raised
-    after the lines of the rows before it, as when the cells run one by
-    one.
+    the grid).  Every cell's calibration is simulated first, then every
+    cell's ensemble, in a few wide batches (:func:`_plan`).  Then each
+    row settles its calibration record and logs its line in row order,
+    so a row's error is raised after the lines of the rows before it, as
+    when the cells run one by one.
     """
     cells = list(config.cells())
     rows = [i for i, (_, f, _) in enumerate(cells) if f is not None]

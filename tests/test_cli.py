@@ -447,6 +447,26 @@ class TestCalibrate:
         assert captured.out == ""
         assert captured.err == "configuration error: missing required scenario key(s): noise_level, alpha, f\n"
 
+    @pytest.mark.parametrize("algorithm", [v.value for v in Variant if v is not Variant.MFLMS_ASSEMBLED])
+    def test_other_algorithm_rejected(self, tmp_path, capsys, algorithm):
+        # calibrate finds mFLMS's step only: another rule is refused, not
+        # answered with the mFLMS value.
+        code = main(["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID,
+                     "--set", "noise_level=0.30", "--set", "alpha=0.2", "--set", "f=0.25",
+                     "--set", f"algorithm={algorithm}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"configuration error: algorithm: calibrate calibrates mflms only, got {algorithm!r}\n"
+
+    def test_mflms_algorithm_is_the_default(self, tmp_path, capsys):
+        args = ["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID,
+                "--set", "noise_level=0.30", "--set", "alpha=0.2", "--set", "f=0.25"]
+        assert main(args) == 0
+        unset = capsys.readouterr().out
+        assert main([*args, "--set", "algorithm=mflms"]) == 0
+        assert capsys.readouterr().out == unset
+
 
 class TestErrors:
     def test_bad_set_syntax(self, capsys):

@@ -65,6 +65,12 @@ def scenario(**kwargs):
     return ScenarioConfig(**defaults)
 
 
+def simulate_one(algorithm, scenario, runs, **kwargs):
+    """The rows of ``runs``, one ``_simulate`` batch of a single block: ``algorithm`` at ``scenario``."""
+    runs = list(runs)
+    return _simulate((algorithm,), (replace(scenario, n_runs=len(runs)),), runs, **kwargs)
+
+
 class TestScenarioValidation:
     def test_checkpoint_must_divide_iterations(self):
         with pytest.raises(ValueError):
@@ -131,8 +137,8 @@ class TestScenarioValidation:
 class TestDeterminism:
     def test_run_single_repeatable(self):
         sc = scenario()
-        a = _simulate(lms_params(0.1), sc, [3])
-        b = _simulate(lms_params(0.1), sc, [3])
+        a = simulate_one(lms_params(0.1), sc, [3])
+        b = simulate_one(lms_params(0.1), sc, [3])
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -146,9 +152,9 @@ class TestDeterminism:
     def test_single_matches_ensemble_row(self):
         # The batched ensemble and an isolated run share every bit.
         sc = scenario(n_runs=20)
-        nwd_ck, final_bc, frozen = _simulate(lms_params(0.1), sc, range(20))
+        nwd_ck, final_bc, frozen = simulate_one(lms_params(0.1), sc, range(20))
         for idx in (0, 7, 19):
-            nwd1, final1, frozen1 = _simulate(lms_params(0.1), sc, [idx])
+            nwd1, final1, frozen1 = simulate_one(lms_params(0.1), sc, [idx])
             np.testing.assert_array_equal(nwd1[0], nwd_ck[idx])
             np.testing.assert_array_equal(final1[0], final_bc[idx])
             assert frozen1[0] == frozen[idx]
@@ -159,8 +165,8 @@ class TestDeterminism:
         # the rows of a single batch bit for bit.
         sc = scenario(n_runs=13, n_iters=200)
         params = variant_params(variant)
-        whole = _simulate(params, sc, range(13))
-        parts = [_simulate(params, sc, block) for block in (range(0, 1), range(1, 6), range(6, 13))]
+        whole = simulate_one(params, sc, range(13))
+        parts = [simulate_one(params, sc, block) for block in (range(0, 1), range(1, 6), range(6, 13))]
         for i, expected in enumerate(whole):
             np.testing.assert_array_equal(np.concatenate([p[i] for p in parts]), expected)
 
@@ -173,8 +179,8 @@ class TestDeterminism:
 class TestSeeding:
     def test_runs_use_distinct_streams(self):
         sc = scenario()
-        _, final0, _ = _simulate(lms_params(0.1), sc, [0])
-        _, final1, _ = _simulate(lms_params(0.1), sc, [1])
+        _, final0, _ = simulate_one(lms_params(0.1), sc, [0])
+        _, final1, _ = simulate_one(lms_params(0.1), sc, [1])
         assert not np.array_equal(final0, final1)
 
     def test_noise_and_init_streams_independent(self):
@@ -230,8 +236,8 @@ class TestSharedStreams:
         # the rows of per-run seeding and full-scale noise bit for bit.
         sc = scenario(noise_std=noise_std, n_iters=200)
         params = variant_params(variant)
-        for indices in (range(0, 13), range(5, 12), [7, 3, 11], [999], []):
-            got = _simulate(params, sc, indices)
+        for indices in (range(0, 13), range(5, 12), [7, 3, 11], [999]):
+            got = simulate_one(params, sc, indices)
             expected = naive_simulate(params, sc, list(indices))
             for a, b in zip(got, expected):
                 assert a.shape == b.shape
@@ -307,32 +313,32 @@ class TestSharedStreams:
         assert before > window_bytes and peak - before < window_bytes / 4
 
     def test_other_seed_redraws(self, draws):
-        _simulate(lms_params(0.1), scenario(), range(10))
-        _simulate(lms_params(0.1), scenario(base_seed=43), range(10))
+        simulate_one(lms_params(0.1), scenario(), range(10))
+        simulate_one(lms_params(0.1), scenario(base_seed=43), range(10))
         assert len(draws) == 20
         assert {seed for seed, _, _ in draws[10:]} == {43}
 
     def test_smaller_request_reuses_block(self, draws):
-        _simulate(lms_params(0.1), scenario(n_iters=300), range(20))
-        _simulate(lms_params(0.1), scenario(n_iters=100), [3, 19, 0])
-        _simulate(lms_params(0.1), scenario(n_iters=200), range(5, 15))
+        simulate_one(lms_params(0.1), scenario(n_iters=300), range(20))
+        simulate_one(lms_params(0.1), scenario(n_iters=100), [3, 19, 0])
+        simulate_one(lms_params(0.1), scenario(n_iters=200), range(5, 15))
         assert len(draws) == 20
 
     def test_run_single_draws_only_the_runs_it_names(self, draws):
         sc = scenario(n_runs=1000, n_iters=100)
         for run_index in range(40):
-            _simulate(lms_params(0.1), sc, [run_index])
+            simulate_one(lms_params(0.1), sc, [run_index])
         assert draws == [(42, 0, r) for r in range(40)]
         window = experiment._stream_windows[0]
         assert (window.start, len(window.w0), window.z.shape) == (39, 1, (1, 100))  # the last run only
-        _simulate(lms_params(0.1), sc, [999])
+        simulate_one(lms_params(0.1), sc, [999])
         assert draws[40:] == [(42, 0, 999)]
 
     def test_block_grows_to_the_request_not_the_cross_product(self, draws):
         # A wide, short request after a long, narrow one draws a window of
         # its own runs and iterations, not 100 runs x 2000 iterations.
-        _simulate(lms_params(0.1), scenario(n_iters=2000), range(10))
-        got = _simulate(lms_params(0.1), scenario(n_iters=100), range(100))
+        simulate_one(lms_params(0.1), scenario(n_iters=2000), range(10))
+        got = simulate_one(lms_params(0.1), scenario(n_iters=100), range(100))
         window = experiment._stream_windows[0]
         assert window.start == 0 and window.w0.shape == (100, 8) and window.z.shape == (100, 100)
         assert len(draws) == 110
@@ -344,7 +350,7 @@ class TestSharedStreams:
         # Runs 3 .. 11 are drawn once, whole, in order; the rows are those
         # of per-run seeding, read in the request's order.
         sc = scenario(n_iters=200)
-        got = _simulate(lms_params(0.1), sc, [7, 3, 11])
+        got = simulate_one(lms_params(0.1), sc, [7, 3, 11])
         window = experiment._stream_windows[0]
         assert (window.start, len(window.w0), window.z.shape) == (3, 9, (9, 200))
         assert draws == [(42, 0, r) for r in range(3, 12)]
@@ -357,23 +363,23 @@ class TestSharedStreams:
 
     def test_ensemble_independent_of_cache_state(self, cold_streams):
         sc = scenario(n_runs=20)
-        cold = _simulate(lms_params(0.1), sc, range(20))
-        _simulate(lms_params(0.1), replace(sc, n_iters=600), range(40))
-        larger = _simulate(lms_params(0.1), sc, range(20))
-        _simulate(lms_params(0.1), replace(sc, base_seed=7), range(20))
-        other_seed = _simulate(lms_params(0.1), sc, range(20))
+        cold = simulate_one(lms_params(0.1), sc, range(20))
+        simulate_one(lms_params(0.1), replace(sc, n_iters=600), range(40))
+        larger = simulate_one(lms_params(0.1), sc, range(20))
+        simulate_one(lms_params(0.1), replace(sc, base_seed=7), range(20))
+        other_seed = simulate_one(lms_params(0.1), sc, range(20))
         for warm in (larger, other_seed):
             for a, b in zip(cold, warm):
                 np.testing.assert_array_equal(a, b)
 
     def test_negative_run_index_rejected(self, cold_streams):
         # A negative index must not alias the last run of a cached block.
-        _simulate(lms_params(0.1), scenario(), range(6))
+        simulate_one(lms_params(0.1), scenario(), range(6))
         with pytest.raises(ValueError):
-            _simulate(lms_params(0.1), scenario(), [5, -1])
+            simulate_one(lms_params(0.1), scenario(), [5, -1])
 
     def test_cached_arrays_are_read_only(self, cold_streams):
-        _simulate(lms_params(0.1), scenario(), range(5))
+        simulate_one(lms_params(0.1), scenario(), range(5))
         for window in experiment._stream_windows.values():
             with pytest.raises(ValueError):
                 window.w0[0, 0] = 0.0
@@ -439,7 +445,7 @@ class TestFrozenRowCompaction:
         mu1, n_iters = FREEZING[variant]
         sc = scenario(noise_std=1.0, n_runs=300, n_iters=n_iters, checkpoint_interval=2, metric_space=space)
         params = freezing_params(variant, mu1)
-        got = _simulate(params, sc, range(300))
+        got = simulate_one(params, sc, range(300))
         assert 0 < got[2].sum() < 300
         frozen_at = [k for k, n in freeze_iterations if n]
         chunk = experiment._CHUNK_ELEMENTS // 300
@@ -460,7 +466,7 @@ class TestFrozenRowCompaction:
         monkeypatch.setattr(experiment, "step", recording_step)
         mu1, n_iters = FREEZING[Variant.MFLMS_ASSEMBLED]
         sc = scenario(noise_std=1.0, n_runs=300, n_iters=n_iters, checkpoint_interval=2)
-        frozen = _simulate(freezing_params(Variant.MFLMS_ASSEMBLED, mu1), sc, range(300))[2]
+        frozen = simulate_one(freezing_params(Variant.MFLMS_ASSEMBLED, mu1), sc, range(300))[2]
         assert 0 < frozen.sum() < 300 and len(seen) == n_iters
         assert len({rows for rows, _, _ in seen}) > 1
         assert all(pointers == seen[0][1] and set(lengths) == {rows} for rows, pointers, lengths in seen)
@@ -469,7 +475,7 @@ class TestFrozenRowCompaction:
     def test_every_row_frozen_matches_row_mask_oracle(self, space):
         sc = scenario(noise_std=1.0, n_runs=60, n_iters=300, checkpoint_interval=10, metric_space=space)
         params = freezing_params(Variant.LMS, 0.55)
-        got = _simulate(params, sc, range(60))
+        got = simulate_one(params, sc, range(60))
         assert got[2].all()
         for a, b in zip(got, naive_simulate(params, sc, range(60))):
             np.testing.assert_array_equal(a, b)
@@ -517,7 +523,7 @@ class TestFrozenRowCompaction:
         params = variant_params(Variant.MFLMS_ASSEMBLED)
         for space in MetricSpace:
             sc = scenario(n_runs=20, n_iters=130, checkpoint_interval=1, metric_space=space)
-            for a, b in zip(_simulate(params, sc, range(20)), naive_simulate(params, sc, range(20))):
+            for a, b in zip(simulate_one(params, sc, range(20)), naive_simulate(params, sc, range(20))):
                 np.testing.assert_array_equal(a, b)
 
 
@@ -549,7 +555,7 @@ class TestBatchedBlocks:
         indices = [i for _, _, runs in blocks for i in runs]
         got = _simulate(algorithms, scenarios, indices, n_iters=n_iters)
         assert 0 < got[2][:40].sum() < 40 and not got[2][40:].any()
-        parts = [_simulate(a, sc, runs) for a, sc, (_, _, runs) in zip(algorithms, scenarios, blocks)]
+        parts = [simulate_one(a, sc, runs) for a, sc, (_, _, runs) in zip(algorithms, scenarios, blocks)]
         for i, batched in enumerate(got):
             np.testing.assert_array_equal(batched, np.concatenate([p[i] for p in parts]))
 
@@ -583,10 +589,98 @@ class TestBatchedBlocks:
             _simulate((params, params), (scenario(n_runs=2),) * 2, range(5))
 
 
+def grid_blocks(config: GridConfig) -> list:
+    """The ensemble blocks that :func:`full_grid` hands its runner, at the grid's fixed ``mflms_mu1``."""
+    return [(lms_params(sc.lms_eta) if f is None else mflms_params(config.mflms_mu1, sc.alpha, f), sc)
+            for _, f, sc in config.cells()]
+
+
+def scan_blocks(config: GridConfig) -> list:
+    """The probe blocks of a grid's first scan round: every calibrated cell's doubling scan of ``mu1``."""
+    blocks = []
+    for _, f, sc in config.cells():
+        if f is not None:
+            search = experiment._mu1_search(sc, config.calibration_tolerance)
+            next(search)  # the paired-LMS reference, answered with a curve still converging
+            blocks += [(algorithm, replace(sc, n_runs=config.calibration_runs, n_iters=n_iters))
+                       for algorithm, n_iters in search.send([np.array([1.0, 0.1])])]
+    return blocks
+
+
+class TestPlan:
+    """The batch plan, checked without simulating."""
+
+    @staticmethod
+    def assert_valid(blocks, plan, domain):
+        n_runs = [sc.n_runs for _, sc in blocks]
+        keys = [experiment._batch_key(*block) for block in blocks]
+        runs = [[] for _ in blocks]
+        for batch in plan:
+            assert batch and len({keys[i] for i, _, _ in batch}) == 1
+            for i, lo, hi in batch:
+                assert lo < hi
+                runs[i] += range(lo, hi)
+        assert runs == [list(range(n)) for n in n_runs]  # every run once, in run order
+        if domain == experiment._DOMAIN_MAIN:
+            # Runs advance slice by slice, so the streams hold one slice at a time.
+            firsts = [min(lo for _, lo, _ in batch) for batch in plan]
+            assert firsts == sorted(firsts)
+            for batch in plan:
+                if keys.count(keys[batch[0][0]]) <= experiment._BATCH_ROWS:
+                    assert sum(hi - lo for _, lo, hi in batch) <= experiment._BATCH_ROWS
+        else:
+            assert all((lo, hi) == (0, n_runs[i]) for batch in plan for i, lo, hi in batch)
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the plan simulated or drew streams")
+
+        monkeypatch.setattr(experiment, "_simulate", fail)
+        monkeypatch.setattr(experiment, "_streams", fail)
+
+    def test_default_grid_ensembles(self, no_simulation):
+        # Four kernel branches of nine 1000-run cells, each in three slices
+        # of 333 or 334 runs.
+        blocks = grid_blocks(GridConfig(mflms_mu1=0.01))
+        plan = experiment._plan(blocks, experiment._DOMAIN_MAIN)
+        self.assert_valid(blocks, plan, experiment._DOMAIN_MAIN)
+        rows = [sum(hi - lo for _, lo, hi in batch) for batch in plan]
+        assert len(plan) == 12 and min(rows) == 2997 and max(rows) == 3006 and sum(rows) == 36000
+
+    def test_default_grid_first_scan_round(self, no_simulation):
+        # 27 cells x 14 probes of 200 runs, in three kernel branches of 126
+        # blocks: seven even batches of 18 whole blocks each.
+        blocks = scan_blocks(GridConfig())
+        plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
+        self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
+        assert len(blocks) == 27 * 14
+        assert [sum(hi - lo for _, lo, hi in batch) for batch in plan] == [3600] * 21
+
+    @pytest.mark.parametrize("batch_rows", [1, 2, 5, 10, 24, 4000])
+    @pytest.mark.parametrize("domain", [0, 1], ids=["main", "calibration"])
+    def test_uneven_blocks(self, no_simulation, monkeypatch, batch_rows, domain):
+        # Blocks of unequal run counts in two kernel branches; at one or two
+        # rows a batch, a branch holds more blocks than a batch has rows.
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", batch_rows)
+        blocks = [(lms_params(0.01 * (k + 1)), scenario(n_runs=n)) for k, n in enumerate((5, 13, 1, 7))]
+        blocks.insert(2, (mflms_params(0.01, 0.5, 0.25), scenario(n_runs=12)))
+        blocks.append((mflms_params(0.02, 0.2, 0.25), scenario(n_runs=3)))
+        plan = experiment._plan(blocks, domain)
+        self.assert_valid(blocks, plan, domain)
+
+    def test_probe_block_above_the_cap_runs_alone(self, no_simulation, monkeypatch):
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", 100)
+        blocks = [(lms_params(0.01 * (k + 1)), scenario(n_runs=n)) for k, n in enumerate((40, 150, 40, 40))]
+        plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
+        self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
+        assert ((1, 0, 150),) in plan
+
+
 class TestTrajectoryContract:
     def test_checkpoint_count(self):
         sc = scenario(n_iters=600, checkpoint_interval=100)
-        nwd_ck, _, _ = _simulate(lms_params(0.1), sc, [0])
+        nwd_ck, _, _ = simulate_one(lms_params(0.1), sc, [0])
         assert nwd_ck.shape == (1, 6)
         assert np.all(nwd_ck >= 0)
         assert np.all(np.isfinite(nwd_ck))
@@ -607,7 +701,7 @@ class TestTrajectoryContract:
         # The ensemble's final parameters are the mean of each run's final
         # weights in amplitude-phase form.
         sc = scenario()
-        _, final_bc, frozen = _simulate(lms_params(0.1), sc, range(sc.n_runs))
+        _, final_bc, frozen = simulate_one(lms_params(0.1), sc, range(sc.n_runs))
         assert not frozen.any()
         agg = run_monte_carlo(lms_params(0.1), sc)
         np.testing.assert_array_equal(agg.mean_final_theta_aphi, aphi_from_bc(final_bc).mean(axis=0))
@@ -661,7 +755,7 @@ class TestUfuncBuffer:
         monkeypatch.setattr(experiment, "step", failing_step)
         errors = np.geterr()
         with pytest.raises(RuntimeError, match="third step"):
-            _simulate(lms_params(0.027), scenario(n_runs=5, n_iters=100), range(5))
+            simulate_one(lms_params(0.027), scenario(n_runs=5, n_iters=100), range(5))
         assert buffer_sizes == [experiment._UFUNC_BUFFER] * 3
         assert np.getbufsize() == self.CALLER_BUFSIZE
         assert np.geterr() == errors
@@ -670,7 +764,7 @@ class TestUfuncBuffer:
 class TestAggregation:
     def test_single_run_aggregate_equals_trajectory(self):
         sc = scenario(n_runs=1)
-        nwd_ck, final_bc, frozen = _simulate(lms_params(0.1), sc, [0])
+        nwd_ck, final_bc, frozen = simulate_one(lms_params(0.1), sc, [0])
         final_aphi = aphi_from_bc(final_bc[0])
         agg = run_monte_carlo(lms_params(0.1), sc)
         np.testing.assert_array_equal(agg.mean_nwd_at_checkpoints, nwd_ck[0])
@@ -682,13 +776,13 @@ class TestAggregation:
         # An unstable step size makes every run blow past the guard.
         sc = scenario(n_runs=6, n_iters=200)
         unstable = lms_params(3.0)
-        _, _, frozen = _simulate(unstable, sc, [0])
+        _, _, frozen = simulate_one(unstable, sc, [0])
         assert frozen[0]
         with pytest.raises(AllRunsDivergedError):
             run_monte_carlo(unstable, sc)
 
     def test_frozen_run_keeps_in_bound_weights(self):
-        _, final_bc, frozen = _simulate(lms_params(3.0), scenario(n_runs=6, n_iters=200), [0])
+        _, final_bc, frozen = simulate_one(lms_params(3.0), scenario(n_runs=6, n_iters=200), [0])
         assert frozen[0]
         assert np.all(np.isfinite(final_bc[0]))
         assert np.all(np.abs(final_bc[0]) <= WEIGHT_LIMIT)
@@ -961,7 +1055,7 @@ class TestCalibration:
                 read, got = next(grid_reads)
                 assert read == algorithm and (algorithm.variant is Variant.LMS) == (j == 0)
                 n_iters = cal.n_iters if j == 0 else int(cal.checkpoints[0])
-                nwd_ck, _, frozen = _simulate(
+                nwd_ck, _, frozen = simulate_one(
                     algorithm, cal, range(cal.n_runs), domain=experiment._DOMAIN_CALIBRATION, n_iters=n_iters
                 )
                 alive = ~frozen
@@ -1024,6 +1118,30 @@ class TestCalibrationOracle:
         assert len(ascending) == 9
         assert all(0.5 <= x <= 1.0 for x in ascending), ascending
 
+    def test_ascending_steps_sit_below_the_first_frozen_scan_probe(self):
+        # Past the stability edge a probe's fitness is the mean over the
+        # runs that stayed in bounds, so it is not monotone in mu1, and the
+        # ascending branch (a=0.8) takes the last crossing of the band's
+        # upper level: it relies on no scan probe past the edge reading
+        # below that level.  At seed 42 the steps read 0.0086-0.0102, and
+        # the first scan probes with a frozen run 0.0512 (164-197 of 200
+        # runs frozen) or 0.1024 (all 200).
+        config = GridConfig()
+        cells = [sc for _, f, sc in config.cells() if f is not None and sc.alpha == 0.8]
+        records = prefetch_calibration(cells, config.calibration_tolerance, config.calibration_runs)
+        assert len(records) == 9
+        for sc, record in zip(cells, records):
+            scan = [algorithm for algorithm, _ in record.reads[1:15]]
+            assert [a.mu1 for a in scan] == [min(1e-4 * 2**k, 0.5) for k in range(14)]
+            frozen = [
+                simulate_one(algorithm, sc, range(config.calibration_runs),
+                             domain=experiment._DOMAIN_CALIBRATION, n_iters=sc.checkpoint_interval)[2].any()
+                for algorithm in scan
+            ]
+            assert any(frozen), sc
+            first = scan[frozen.index(True)].mu1
+            assert record.miss is None and record.mu1 < first, (sc, record.mu1, first)
+
 
 class TestPairedVerdict:
     """The paper's verdict, no advantage of mFLMS over LMS, as a paired statistic in every cell."""
@@ -1042,10 +1160,10 @@ class TestPairedVerdict:
             if f is None:
                 continue
             if (level, sc.alpha) not in lms:
-                lms[level, sc.alpha] = _simulate(lms_params(sc.lms_eta), sc, range(sc.n_runs))
+                lms[level, sc.alpha] = simulate_one(lms_params(sc.lms_eta), sc, range(sc.n_runs))
             reference = lms[level, sc.alpha]
             mu1 = float(documented[level, sc.alpha, f])
-            mflms = _simulate(mflms_params(mu1, sc.alpha, f), sc, range(sc.n_runs))
+            mflms = simulate_one(mflms_params(mu1, sc.alpha, f), sc, range(sc.n_runs))
             late = sc.checkpoints >= 300
             kept = ~(reference[2] | mflms[2])
             excess = (mflms[0][kept][:, late] - reference[0][kept][:, late]).mean(axis=1)
@@ -1174,7 +1292,7 @@ class TestFullGrid:
         for entry in entries:
             algorithm = (lms_params(entry.step_size) if entry.f is None
                          else mflms_params(entry.step_size, entry.alpha, entry.f))
-            nwd_ck, final_bc, frozen = _simulate(algorithm, entry.scenario, range(n_runs))
+            nwd_ck, final_bc, frozen = simulate_one(algorithm, entry.scenario, range(n_runs))
             alive = ~frozen
             final_aphi = aphi_from_bc(final_bc[alive])
             got = entry.aggregate

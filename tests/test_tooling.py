@@ -170,6 +170,43 @@ def test_engine_steps_each_iteration_with_rows_first(monkeypatch):
     assert shapes == [(37, 8)] * 300
 
 
+def _function(module, name):
+    """The function ``name`` of the harness module ``module``, compiled from its source without importing it."""
+    tree = ast.parse((PERFBENCH / module).read_text())
+    nodes = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert nodes, f"perfbench/{module} no longer defines {name}"
+    namespace = {}
+    exec(compile(ast.Module(body=nodes, type_ignores=[]), str(PERFBENCH / module), "exec"), namespace)
+    return namespace[name]
+
+
+def test_harness_reads_each_batch_shape(monkeypatch):
+    # The harness files experiment.simulate.* under the (rows, n_iters)
+    # that _simulate_shape reads from a _simulate call's arguments; a call
+    # it cannot read counts (0, 0), which would zero those metrics.
+    shape = _function("spans.py", "_simulate_shape")
+    calls = []
+    real_simulate = lmslab.experiment._simulate
+
+    def recording_simulate(*args, **kwargs):
+        out = real_simulate(*args, **kwargs)
+        nwd_ck, _, frozen = out
+        calls.append((shape(*args, **kwargs), (len(frozen), nwd_ck.shape[1] * scenario.checkpoint_interval)))
+        return out
+
+    monkeypatch.setattr(lmslab.experiment, "_simulate", recording_simulate)
+    scenario = lmslab.experiment.ScenarioConfig(
+        noise_std=math.sqrt(0.30), alpha=0.2, f=0.25, lms_eta=0.027,
+        n_runs=7, n_iters=300, checkpoint_interval=100,
+    )
+    lmslab.experiment.run_monte_carlo(lmslab.experiment.lms_params(0.027), scenario)
+    lmslab.experiment.prefetch_calibration([scenario], 0.05, 5)
+    # The ensemble, the calibration's reference, then its probe batches.
+    assert calls[:2] == [((7, 300), (7, 300)), ((5, 300), (5, 300))] and len(calls) > 2
+    for read, batch in calls:
+        assert read == batch and 0 not in read
+
+
 class _Capture(logging.Handler):
     def __init__(self, records):
         super().__init__(logging.INFO)
