@@ -7,8 +7,8 @@ Subcommands:
 * ``run`` -- run one scenario (selected via config/``--set`` keys) and
   append-free write its aggregate row;
 * ``calibrate`` -- print the calibrated mFLMS step size (any other
-  ``algorithm`` is an error) of one cell (any cell key set) or of every
-  grid cell, without running the ensembles;
+  ``algorithm``, or a set ``mflms_mu1``, is an error) of one cell (any
+  cell key set) or of every grid cell, without running the ensembles;
 * ``report`` -- regenerate tables and curves from a previously written
   ``aggregates.csv`` without recomputation.
 
@@ -126,6 +126,8 @@ def _cmd_calibrate(settings: Settings, out_dir: Path) -> int:
     if settings.algorithm not in (None, Variant.MFLMS_ASSEMBLED):
         raise ConfigError(f"algorithm: calibrate calibrates mflms only, got {settings.algorithm.value!r}")
     grid = settings.grid_config()
+    if grid.mflms_mu1 is not None:
+        raise ConfigError(f"mflms_mu1: calibrate computes the step size, got {grid.mflms_mu1!r}")
     if any(getattr(settings, key) is not None for key in ("noise_level", "alpha", "f", "lms_eta")):
         cells = [(settings.noise_level, settings.single_scenario())]
     else:

@@ -52,7 +52,8 @@ blocks with one kernel branch and protocol, in batches of at most
 step-size search enters through one driver,
 :func:`prefetch_calibration`: :func:`calibrate_mu1` is its one-cell
 call, and :func:`full_grid` and ``lmslab calibrate`` pass it their
-cells.  It advances the searches in lockstep and leaves one
+cells.  It advances the searches in lockstep, one probe per search a
+round (a descending search's scan stops at its bracket), and leaves one
 :class:`Calibration` record per cell; a grid then runs every cell's
 ensemble in a few batches too.  Each row then settles its record and
 logs its line, in row order, so the log, every step size and every
@@ -565,53 +566,48 @@ def _calibration_curve(algorithm, curve):
 def _mu1_search(scenario: ScenarioConfig, tolerance: float):
     """The search of :func:`calibrate_mu1` for one cell, as a generator of curve requests.
 
-    It yields lists of ``(algorithm, n_iters)`` whose calibration curves
-    it reads (the paired-LMS reference, the doubling scan, then one
-    bisection midpoint at a time) and is sent those curves, in the same
-    order.  It returns ``(mu1, fitness, miss)``: ``miss`` is None on a
+    It yields one ``(algorithm, n_iters)`` at a time, whose calibration
+    curve it is then sent: the paired-LMS reference, the doubling scan
+    of ``mu1`` in increasing order, then one bisection midpoint at a
+    time.  On the descending branch the scan stops at the first
+    crossing; the ascending branch and a scan without one read all 14
+    points.  It returns ``(mu1, fitness, miss)``: ``miss`` is None on a
     match, otherwise why there is none, with ``mu1`` the fallback (None
     if the reference or every scan probe diverged).
     """
-    (reference,) = yield [(lms_params(scenario.lms_eta), scenario.n_iters)]
+    reference = yield lms_params(scenario.lms_eta), scenario.n_iters
     target = float(reference[0])
     if not math.isfinite(target):
         return None, math.inf, "the reference LMS ensemble diverged"
 
-    def fitness(mu1s):
-        """Each probe's fitness at the first checkpoint, the only one it runs to."""
-        curves = yield [
-            (mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf), scenario.checkpoint_interval)
-            for mu1 in mu1s
-        ]
-        return [float(curve[0]) for curve in curves]
+    def fitness(mu1):
+        """The probe's fitness at the first checkpoint, the only one it runs to."""
+        curve = yield mflms_params(mu1, scenario.alpha, scenario.f, scenario.mflms_muf), scenario.checkpoint_interval
+        return float(curve[0])
+
+    # Descending branch (a reference still converging): the first crossing
+    # of the target from above.  Ascending branch: the last crossing of the
+    # upper part of the band (strictly inside it so bisection jitter cannot
+    # leave the band).
+    descending = target > _CONVERGED_RATIO * float(reference[-1])
+    level = target if descending else target * (1 + 0.8 * tolerance)
+
+    def left_of_root(h):
+        """Whether the root lies to the right of a probe that reads ``h``."""
+        return (h > level) == descending
 
     lo, hi = _MU_BRACKET
-    grid = [lo]
-    while grid[-1] < hi:
-        grid.append(min(grid[-1] * 2, hi))
-    values = yield from fitness(grid)
-
-    transient = target > _CONVERGED_RATIO * float(reference[-1])
-    if transient:
-        # Descending branch: first crossing of the target from above.
-        bracket = next(
-            (i for i in range(1, len(grid)) if values[i - 1] > target >= values[i]),
-            None,
-        )
-        level = target
-        descending = True
-    else:
-        # Ascending branch: last crossing of the upper part of the band
-        # (strictly inside it so bisection jitter cannot leave the band).
-        level = target * (1 + 0.8 * tolerance)
-        crossings = [
-            i for i in range(1, len(grid)) if values[i - 1] <= level < values[i]
-        ]
-        bracket = crossings[-1] if crossings else None
-        descending = False
+    scan = [(lo, (yield from fitness(lo)))]
+    bracket = None
+    while scan[-1][0] < hi and not (descending and bracket):
+        mu1 = min(scan[-1][0] * 2, hi)
+        h = yield from fitness(mu1)
+        if left_of_root(scan[-1][1]) and not left_of_root(h):
+            bracket = scan[-1][0], mu1
+        scan.append((mu1, h))
 
     if bracket is None:
-        finite = [(mu, v) for mu, v in zip(grid, values) if math.isfinite(v)]
+        finite = [(mu, v) for mu, v in scan if math.isfinite(v)]
         best_mu, best_v = min(finite, key=lambda t: abs(t[1] - target), default=(None, math.inf))
         if best_mu is not None and abs(best_v - target) <= tolerance * target:
             return best_mu, best_v, None
@@ -620,13 +616,11 @@ def _mu1_search(scenario: ScenarioConfig, tolerance: float):
             f"within {100 * tolerance:g}%"
         )
 
-    a, b = grid[bracket - 1], grid[bracket]
+    a, b = bracket
     for _ in range(60):
         mid = 0.5 * (a + b)
-        (h_mid,) = yield from fitness([mid])
-        # Descending branch: a value above the level means the root lies
-        # to the right of mid; ascending branch is the mirror image.
-        if (h_mid > level) == descending:
+        h_mid = yield from fitness(mid)
+        if left_of_root(h_mid):
             a = mid
         else:
             b = mid
@@ -727,12 +721,12 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
     The one calibration driver: every step-size search enters here, and
     ``tolerance`` and ``calibration_runs`` are range-checked here, before
     anything is simulated.
-    The searches (:func:`_mu1_search`) advance together: the paired-LMS
-    references first (so the calibration streams are drawn once, at full
-    length), then every cell's doubling scan, then one bisection
-    midpoint per unfinished cell per round.  Each round's probes run in
-    a few wide batches (:func:`_simulate_curves`); a record's ``reads``
-    are the curves its search was sent.  The calibration streams are
+    The searches (:func:`_mu1_search`) advance together, one probe per
+    unfinished search per round: the paired-LMS references first (so the
+    calibration streams are drawn once, at full length), then the
+    doubling scan a point a round, then the bisection midpoints.  Each
+    round's probes run in a few wide batches (:func:`_simulate_curves`);
+    a record's ``reads`` are the curves its search was sent.  The calibration streams are
     released when the searches end.  Nothing is logged or raised here;
     each record's :meth:`~Calibration.settle` does that.
     """
@@ -744,14 +738,13 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
         search = _mu1_search(sc, tolerance)
         pending.append((i, search, [], next(search)))
     while pending:
-        probes = [(algorithm, scenarios[i], n_iters) for i, *_, request in pending for algorithm, n_iters in request]
-        found = iter(_simulate_curves(probes, calibration_runs))
+        curves = _simulate_curves([(algorithm, scenarios[i], n_iters)
+                                   for i, _, _, (algorithm, n_iters) in pending], calibration_runs)
         advanced = []
-        for i, search, reads, request in pending:
-            sent = [next(found) for _ in request]
-            reads += [(algorithm, curve) for (algorithm, _), curve in zip(request, sent)]
+        for (i, search, reads, (algorithm, _)), curve in zip(pending, curves):
+            reads.append((algorithm, curve))
             try:
-                advanced.append((i, search, reads, search.send(sent)))
+                advanced.append((i, search, reads, search.send(curve)))
             except StopIteration as done:
                 records[i] = Calibration(reads, *done.value)
         pending = advanced

@@ -459,6 +459,18 @@ class TestCalibrate:
         assert captured.out == ""
         assert captured.err == f"configuration error: algorithm: calibrate calibrates mflms only, got {algorithm!r}\n"
 
+    @pytest.mark.parametrize("cell", [[], ["--set", "noise_level=0.30", "--set", "alpha=0.2", "--set", "f=0.25"]],
+                             ids=["grid", "one cell"])
+    def test_set_mflms_mu1_rejected(self, tmp_path, capsys, cell):
+        # calibrate computes the step size: a set one is refused, not
+        # dropped in favour of the calibrated value.
+        code = main(["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID, *cell,
+                     "--set", "mflms_mu1=0.01"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "configuration error: mflms_mu1: calibrate computes the step size, got 0.01\n"
+
     def test_mflms_algorithm_is_the_default(self, tmp_path, capsys):
         args = ["calibrate", "--out", str(tmp_path), "--seed", "42", *self.CALIBRATED_GRID,
                 "--set", "noise_level=0.30", "--set", "alpha=0.2", "--set", "f=0.25"]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from lmslab import experiment
 from lmslab.experiment import (
@@ -595,15 +595,28 @@ def grid_blocks(config: GridConfig) -> list:
             for _, f, sc in config.cells()]
 
 
+def doubling_scan() -> list:
+    """The scan's 14 values of ``mu1``: from 1e-4, doubled up to 0.5."""
+    lo, hi = experiment._MU_BRACKET
+    return [min(lo * 2**k, hi) for k in range(14)]
+
+
 def scan_blocks(config: GridConfig) -> list:
-    """The probe blocks of a grid's first scan round: every calibrated cell's doubling scan of ``mu1``."""
+    """Probe blocks of every calibrated cell's whole doubling scan of ``mu1``, as one round would hold them."""
+    return [(mflms_params(mu1, sc.alpha, f),
+             replace(sc, n_runs=config.calibration_runs, n_iters=sc.checkpoint_interval))
+            for _, f, sc in config.cells() if f is not None for mu1 in doubling_scan()]
+
+
+def first_scan_round(config: GridConfig) -> list:
+    """The probe blocks of a grid's first scan round: the first request of every calibrated cell's scan."""
     blocks = []
     for _, f, sc in config.cells():
         if f is not None:
             search = experiment._mu1_search(sc, config.calibration_tolerance)
             next(search)  # the paired-LMS reference, answered with a curve still converging
-            blocks += [(algorithm, replace(sc, n_runs=config.calibration_runs, n_iters=n_iters))
-                       for algorithm, n_iters in search.send([np.array([1.0, 0.1])])]
+            algorithm, n_iters = search.send(np.array([1.0, 0.1]))
+            blocks.append((algorithm, replace(sc, n_runs=config.calibration_runs, n_iters=n_iters)))
     return blocks
 
 
@@ -649,8 +662,16 @@ class TestPlan:
         assert len(plan) == 12 and min(rows) == 2997 and max(rows) == 3006 and sum(rows) == 36000
 
     def test_default_grid_first_scan_round(self, no_simulation):
-        # 27 cells x 14 probes of 200 runs, in three kernel branches of 126
-        # blocks: seven even batches of 18 whole blocks each.
+        # One probe per cell, each search's first scan point (mu1 = 1e-4):
+        # three kernel branches of nine 200-run blocks, one batch each.
+        blocks = first_scan_round(GridConfig())
+        plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
+        self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
+        assert [algorithm.mu1 for algorithm, _ in blocks] == [experiment._MU_BRACKET[0]] * 27
+        assert [sum(hi - lo for _, lo, hi in batch) for batch in plan] == [1800] * 3
+        # Every cell's whole scan in one round, 27 cells x 14 probes, in
+        # three kernel branches of 126 blocks: seven even batches of 18
+        # whole blocks each.
         blocks = scan_blocks(GridConfig())
         plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
         self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
@@ -1066,6 +1087,160 @@ class TestCalibration:
         assert {bool(c[0] > experiment._CONVERGED_RATIO * c[-1]) for c in references} == {True, False}
 
 
+def eager_search(h, reference, tolerance):
+    """The search's rules with every scan point read first: ``((mu1, fitness, miss), probes, bracket)``.
+
+    It reads all 14 scan points, takes the first crossing of the target
+    from above (descending) or the last crossing of the band's upper
+    level from below (ascending), then bisects; ``bracket`` indexes the
+    scan point that closes the crossing (None without one).
+    """
+    target = float(reference[0])
+    if not math.isfinite(target):
+        return (None, math.inf, "the reference LMS ensemble diverged"), [], None
+    grid = doubling_scan()
+    values = [h(mu1) for mu1 in grid]
+    probes = list(grid)
+    descending = target > experiment._CONVERGED_RATIO * float(reference[-1])
+    if descending:
+        level = target
+        bracket = next((i for i in range(1, len(grid)) if values[i - 1] > target >= values[i]), None)
+    else:
+        level = target * (1 + 0.8 * tolerance)
+        crossings = [i for i in range(1, len(grid)) if values[i - 1] <= level < values[i]]
+        bracket = crossings[-1] if crossings else None
+    if bracket is None:
+        finite = [(mu1, v) for mu1, v in zip(grid, values) if math.isfinite(v)]
+        mu1, v = min(finite, key=lambda t: abs(t[1] - target), default=(None, math.inf))
+        miss = None if mu1 is not None and abs(v - target) <= tolerance * target else (
+            f"no mu1 in [0.0001, 0.5] matches the reference fitness {target:.4g} within {100 * tolerance:g}%")
+        return (mu1, v, miss), probes, None
+    a, b = grid[bracket - 1], grid[bracket]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        probes.append(mid)
+        v = h(mid)
+        if (v > level) == descending:
+            a = mid
+        else:
+            b = mid
+        if (b - a) <= 1e-4 * b:
+            break
+    miss = None if abs(v - target) <= tolerance * target else (
+        f"bisection converged to mu1={mid:.4g} but its fitness {v:.4g} "
+        f"misses the reference {target:.4g} by more than {100 * tolerance:g}%")
+    return (mid, v, miss), probes, bracket
+
+
+def scan_fitness(values):
+    """A fitness of ``mu1`` that reads ``values`` at the scan points and interpolates between them.
+
+    Between two scan points it is linear in ``mu1``, or the nearer
+    point's value when either is infinite.
+    """
+    grid = doubling_scan()
+
+    def h(mu1):
+        i = int(np.searchsorted(grid, mu1))
+        if grid[i] == mu1:
+            return values[i]
+        t = (mu1 - grid[i - 1]) / (grid[i] - grid[i - 1])
+        if math.isinf(values[i - 1]) or math.isinf(values[i]):
+            return values[i - 1] if t < 0.5 else values[i]
+        return values[i - 1] + t * (values[i] - values[i - 1])
+
+    return h
+
+
+def lazy_search(h, reference, tolerance):
+    """``_mu1_search`` sent ``reference``, then ``h`` of each probe: its result and the probed ``mu1``."""
+    sc = scenario()
+    search = experiment._mu1_search(sc, tolerance)
+    probes = []
+    algorithm, n_iters = next(search)
+    assert (algorithm, n_iters) == (lms_params(sc.lms_eta), sc.n_iters)
+    curve = reference
+    try:
+        while True:
+            algorithm, n_iters = search.send(curve)
+            assert algorithm == mflms_params(algorithm.mu1, sc.alpha, sc.f) and n_iters == sc.checkpoint_interval
+            probes.append(algorithm.mu1)
+            curve = np.array([h(algorithm.mu1)])
+    except StopIteration as done:
+        return done.value, probes
+
+
+@st.composite
+def search_cases(draw):
+    """``(reference, tolerance, values)``: a reference curve, a tolerance and the 14 scan points' fitness.
+
+    The scan points read the branch's level times a factor: exactly 1,
+    infinite (every probe run diverged), or drawn on either side of it;
+    some scans lie wholly on one side, so the search falls back.
+    """
+    tolerance = draw(st.sampled_from([0.05, 0.2, 1e-3]))
+    target = math.inf if draw(st.integers(0, 15)) == 0 else draw(st.floats(0.05, 5.0))
+    # The final reference value sets the branch: a ratio above 1.2 is descending.
+    final = target / draw(st.sampled_from([2.0, 1.2, 1.1, 1.0]))
+    descending = target > experiment._CONVERGED_RATIO * final
+    level = target if descending else target * (1 + 0.8 * tolerance)
+    side = draw(st.sampled_from(["both", "above", "below"]))
+    factors = {
+        "both": st.sampled_from([1.0, math.inf]) | st.floats(0.3, 3.0),
+        "above": st.just(math.inf) | st.floats(1.0, 1.3, exclude_min=True),
+        "below": st.floats(0.7, 1.0),
+    }[side]
+    values = [level * factor for factor in draw(st.lists(factors, min_size=14, max_size=14))]
+    return np.array([target, final]), tolerance, values
+
+
+def search_case(target, final, tolerance, factors, level=None):
+    """An explicit :func:`search_cases` example: ``level`` defaults to the branch's own."""
+    descending = target > experiment._CONVERGED_RATIO * final
+    level = level or (target if descending else target * (1 + 0.8 * tolerance))
+    return np.array([target, final]), tolerance, [level * x for x in factors]
+
+
+INF = math.inf
+
+
+class TestSearchAgainstEagerScan:
+    """``_mu1_search`` against the same rules with the whole scan read first: synthetic fitness, no simulation."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(search_cases())
+    # Descending: a scan point equal to the target closes the crossing.
+    @example(search_case(1.0, 0.5, 0.05, [3, 2, 1.0, 0.5, 2, 0.7, 3, 1, 0.4, 2, INF, 0.5, INF, 3]))
+    # Descending: a first point below the target, then a crossing from above.
+    @example(search_case(1.0, 0.5, 0.05, [0.5, 2, 0.5, 2, INF, INF, 0.2, 2, 3, 1, 0.4, 2, 0.5, 3]))
+    # Ascending: several crossings, infinite points among them.
+    @example(search_case(1.0, 1.0, 0.05, [0.5, 2, 0.5, 1.0, INF, 0.9, 1.5, 0.2, INF, 3, 1, 1.1, 0.5, 4]))
+    # The reference diverged.
+    @example(search_case(INF, INF, 0.05, [1.0] * 14, level=1.0))
+    # No crossing: a fallback on each branch, within the band and not.
+    @example(search_case(1.0, 0.5, 0.05, [INF, 1.3, 1.02, 1.2] + [INF] * 10))
+    @example(search_case(1.0, 0.5, 0.05, [INF, 1.3, 1.2] + [INF] * 11))
+    @example(search_case(1.0, 1.0, 0.05, [0.9, 0.97, 0.8, 1.0, 0.6] + [0.5] * 9))
+    @example(search_case(1.0, 1.0, 0.05, [0.5] * 14))
+    # Every scan probe diverged.
+    @example(search_case(1.0, 0.5, 0.05, [INF] * 14))
+    def test_same_result_and_probes_up_to_the_bracket(self, drawn):
+        reference, tolerance, values = drawn
+        h = scan_fitness(values)
+        want, eager_probes, bracket = eager_search(h, reference, tolerance)
+        got, probes = lazy_search(h, reference, tolerance)
+        assert got == want
+        descending = reference[0] > experiment._CONVERGED_RATIO * reference[-1]
+        if descending and bracket is not None:
+            # The scan stops at the bracket; no point past it is probed.
+            grid = doubling_scan()
+            assert eager_probes[:14] == grid
+            assert probes == grid[:bracket + 1] + eager_probes[14:]
+            assert not set(probes) & set(grid[bracket + 1:])
+        else:
+            assert probes == eager_probes
+
+
 def documented_mu1() -> dict:
     """The calibrated ``mu1`` table of ``docs/reproduction_notes.md``: ``(level, alpha, f) -> text``."""
     notes = (Path(__file__).resolve().parents[1] / "docs" / "reproduction_notes.md").read_text()
@@ -1090,6 +1265,12 @@ class TestCalibrationOracle:
         records = prefetch_calibration([sc for _, sc in cells], config.calibration_tolerance, config.calibration_runs)
         documented = documented_mu1()
         assert len(records) == len(documented) == 27
+        # A descending cell (a <= 0.5) reads the reference, the scan up to its
+        # bracket (8 points, to 0.0128) and 13 midpoints; an ascending cell
+        # (a = 0.8) reads all 14 scan points.
+        reads = [len(record.reads) for record in records]
+        assert reads == [28 if sc.alpha == 0.8 else 22 for _, sc in cells]
+        assert sum(reads) == 648
 
         def fitness(algorithm, sc):
             # Mean NWD at the target (first) checkpoint over the in-bound
@@ -1132,7 +1313,7 @@ class TestCalibrationOracle:
         assert len(records) == 9
         for sc, record in zip(cells, records):
             scan = [algorithm for algorithm, _ in record.reads[1:15]]
-            assert [a.mu1 for a in scan] == [min(1e-4 * 2**k, 0.5) for k in range(14)]
+            assert [a.mu1 for a in scan] == doubling_scan()
             frozen = [
                 simulate_one(algorithm, sc, range(config.calibration_runs),
                              domain=experiment._DOMAIN_CALIBRATION, n_iters=sc.checkpoint_interval)[2].any()

@@ -47,10 +47,10 @@ def naive_curve(algorithm, scenario, n_iters: int, calibration_runs: int) -> np.
 def naive_mu1(scenario, config: GridConfig) -> float:
     """The cell's step size: its search alone, sent naive curves, settled as a grid settles (closest on a miss)."""
     search = experiment._mu1_search(scenario, config.calibration_tolerance)
-    request = next(search)
+    algorithm, n_iters = next(search)
     try:
         while True:
-            request = search.send([naive_curve(a, scenario, n, config.calibration_runs) for a, n in request])
+            algorithm, n_iters = search.send(naive_curve(algorithm, scenario, n_iters, config.calibration_runs))
     except StopIteration as done:
         mu1, _, miss = done.value
     if mu1 is None:

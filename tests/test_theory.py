@@ -23,6 +23,17 @@ matrix ``D = mu1 * diag(1 + |theta_bc,i|^(1-f)) / (1 - alpha)``, whose
 steady-state error is Gaussian with covariance
 ``sigma^2 * D / (2 * (1 - tr(D) / 4))``.  Its mean norm has no closed
 form and is averaged over seeded standard normal draws.
+
+Before the steady state, LMS has an exact oracle.  The regressor is
+deterministic and the noise Gaussian, so the weight error ``e = theta -
+w`` (in ``bc`` space) is Gaussian at every iteration: ``e' = A e - eta *
+sigma * z * u`` with ``A = I - eta u u^T``, from ``e0 ~ N(theta, I)``
+(the weights start at standard normal draws).  Its second moment follows
+
+    P' = A P A^T + eta^2 * sigma^2 * u u^T,    P0 = theta theta^T + I,
+
+and ``trace(P)`` is the mean-square deviation at every iteration, the
+transient included, which a run's ``NWD^2 * ||theta||^2`` estimates.
 """
 
 import math
@@ -40,7 +51,8 @@ from lmslab.experiment import (
 )
 from lmslab.filters import FilterParams, Variant
 from lmslab.metrics import MetricSpace
-from lmslab.signal_model import THETA_BC
+from lmslab.signal_model import FREQUENCIES, THETA_BC, regressor
+from test_experiment import simulate_one
 
 M = 8
 TRACE_R = M / 2
@@ -59,6 +71,12 @@ MOMENTUM_BAND = 0.02
 # exponent f in place of 1 - f misses by 10-13%.
 MFLMS_BAND = 0.015
 MFLMS_HIGH_MOMENTUM_BAND = 0.035
+# The engine's 1000-run LMS MSD over the exact one, at every checkpoint of
+# the three paired (level, eta) cells, read 0.9689-1.0379 at seeds 42, 7
+# and 1234 (at most 3.8% off; one 1000-run MSD has a sampling error of
+# about sqrt(2/8/1000) = 1.6%), so a 5% band leaves a margin of 1.2%.
+# The test checks two other seeds, which read 0.9694-1.0283.
+EXACT_MSD_BAND = 0.05
 
 
 def steady_nwd(params: FilterParams, level: float, eta: float, alpha: float, f: float = 0.25) -> float:
@@ -120,3 +138,30 @@ def test_mflms_matches_lms_with_diagonal_step(level, alpha, eta, f):
     steady = steady_nwd(mflms_params(mu1, alpha, f), level, eta, alpha, f)
     band = MFLMS_BAND if alpha <= 0.5 else MFLMS_HIGH_MOMENTUM_BAND
     assert steady == pytest.approx(diagonal_step_nwd(level, mu1, alpha, f), rel=band)
+
+
+def exact_lms_msd(level: float, eta: float, sc: ScenarioConfig) -> np.ndarray:
+    """``trace(P)`` of the LMS weight error at each of ``sc``'s checkpoints, by the exact recursion."""
+    u = regressor(FREQUENCIES, np.arange(1, sc.n_iters + 1))
+    p = np.outer(THETA_BC, THETA_BC) + np.eye(M)
+    msd = []
+    for k in range(sc.n_iters):
+        a = np.eye(M) - eta * np.outer(u[k], u[k])
+        p = a @ p @ a.T + eta**2 * level * np.outer(u[k], u[k])
+        if (k + 1) % sc.checkpoint_interval == 0:
+            msd.append(np.trace(p))
+    return np.array(msd)
+
+
+@pytest.mark.parametrize("seed", [11, 2024])
+@pytest.mark.parametrize("level, eta", [(0.30, 0.027), (0.60, 0.042), (0.90, 0.1)])
+def test_lms_transient_matches_the_exact_recursion(level, eta, seed):
+    sc = ScenarioConfig(
+        noise_std=math.sqrt(level), alpha=0.0, f=0.25, lms_eta=eta,
+        n_runs=1000, n_iters=1000, checkpoint_interval=100, base_seed=seed,
+        metric_space=MetricSpace.BC,
+    )
+    nwd_ck, _, frozen = simulate_one(lms_params(eta), sc, range(sc.n_runs))
+    assert not frozen.any()
+    msd = (nwd_ck**2).mean(axis=0) * (THETA_BC @ THETA_BC)
+    np.testing.assert_allclose(msd, exact_lms_msd(level, eta, sc), rtol=EXACT_MSD_BAND)
