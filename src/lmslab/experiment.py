@@ -27,9 +27,9 @@ ensemble, the calibration probes) into a read-only window
 seed reads and scales by its own noise level (common random numbers).
 A grid's ensembles advance a slice of runs at a time, so the main
 window holds one slice (2.7 MB of noise at the default protocol).  The
-calibration window holds every probe's runs (1.6 MB); the paired-LMS
-references draw it first, at full length, and the calibration driver
-releases it when its searches end.
+calibration window holds every probe's runs (1.6 MB); the calibration
+driver draws it before its first round, at full length, and releases it
+when its searches end.
 
 The engine (:func:`_simulate`) holds a batch component-major: ``w``,
 ``w_prev`` and ``v`` live in ``(M, runs)`` buffers, and each iteration
@@ -47,7 +47,7 @@ read a row-major copy of the weights, which keeps them bit-identical
 to a row-major engine.
 
 Ensembles and calibration probes share one batch plan (:func:`_plan`:
-blocks with one kernel branch and protocol, in batches of at most
+blocks with one kernel branch and protocol, in slices of runs of at most
 ``_BATCH_ROWS`` rows) and its runner (:func:`_simulate_blocks`).  Every
 step-size search enters through one driver,
 :func:`prefetch_calibration`: :func:`calibrate_mu1` is its one-cell
@@ -416,17 +416,15 @@ def _batch_rule(algorithms, rows) -> Rule:
     return rules[0]._replace(**columns)
 
 
-def _plan(blocks, domain: int) -> list:
+def _plan(blocks) -> list:
     """The batches of ``blocks``, in run order, each a tuple of ``(index, lo, hi)``: runs ``lo .. hi - 1`` of a block.
 
     Block ``(algorithm, scenario)`` has runs ``0 .. scenario.n_runs - 1``.
     Blocks with one :func:`_batch_key` share batches of at most
-    ``_BATCH_ROWS`` rows.  In the main domain a group needing several
-    batches is split by runs: batch ``b`` holds runs ``lo_b .. hi_b - 1``
-    of every block (one run of each at least), and the groups advance
-    slice by slice, so the streams hold one slice of runs at a time.
-    Calibration probes run whole blocks a batch, even a block above
-    ``_BATCH_ROWS``: sliced by runs, the default grid's probes ran slower.
+    ``_BATCH_ROWS`` rows (one run of each block at least): a group
+    needing several batches is split by runs, batch ``b`` holding runs
+    ``lo_b .. hi_b - 1`` of every block, and the groups advance slice by
+    slice, so a main-domain window holds one slice of runs at a time.
     """
     groups = {}
     for i, block in enumerate(blocks):
@@ -435,27 +433,22 @@ def _plan(blocks, domain: int) -> list:
     batches = []
     for group in groups.values():
         runs = max(n_runs[i] for i in group)
-        if domain == _DOMAIN_MAIN:
-            n = math.ceil(runs / max(1, _BATCH_ROWS // len(group)))
-            cuts = [b * runs // n for b in range(n + 1)]  # even slices
-            batches += [tuple((i, lo, min(hi, n_runs[i])) for i in group if lo < n_runs[i])
-                        for lo, hi in zip(cuts, cuts[1:])]
-        else:
-            per_batch = max(1, _BATCH_ROWS // runs)
-            size = math.ceil(len(group) / math.ceil(len(group) / per_batch))  # even batches
-            batches += [tuple((i, 0, n_runs[i]) for i in group[start:start + size])
-                        for start in range(0, len(group), size)]
+        n = math.ceil(runs / max(1, _BATCH_ROWS // len(group)))
+        cuts = [b * runs // n for b in range(n + 1)]  # even slices
+        batches += [tuple((i, lo, min(hi, n_runs[i])) for i in group if lo < n_runs[i])
+                    for lo, hi in zip(cuts, cuts[1:])]
     return sorted(batches, key=lambda batch: batch[0][1])
 
 
 def _simulate_blocks(blocks, add, domain: int = _DOMAIN_MAIN) -> list:
     """One :class:`_Means` per block, in order, fed by ``add(means, nwd_ck, final_bc, frozen)``.
 
-    Each batch of :func:`_plan` is one ``_simulate`` call, whose rows go
-    to ``add`` block by block before the next batch runs.
+    Each batch of :func:`_plan` is one ``_simulate`` call on ``domain``'s
+    streams, whose rows go to ``add`` block by block before the next
+    batch runs.
     """
     means = [_Means() for _ in blocks]
-    for batch in _plan(blocks, domain):
+    for batch in _plan(blocks):
         algorithms = tuple(blocks[i][0] for i, _, _ in batch)
         scenarios = tuple(replace(blocks[i][1], n_runs=hi - lo) for i, lo, hi in batch)
         runs = np.concatenate([np.arange(lo, hi) for _, lo, hi in batch])
@@ -720,18 +713,22 @@ def prefetch_calibration(scenarios, tolerance: float, calibration_runs: int) -> 
 
     The one calibration driver: every step-size search enters here, and
     ``tolerance`` and ``calibration_runs`` are range-checked here, before
-    anything is simulated.
+    anything is simulated.  It then draws the calibration streams once
+    (``calibration_runs`` runs at the first cell's seed, over the longest
+    ``n_iters``) and releases them when the searches end.
     The searches (:func:`_mu1_search`) advance together, one probe per
-    unfinished search per round: the paired-LMS references first (so the
-    calibration streams are drawn once, at full length), then the
-    doubling scan a point a round, then the bisection midpoints.  Each
-    round's probes run in a few wide batches (:func:`_simulate_curves`);
-    a record's ``reads`` are the curves its search was sent.  The calibration streams are
-    released when the searches end.  Nothing is logged or raised here;
-    each record's :meth:`~Calibration.settle` does that.
+    unfinished search per round: the paired-LMS references first, then
+    the doubling scan a point a round, then the bisection midpoints.
+    Each round's probes run in a few wide batches
+    (:func:`_simulate_curves`); a record's ``reads`` are the curves its
+    search was sent.  Nothing is logged or raised here; each record's
+    :meth:`~Calibration.settle` does that.
     """
     tolerance = RANGES["calibration_tolerance"].check("tolerance", tolerance)
     calibration_runs = RANGES["calibration_runs"].check("calibration_runs", calibration_runs)
+    if scenarios:
+        _streams(scenarios[0].base_seed, _DOMAIN_CALIBRATION, len(THETA_BC),
+                 np.arange(calibration_runs), max(sc.n_iters for sc in scenarios))
     records = [None] * len(scenarios)
     pending = []
     for i, sc in enumerate(scenarios):

@@ -6,6 +6,8 @@ is skipped where speed matters).
 """
 
 import hashlib
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +20,9 @@ import pytest
 import lmslab
 from lmslab.cli import _single_algorithm, main
 from lmslab.config import parse_config
-from lmslab.experiment import GridConfig, calibrate_mu1
+from lmslab.experiment import GridConfig, ScenarioConfig, calibrate_mu1
 from lmslab.filters import FilterParams, Variant, default_muf
+from lmslab.reporting import read_aggregates_csv
 
 SMALL_GRID = [
     "--set", "noise_levels=0.30",
@@ -335,6 +338,29 @@ class TestRun:
         assert code == 0
         assert (out / "aggregates.csv").read_text().strip().split("\n")[1].startswith("0.30,mflms,")
 
+    CALIBRATING_RUN = ["--set", "noise_level=0.30", "--set", "alpha=0.2", "--set", "f=0.25",
+                       "--set", "n_runs=20", "--set", "n_iters=300", "--set", "calibration_runs=20"]
+
+    def test_run_without_mu1_calibrates(self, tmp_path, capsys, caplog):
+        # mFLMS without a set mflms_mu1 runs at the calibrated step, which
+        # the one-cell calibration at the configured tolerance returns.
+        out = tmp_path / "run"
+        with caplog.at_level(logging.INFO, logger="lmslab"):
+            assert main(["run", "--out", str(out), *self.CALIBRATING_RUN]) == 0
+        assert "no mflms_mu1 configured; calibrating against LMS(eta=0.027)" in caplog.messages
+        (entry,) = read_aggregates_csv((out / "aggregates.csv").read_text())
+        scenario = ScenarioConfig(noise_std=math.sqrt(0.30), alpha=0.2, f=0.25, lms_eta=0.027,
+                                  n_runs=20, n_iters=300)
+        assert entry.step_size == calibrate_mu1(scenario, tolerance=0.05, calibration_runs=20)
+        capsys.readouterr()
+        # A tolerance the bisection cannot meet is a runtime error.
+        code = main(["run", "--out", str(tmp_path / "miss"), *self.CALIBRATING_RUN,
+                     "--set", "calibration_tolerance=1e-12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bisection converged to mu1=")
+
     @pytest.mark.parametrize("algorithm", list(RUN_LABELS))
     def test_run_other_variants(self, tmp_path, capsys, algorithm):
         out = tmp_path / algorithm
@@ -550,9 +576,12 @@ class TestErrors:
         (["grid", "--config", "{tmp}/latin.cfg"], 1, "configuration error: cannot read config file: "),
         (["grid", "--config", "{tmp}"], 1, "configuration error: cannot read config file: "),
         (["report", "--out", "{tmp}"], 2, "error: no aggregates dump at "),
-    ], ids=["not-utf8", "directory", "report-without-dump"])
+        (["report", "--out", "{tmp}/header-only"], 2, "error: aggregates file has no data rows"),
+    ], ids=["not-utf8", "directory", "report-without-dump", "report-header-only"])
     def test_unreadable_input_is_one_stderr_line(self, tmp_path, capsys, argv, code, prefix):
         (tmp_path / "latin.cfg").write_bytes(b"n_runs = 10\n\xff\xfe\n")
+        (tmp_path / "header-only").mkdir()
+        (tmp_path / "header-only" / "aggregates.csv").write_text("sigma_label,variant,alpha,f,step_size\n")
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1

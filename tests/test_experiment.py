@@ -361,6 +361,30 @@ class TestSharedStreams:
         prefetch_calibration([scenario(n_iters=100)], CALIBRATION_TOLERANCE, 10)[0].settle("closest")
         assert experiment._DOMAIN_CALIBRATION not in experiment._stream_windows
 
+    def test_probe_above_the_cap_is_sliced_from_streams_drawn_once(self, monkeypatch, draws):
+        # A 150-run probe at 100 rows a batch runs in slices of runs; the
+        # calibration driver draws its 150 runs once, and the record equals
+        # the one at the default cap bit for bit.
+        sc = scenario(n_iters=200)
+        (whole,) = prefetch_calibration([sc], CALIBRATION_TOLERANCE, 150)
+        draws.clear()
+        batches = []
+        real_simulate = experiment._simulate
+
+        def recording_simulate(algorithm, scenario, run_indices, **kwargs):
+            batches.append(len(run_indices))
+            return real_simulate(algorithm, scenario, run_indices, **kwargs)
+
+        monkeypatch.setattr(experiment, "_simulate", recording_simulate)
+        monkeypatch.setattr(experiment, "_BATCH_ROWS", 100)
+        (sliced,) = prefetch_calibration([sc], CALIBRATION_TOLERANCE, 150)
+        assert len(draws) == 150 and len(set(draws)) == 150
+        assert batches and max(batches) <= 100
+        assert (sliced.mu1, sliced.fitness, sliced.miss) == (whole.mu1, whole.fitness, whole.miss)
+        assert [a for a, _ in sliced.reads] == [a for a, _ in whole.reads]
+        for (_, got), (_, want) in zip(sliced.reads, whole.reads, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_ensemble_independent_of_cache_state(self, cold_streams):
         sc = scenario(n_runs=20)
         cold = simulate_one(lms_params(0.1), sc, range(20))
@@ -624,7 +648,7 @@ class TestPlan:
     """The batch plan, checked without simulating."""
 
     @staticmethod
-    def assert_valid(blocks, plan, domain):
+    def assert_valid(blocks, plan):
         n_runs = [sc.n_runs for _, sc in blocks]
         keys = [experiment._batch_key(*block) for block in blocks]
         runs = [[] for _ in blocks]
@@ -634,15 +658,12 @@ class TestPlan:
                 assert lo < hi
                 runs[i] += range(lo, hi)
         assert runs == [list(range(n)) for n in n_runs]  # every run once, in run order
-        if domain == experiment._DOMAIN_MAIN:
-            # Runs advance slice by slice, so the streams hold one slice at a time.
-            firsts = [min(lo for _, lo, _ in batch) for batch in plan]
-            assert firsts == sorted(firsts)
-            for batch in plan:
-                if keys.count(keys[batch[0][0]]) <= experiment._BATCH_ROWS:
-                    assert sum(hi - lo for _, lo, hi in batch) <= experiment._BATCH_ROWS
-        else:
-            assert all((lo, hi) == (0, n_runs[i]) for batch in plan for i, lo, hi in batch)
+        # Runs advance slice by slice, so the streams hold one slice at a time.
+        firsts = [min(lo for _, lo, _ in batch) for batch in plan]
+        assert firsts == sorted(firsts)
+        for batch in plan:
+            if keys.count(keys[batch[0][0]]) <= experiment._BATCH_ROWS:
+                assert sum(hi - lo for _, lo, hi in batch) <= experiment._BATCH_ROWS
 
     @pytest.fixture
     def no_simulation(self, monkeypatch):
@@ -656,8 +677,8 @@ class TestPlan:
         # Four kernel branches of nine 1000-run cells, each in three slices
         # of 333 or 334 runs.
         blocks = grid_blocks(GridConfig(mflms_mu1=0.01))
-        plan = experiment._plan(blocks, experiment._DOMAIN_MAIN)
-        self.assert_valid(blocks, plan, experiment._DOMAIN_MAIN)
+        plan = experiment._plan(blocks)
+        self.assert_valid(blocks, plan)
         rows = [sum(hi - lo for _, lo, hi in batch) for batch in plan]
         assert len(plan) == 12 and min(rows) == 2997 and max(rows) == 3006 and sum(rows) == 36000
 
@@ -665,37 +686,33 @@ class TestPlan:
         # One probe per cell, each search's first scan point (mu1 = 1e-4):
         # three kernel branches of nine 200-run blocks, one batch each.
         blocks = first_scan_round(GridConfig())
-        plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
-        self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
+        plan = experiment._plan(blocks)
+        self.assert_valid(blocks, plan)
         assert [algorithm.mu1 for algorithm, _ in blocks] == [experiment._MU_BRACKET[0]] * 27
         assert [sum(hi - lo for _, lo, hi in batch) for batch in plan] == [1800] * 3
         # Every cell's whole scan in one round, 27 cells x 14 probes, in
-        # three kernel branches of 126 blocks: seven even batches of 18
-        # whole blocks each.
+        # three kernel branches of 126 blocks: seven even slices of 28 or
+        # 29 runs of each block.
         blocks = scan_blocks(GridConfig())
-        plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
-        self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
+        plan = experiment._plan(blocks)
+        self.assert_valid(blocks, plan)
         assert len(blocks) == 27 * 14
-        assert [sum(hi - lo for _, lo, hi in batch) for batch in plan] == [3600] * 21
+        rows = [sum(hi - lo for _, lo, hi in batch) for batch in plan]
+        assert len(rows) == 21 and set(rows) == {3528, 3654} and sum(rows) == 75600
 
     @pytest.mark.parametrize("batch_rows", [1, 2, 5, 10, 24, 4000])
-    @pytest.mark.parametrize("domain", [0, 1], ids=["main", "calibration"])
-    def test_uneven_blocks(self, no_simulation, monkeypatch, batch_rows, domain):
-        # Blocks of unequal run counts in two kernel branches; at one or two
+    @pytest.mark.parametrize("n_iters", [300, 100], ids=["main", "calibration"])
+    def test_uneven_blocks(self, no_simulation, monkeypatch, batch_rows, n_iters):
+        # Blocks of unequal run counts in two kernel branches, as ensembles
+        # or as probes (up to the first checkpoint) run them; at one or two
         # rows a batch, a branch holds more blocks than a batch has rows.
         monkeypatch.setattr(experiment, "_BATCH_ROWS", batch_rows)
-        blocks = [(lms_params(0.01 * (k + 1)), scenario(n_runs=n)) for k, n in enumerate((5, 13, 1, 7))]
-        blocks.insert(2, (mflms_params(0.01, 0.5, 0.25), scenario(n_runs=12)))
-        blocks.append((mflms_params(0.02, 0.2, 0.25), scenario(n_runs=3)))
-        plan = experiment._plan(blocks, domain)
-        self.assert_valid(blocks, plan, domain)
-
-    def test_probe_block_above_the_cap_runs_alone(self, no_simulation, monkeypatch):
-        monkeypatch.setattr(experiment, "_BATCH_ROWS", 100)
-        blocks = [(lms_params(0.01 * (k + 1)), scenario(n_runs=n)) for k, n in enumerate((40, 150, 40, 40))]
-        plan = experiment._plan(blocks, experiment._DOMAIN_CALIBRATION)
-        self.assert_valid(blocks, plan, experiment._DOMAIN_CALIBRATION)
-        assert ((1, 0, 150),) in plan
+        blocks = [(lms_params(0.01 * (k + 1)), scenario(n_runs=n, n_iters=n_iters))
+                  for k, n in enumerate((5, 13, 1, 7))]
+        blocks.insert(2, (mflms_params(0.01, 0.5, 0.25), scenario(n_runs=12, n_iters=n_iters)))
+        blocks.append((mflms_params(0.02, 0.2, 0.25), scenario(n_runs=3, n_iters=n_iters)))
+        plan = experiment._plan(blocks)
+        self.assert_valid(blocks, plan)
 
 
 class TestTrajectoryContract:
@@ -982,8 +999,7 @@ class TestCalibration:
         real_simulate, real_curve = experiment._simulate, experiment._calibration_curve
 
         def counting_simulate(algorithm, *args, **kwargs):
-            blocks = algorithm if isinstance(algorithm, tuple) else (algorithm,)
-            simulated.extend((block.variant, kwargs.get("domain")) for block in blocks)
+            simulated.extend((block.variant, kwargs.get("domain")) for block in algorithm)
             return real_simulate(algorithm, *args, **kwargs)
 
         def recording_curve(algorithm, *args, **kwargs):
@@ -1425,6 +1441,9 @@ class TestFullGrid:
         ({"mflms_mu1": -0.01}, "mflms_mu1: must lie in (0, inf), got -0.01"),
         ({"base_seed": 2**64}, f"base_seed: must lie in [0, {2**64}), got {2**64}"),
         ({"metric_space": "nonsense"}, "not a valid MetricSpace"),
+        ({"noise_levels": ()}, "grid axes must be non-empty"),
+        ({"alphas": (), "lms_etas": ()}, "grid axes must be non-empty"),
+        ({"fractional_orders": ()}, "grid axes must be non-empty"),
     ])
     def test_grid_checks_its_cells_when_built(self, values, message):
         # The grid checks its fields against the ranges its cells' fields
@@ -1516,8 +1535,7 @@ class TestFullGrid:
 
         def recording_simulate(algorithm, scenario, *args, **kwargs):
             if kwargs.get("domain", experiment._DOMAIN_MAIN) == experiment._DOMAIN_MAIN:
-                pairs = zip(algorithm, scenario) if isinstance(algorithm, tuple) else [(algorithm, scenario)]
-                calls.append(list(pairs))
+                calls.append(list(zip(algorithm, scenario)))
             return real_simulate(algorithm, scenario, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "_simulate", recording_simulate)

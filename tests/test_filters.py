@@ -192,6 +192,8 @@ class TestMakeFilter:
             FilterParams(mu1=0.1, muf=None, f=0.5, alpha=1.0, variant=Variant.MFLMS_ASSEMBLED)
         with pytest.raises(ValueError):
             FilterState(np.zeros(3), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="^iteration counter must be non-negative$"):
+            FilterState(np.zeros(3), np.zeros(3), np.zeros(3), n=-1)
         with pytest.raises(ValueError, match="regressor length 4 does not match filter length 3"):
             step(state_of(np.zeros(3)), np.zeros(4), 0.0, params_of(Variant.LMS))
 

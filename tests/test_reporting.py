@@ -352,6 +352,10 @@ class TestGridFiles:
             write_grid_outputs(entries, tmp_path)
         assert not (tmp_path / "aggregates.csv").exists()
 
+    def test_dump_of_no_entries_rejected(self):
+        with pytest.raises(ValueError, match="^no entries to serialize$"):
+            write_aggregates_csv([])
+
     def test_files_are_written_as_they_are_rendered(self, tmp_path):
         # A noise level that fails to render leaves the levels before it
         # written.

@@ -68,6 +68,14 @@ class TestRegressor:
         with pytest.raises(ValueError):
             regressor([0.5], [1, 0])
 
+    @pytest.mark.parametrize("frequencies, message", [
+        ([], "frequencies must be a non-empty 1-D vector"),
+        ([math.nan], "frequencies must be finite"),
+    ], ids=["empty", "nan"])
+    def test_frequencies_must_be_finite_and_non_empty(self, frequencies, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            regressor(frequencies, 1)
+
 
 class TestSynthesize:
     def test_single_harmonic(self):

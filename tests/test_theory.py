@@ -34,6 +34,16 @@ sigma * z * u`` with ``A = I - eta u u^T``, from ``e0 ~ N(theta, I)``
 
 and ``trace(P)`` is the mean-square deviation at every iteration, the
 transient included, which a run's ``NWD^2 * ||theta||^2`` estimates.
+Momentum LMS (``v' = alpha v + mu e u``, ``w' = w + v'``, from ``v0 =
+0``) has one too, over the state ``x = [w - theta; v]``: ``x' = A x +
+mu * sigma * z * [u; u]`` with ``A = [[I - mu u u^T, alpha I], [-mu u
+u^T, alpha I]]``, so
+
+    P' = A P A^T + mu^2 * sigma^2 * [u; u] [u; u]^T,
+
+from ``P0`` holding ``theta theta^T + I`` in its top-left block and
+zeros elsewhere, and the MSD is the trace of that block.  At ``alpha =
+0`` its top-left block follows the LMS recursion.
 """
 
 import math
@@ -75,7 +85,10 @@ MFLMS_HIGH_MOMENTUM_BAND = 0.035
 # the three paired (level, eta) cells, read 0.9689-1.0379 at seeds 42, 7
 # and 1234 (at most 3.8% off; one 1000-run MSD has a sampling error of
 # about sqrt(2/8/1000) = 1.6%), so a 5% band leaves a margin of 1.2%.
-# The test checks two other seeds, which read 0.9694-1.0283.
+# The test checks two other seeds, which read 0.9694-1.0283.  Momentum
+# LMS at mu = eta * (1 - alpha), at the three paired (level, alpha, eta)
+# cells, read 0.9690-1.0366 at seeds 42 and 7 (a margin of 1.3%), and
+# 0.9656-1.0410 at the two seeds the test checks.
 EXACT_MSD_BAND = 0.05
 
 
@@ -140,17 +153,26 @@ def test_mflms_matches_lms_with_diagonal_step(level, alpha, eta, f):
     assert steady == pytest.approx(diagonal_step_nwd(level, mu1, alpha, f), rel=band)
 
 
-def exact_lms_msd(level: float, eta: float, sc: ScenarioConfig) -> np.ndarray:
-    """``trace(P)`` of the LMS weight error at each of ``sc``'s checkpoints, by the exact recursion."""
+def exact_msd(level: float, mu: float, alpha: float, sc: ScenarioConfig) -> np.ndarray:
+    """The momentum-LMS (LMS at ``alpha = 0``) MSD at each of ``sc``'s checkpoints, by the exact recursion."""
     u = regressor(FREQUENCIES, np.arange(1, sc.n_iters + 1))
-    p = np.outer(THETA_BC, THETA_BC) + np.eye(M)
+    p = np.zeros((2 * M, 2 * M))
+    p[:M, :M] = np.outer(THETA_BC, THETA_BC) + np.eye(M)
     msd = []
     for k in range(sc.n_iters):
-        a = np.eye(M) - eta * np.outer(u[k], u[k])
-        p = a @ p @ a.T + eta**2 * level * np.outer(u[k], u[k])
+        uu = np.outer(u[k], u[k])
+        a = np.block([[np.eye(M) - mu * uu, alpha * np.eye(M)], [-mu * uu, alpha * np.eye(M)]])
+        p = a @ p @ a.T + mu**2 * level * np.tile(uu, (2, 2))
         if (k + 1) % sc.checkpoint_interval == 0:
-            msd.append(np.trace(p))
+            msd.append(np.trace(p[:M, :M]))
     return np.array(msd)
+
+
+def engine_msd(params: FilterParams, sc: ScenarioConfig) -> np.ndarray:
+    """The engine's bc-space MSD at each checkpoint: ``mean(NWD^2) * ||theta||^2`` over ``sc``'s runs."""
+    nwd_ck, _, frozen = simulate_one(params, sc, range(sc.n_runs))
+    assert not frozen.any()
+    return (nwd_ck**2).mean(axis=0) * (THETA_BC @ THETA_BC)
 
 
 @pytest.mark.parametrize("seed", [11, 2024])
@@ -161,7 +183,18 @@ def test_lms_transient_matches_the_exact_recursion(level, eta, seed):
         n_runs=1000, n_iters=1000, checkpoint_interval=100, base_seed=seed,
         metric_space=MetricSpace.BC,
     )
-    nwd_ck, _, frozen = simulate_one(lms_params(eta), sc, range(sc.n_runs))
-    assert not frozen.any()
-    msd = (nwd_ck**2).mean(axis=0) * (THETA_BC @ THETA_BC)
-    np.testing.assert_allclose(msd, exact_lms_msd(level, eta, sc), rtol=EXACT_MSD_BAND)
+    np.testing.assert_allclose(engine_msd(lms_params(eta), sc), exact_msd(level, eta, 0.0, sc),
+                               rtol=EXACT_MSD_BAND)
+
+
+@pytest.mark.parametrize("seed", [11, 2024])
+@pytest.mark.parametrize("level, alpha, eta", [(0.30, 0.2, 0.027), (0.60, 0.5, 0.042), (0.90, 0.8, 0.1)])
+def test_momentum_lms_transient_matches_the_exact_recursion(level, alpha, eta, seed):
+    mu = eta * (1 - alpha)
+    sc = ScenarioConfig(
+        noise_std=math.sqrt(level), alpha=alpha, f=0.25, lms_eta=eta,
+        n_runs=1000, n_iters=1000, checkpoint_interval=100, base_seed=seed,
+        metric_space=MetricSpace.BC,
+    )
+    params = FilterParams(mu1=mu, muf=0.0, f=0.5, alpha=alpha, variant=Variant.MOMENTUM_LMS)
+    np.testing.assert_allclose(engine_msd(params, sc), exact_msd(level, mu, alpha, sc), rtol=EXACT_MSD_BAND)
